@@ -83,6 +83,21 @@ _FORMULA_NAMES = (
 # parameter plumbing
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low` (else exit 2)."""
+
+    def bounded(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return bounded
+
+
 def _int_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -462,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="count tilings of a region")
     count.add_argument("builder", choices=_BUILDER_NAMES)
     _region_flags(count)
-    count.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    count.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)
     count.add_argument("--json", action="store_true")
     count.set_defaults(func=cmd_count)
 
@@ -472,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     genfun.add_argument(
         "--weight", choices=("wt0", "wt1", "wt2", "wt3"), default="wt2"
     )
-    genfun.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    genfun.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)
     genfun.add_argument("--json", action="store_true")
     genfun.set_defaults(func=cmd_genfun)
 
@@ -487,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run an identity suite")
     verify.add_argument("--suite", required=True, choices=suite_names())
-    verify.add_argument("--max-sum", type=int, default=4)
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--max-sum", type=_at_least(0), default=4)
+    verify.add_argument("--jobs", type=_at_least(1), default=1)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
 
@@ -502,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         "canonical corner placement for parameter-tagged regions",
     )
     kuo.add_argument("--weight", choices=("wt0", "wt1", "wt2", "wt3"), default="wt2")
-    kuo.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    kuo.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)
     kuo.add_argument("--json", action="store_true")
     kuo.set_defaults(func=cmd_kuo)
 

@@ -5,9 +5,19 @@ under a weight assignment) and deliberately share no code: the oracle
 backtracks over whole tilings, the engine sweeps the region row by row
 carrying a boundary mask.  Tests pit them against each other.
 
-kuo_remove prepares the four-point overlapping recurrences: it checks
-that the marked triangles sit on the region's outer boundary in cyclic
-order and hands back the five derived regions in a fixed order.
+Before the engine sweeps, it tabulates the right, left and vertical
+exponent of every lozenge the region holds, keyed by the (row, pos) of
+the lozenge's down triangle, and checks the frame the weight needs
+whatever lozenges the region holds.  A state is an int bitmask of the
+next row's up triangles already covered by vertical lozenges; the row
+scan is keyed by (carry, mask).  Each state carries its polynomial
+Kronecker-packed into one int, the coefficient of q^e in bits e*W to
+(e+1)*W - 1: a lozenge is a left shift and merging two states is one
+addition.  The packed sum is exact integer arithmetic whatever W is, so
+only the result's coefficients must fit their slots.  They are
+nonnegative and sum to the number of tilings, so W is the bit length of
+that count, taken from a degree-0 sweep (W = 0) over the same states.
+The result is unpacked into a QPoly once, at the end.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .lattice import (
     DOWN,
@@ -36,6 +46,7 @@ from .qalgebra import QPoly
 from .weights import (
     MissingFrame,
     WeightAssignment,
+    frame_origin,
     g_exponent,
     lozenge_exponent,
     tiling_volume,
@@ -132,86 +143,122 @@ _NONE = 0  # no pending decision in this row
 _LEFT = 1  # previous down triangle waits to pair left with the next up
 _RIGHT = 2  # current up triangle claimed its right-hand down partner
 
+# orientation -> {(row, pos) of the lozenge's down triangle: exponent}
+ExponentTables = dict[str, dict[tuple[int, int], int]]
 
-def _frontier(
-    region: Region,
-    exponent_of: Callable[[Lozenge], int],
-    max_states: Optional[int],
-) -> QPoly:
-    if not region.triangles:
-        return QPoly(1)
+
+def _exponent_tables(region: Region, w: Optional[WeightAssignment]) -> ExponentTables:
+    """Right, left and vertical exponent of every lozenge the region holds;
+    w None gives the all-zero tables of plain counting."""
+    if w is not None:
+        frame_origin(w, region)  # fails even if no lozenge would ask for the frame
+    tables: ExponentTables = {RIGHT: {}, LEFT: {}, VERTICAL: {}}
+    for t in region.triangles:
+        if t.orient != DOWN:
+            continue
+        for cand, orientation in partner_candidates(t):
+            if cand not in region.triangles:
+                continue
+            e = 0 if w is None else lozenge_exponent(w, region, Lozenge(cand, t, orientation))
+            if e < 0:
+                raise ValueError(
+                    "%s lozenge at down triangle %r has negative exponent %d"
+                    % (orientation, (t.row, t.pos), e)
+                )
+            tables[orientation][t.row, t.pos] = e
+    return tables
+
+
+def _sweep(
+    region: Region, tables: ExponentTables, width: int, max_states: Optional[int]
+) -> int:
+    """Sum of 2**(width * exponent) over all tilings: exact whatever the
+    width, decodable once every coefficient fits a slot (see _slot_width)."""
+    right, left, vertical = (
+        {key: e * width for key, e in tables[o].items()} for o in (RIGHT, LEFT, VERTICAL)
+    )
     rows: dict[int, tuple[set[int], set[int]]] = {}
     for t in region.triangles:
         ups, downs = rows.setdefault(t.row, (set(), set()))
         (ups if t.orient == UP else downs).add(t.pos)
+    lowest = min((t.pos for t in region.triangles), default=0)
 
-    def check_budget(n: int) -> None:
+    def check_budget(n: int, r: int) -> None:
         if max_states is not None and n > max_states:
-            raise BudgetExceeded("frontier needs %d states, budget is %d" % (n, max_states))
+            raise BudgetExceeded(
+                "frontier needs %d states at row %d, budget is %d" % (n, r, max_states)
+            )
 
-    rmin, rmax = min(rows), max(rows)
-    states: dict[frozenset[int], QPoly] = {frozenset(): QPoly(1)}
-    for r in range(rmin, rmax + 1):
-        ups, downs = rows.get(r, (set(), set()))
-        if not ups and not downs:
-            continue
-        ups_above = rows.get(r + 1, (set(), set()))[0]
-        new_states: dict[frozenset[int], QPoly] = {}
+    states: dict[int, int] = {0: 1}
+    for r in sorted(rows):
+        ups, downs = rows[r]
+        steps = []  # (is up, bit, shift, vertical shift); None: no such lozenge
+        for p in range(min(ups | downs), max(ups | downs) + 1):
+            bit = 1 << (p - lowest)
+            if p in ups:
+                steps.append((True, bit, right.get((r, p)), None))
+            if p in downs:
+                steps.append((False, bit, left.get((r, p)), vertical.get((r, p))))
+        new_states: dict[int, int] = {}
         for mask, entry in states.items():
-            # inner scan over the row, left to right; a state is the pending
-            # carry plus the set of next-row ups already claimed by verticals
-            inner: dict[tuple[int, frozenset[int]], QPoly] = {(_NONE, frozenset()): entry}
-            for p in range(min(ups | downs), max(ups | downs) + 1):
-                if p in ups:
-                    nxt: dict[tuple[int, frozenset[int]], QPoly] = {}
+            inner: dict[tuple[int, int], int] = {(_NONE, 0): entry}
+            for is_up, bit, shift, vshift in steps:
+                # a fresh key takes val itself: 0 + val and val << 0 copy big ints
+                nxt: dict[tuple[int, int], int] = {}
+                if is_up:
+                    claimed = mask & bit
                     for (carry, out), val in inner.items():
-                        if carry == _LEFT:
-                            if p not in mask:
-                                _accumulate(nxt, (_NONE, out), val)
-                        elif p in mask:
-                            _accumulate(nxt, (_NONE, out), val)
-                        elif p in downs:
-                            e = exponent_of(make_lozenge(up(r, p), down(r, p)))
-                            _accumulate(nxt, (_RIGHT, out), val.shift(e))
-                    inner = nxt
-                    check_budget(len(inner))
-                if p in downs:
-                    nxt = {}
+                        if carry == _LEFT or claimed:
+                            if carry == _LEFT and claimed:
+                                continue  # covered twice
+                            key = (_NONE, out)
+                        elif shift is None:
+                            continue
+                        else:
+                            key, val = (_RIGHT, out), val << shift if shift else val
+                        nxt[key] = nxt[key] + val if key in nxt else val
+                else:
                     for (carry, out), val in inner.items():
                         if carry == _RIGHT:
-                            _accumulate(nxt, (_NONE, out), val)
+                            key = (_NONE, out)
+                            nxt[key] = nxt[key] + val if key in nxt else val
                             continue
-                        if p + 1 in ups:
-                            e = exponent_of(make_lozenge(up(r, p + 1), down(r, p)))
-                            _accumulate(nxt, (_LEFT, out), val.shift(e))
-                        if p in ups_above:
-                            e = exponent_of(make_lozenge(down(r, p), up(r + 1, p)))
-                            _accumulate(nxt, (_NONE, out | {p}), val.shift(e))
-                    inner = nxt
-                    check_budget(len(inner))
+                        if shift is not None:
+                            key, add = (_LEFT, out), val << shift if shift else val
+                            nxt[key] = nxt[key] + add if key in nxt else add
+                        if vshift is not None:
+                            key, add = (_NONE, out | bit), val << vshift if vshift else val
+                            nxt[key] = nxt[key] + add if key in nxt else add
+                inner = nxt
+                check_budget(len(inner), r)
             for (carry, out), val in inner.items():
                 if carry == _NONE:
-                    _accumulate(new_states, out, val)
+                    new_states[out] = new_states[out] + val if out in new_states else val
         states = new_states
-        check_budget(len(states))
-    total = QPoly(0)
-    for mask, val in states.items():
-        if not mask:
-            total = total + val
-    return total
+        check_budget(len(states), r)
+    return states.get(0, 0)
 
 
-def _accumulate(bucket, key, val) -> None:
-    if key in bucket:
-        bucket[key] = bucket[key] + val
-    else:
-        bucket[key] = val
+def _slot_width(region: Region, tables: ExponentTables, max_states: Optional[int]) -> int:
+    """Bits per packed slot: the bit length of the number of tilings,
+    which no coefficient can exceed (see the module docstring)."""
+    return _sweep(region, tables, 0, max_states).bit_length()
+
+
+def _frontier(region: Region, w: WeightAssignment, max_states: Optional[int]) -> QPoly:
+    tables = _exponent_tables(region, w)
+    width = _slot_width(region, tables, max_states)
+    if not width:
+        return QPoly(0)
+    packed = _sweep(region, tables, width, max_states)
+    slot = (1 << width) - 1
+    slots = -(-packed.bit_length() // width)
+    return QPoly({e: packed >> (e * width) & slot for e in range(slots)})
 
 
 def count_tilings(region: Region, max_states: Optional[int] = None) -> int:
     """Number of tilings (0 if untileable, 1 for the empty region)."""
-    poly = _frontier(region, lambda loz: 0, max_states)
-    return poly.terms.get(0, 0)
+    return _sweep(region, _exponent_tables(region, None), 0, max_states)
 
 
 def gen_function(
@@ -227,14 +274,10 @@ def gen_function(
     if w is WeightAssignment.WT0:
         if region.params is None:
             raise MissingFrame("wt0 needs a parameter-tagged region")
-        base = _frontier(
-            region,
-            lambda loz: lozenge_exponent(WeightAssignment.WT2, region, loz),
-            max_states,
-        )
+        base = _frontier(region, WeightAssignment.WT2, max_states)
         poly = base.shift(-g_exponent(region.params))
     else:
-        poly = _frontier(region, lambda loz: lozenge_exponent(w, region, loz), max_states)
+        poly = _frontier(region, w, max_states)
     return GenFunction(poly, w, region_digest(region))
 
 

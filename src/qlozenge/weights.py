@@ -51,12 +51,12 @@ def weight_from_name(name: str) -> WeightAssignment:
 Tiling = frozenset
 
 
-def lozenge_exponent(w: WeightAssignment, region: Region, loz: Lozenge) -> int:
-    """Exponent of q carried by one lozenge under assignment w.
+def frame_origin(w: WeightAssignment, region: Region) -> int:
+    """The reference coordinate assignment w measures distances from.
 
-    Orientations the assignment ignores give 0.  Raises MissingFrame when
-    the region lacks the reference line the assignment measures from, and
-    WeightUndefined for wt0 (see module docstring).
+    Raises MissingFrame when the region lacks that reference line, whatever
+    lozenges the region holds, and WeightUndefined for wt0 (see module
+    docstring).
     """
     if w is WeightAssignment.WT0:
         raise WeightUndefined("wt0 is defined per tiling, not per lozenge")
@@ -64,22 +64,30 @@ def lozenge_exponent(w: WeightAssignment, region: Region, loz: Lozenge) -> int:
     if frames is None:
         raise MissingFrame("region carries no frame data")
     if w is WeightAssignment.WT1:
-        if loz.orientation != RIGHT:
-            return 0
-        if frames.se_i is None:
-            raise MissingFrame("wt1 needs the southeast side position")
-        return frames.se_i - loz.first.pos
+        origin, need = frames.se_i, "wt1 needs the southeast side position"
+    elif w is WeightAssignment.WT2:
+        origin, need = frames.base_row, "wt2 needs the base row"
+    else:
+        origin, need = frames.sw_level, "wt3 needs the southwest corner level"
+    if origin is None:
+        raise MissingFrame(need)
+    return origin
+
+
+def lozenge_exponent(w: WeightAssignment, region: Region, loz: Lozenge) -> int:
+    """Exponent of q carried by one lozenge under assignment w.
+
+    Orientations the assignment ignores give 0, but the region must still
+    carry the assignment's frame (see frame_origin).
+    """
+    origin = frame_origin(w, region)
+    if w is WeightAssignment.WT1:
+        return origin - loz.first.pos if loz.orientation == RIGHT else 0
     if w is WeightAssignment.WT2:
-        if loz.orientation != RIGHT:
-            return 0
-        if frames.base_row is None:
-            raise MissingFrame("wt2 needs the base row")
-        return loz.first.row - frames.base_row + 1
+        return loz.first.row - origin + 1 if loz.orientation == RIGHT else 0
     if loz.orientation != VERTICAL:
         return 0
-    if frames.sw_level is None:
-        raise MissingFrame("wt3 needs the southwest corner level")
-    return loz.second.pos + loz.second.row + 2 - frames.sw_level
+    return loz.second.pos + loz.second.row + 2 - origin
 
 
 def tiling_exponent(w: WeightAssignment, region: Region, tiling: Tiling) -> int:

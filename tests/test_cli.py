@@ -230,3 +230,37 @@ def test_render_svg_function_direct():
     assert bare != tiled
     assert render_svg(region) == bare
     assert bare.count("<polygon") == len(region.triangles)
+
+
+@pytest.mark.parametrize("dents", ["1,2", "2,3"])
+def test_missing_frame_is_a_usage_error_whatever_the_dents(capsys, dents):
+    # The semihexagon records no southeast side, so wt1 must fail before
+    # the sweep, not only when the sweep reaches a right lozenge.
+    code, out, err = run(
+        capsys, "genfun", "semihexagon", "--a", "2", "--b", "1", "--dents", dents,
+        "--weight", "wt1",
+    )
+    assert code == 2 and out == ""
+    assert "southeast side" in err
+
+
+def test_budget_message_names_row_and_state_count(capsys):
+    code, out, err = run(capsys, "count", "hexagon", "--params", "2,2,2", "--max-states", "3")
+    assert code == 3 and out == ""
+    assert "needs 4 states at row 1, budget is 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "hexagon", "--params", "2,2,2", "--max-states", "-1"],
+        ["verify", "--suite", "qmain", "--max-sum", "-3"],
+        ["verify", "--suite", "qmain", "--max-sum", "2", "--jobs", "0"],
+    ],
+    ids=["negative-max-states", "negative-max-sum", "zero-jobs"],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "must be at least" in capsys.readouterr().err

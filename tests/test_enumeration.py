@@ -8,6 +8,8 @@ import oracle
 from qlozenge.enumeration import (
     BadMarks,
     BudgetExceeded,
+    _exponent_tables,
+    _slot_width,
     count_tilings,
     gen_function,
     gen_function_oracle,
@@ -16,10 +18,13 @@ from qlozenge.enumeration import (
     region_digest,
     _outer_walk,
 )
+from qlozenge.formulas import hex_M2
 from qlozenge.lattice import (
+    Frames,
     Region,
     RegionParams,
     build_hexagon,
+    build_k_region,
     build_magnet_bar,
     build_q_region,
     build_semihexagon_dented,
@@ -28,7 +33,7 @@ from qlozenge.lattice import (
     up,
 )
 from qlozenge.qalgebra import parse_poly
-from qlozenge.weights import WeightAssignment as W
+from qlozenge.weights import MissingFrame, WeightAssignment as W
 
 
 def _rotate_to_min(walk):
@@ -118,8 +123,52 @@ def test_oracle_triangle_budget():
 
 
 def test_frontier_state_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="needs 2 states at row 0, budget is 1"):
         count_tilings(build_hexagon(2, 2, 2), max_states=1)
+    with pytest.raises(BudgetExceeded, match="needs 4 states at row 1, budget is 3"):
+        gen_function(build_hexagon(2, 2, 2), W.WT2, max_states=3)
+
+
+def test_missing_frame_fails_before_the_sweep():
+    # dents 1,2 leave no right lozenge in reach of the sweep, dents 2,3 do;
+    # both regions lack the southeast side wt1 measures from.
+    for dents in ([1, 2], [2, 3]):
+        with pytest.raises(MissingFrame):
+            gen_function(build_semihexagon_dented(2, 1, dents), W.WT1)
+    bare = Region(frozenset())
+    with pytest.raises(MissingFrame):
+        gen_function(bare, W.WT2)
+    assert count_tilings(bare) == 1
+
+
+def test_negative_exponent_is_refused():
+    hexagon = build_hexagon(2, 2, 2)
+    shifted = Region(hexagon.triangles, None, Frames(base_row=3, se_i=-1, sw_level=5))
+    for w in (W.WT1, W.WT2, W.WT3):
+        with pytest.raises(ValueError, match="negative exponent"):
+            gen_function(shifted, w)
+
+
+def test_wide_slot_hexagon():
+    # Its widest coefficient has 35 bits: a fixed 32-bit slot would carry
+    # into the next exponent.
+    expected = hex_M2(6, 6, 6).poly
+    assert max(expected.terms.values()).bit_length() == 35
+    assert gen_function(build_hexagon(6, 6, 6), W.WT2).poly == expected
+
+
+def test_slot_width_covers_the_largest_coefficient():
+    cases = [
+        (build_hexagon(4, 3, 2), W.WT1),
+        (build_q_region(RegionParams(1, 2, 1, 1, 1, 1, 1, 1)), W.WT2),
+        (build_magnet_bar(1, 1, 2, 1, 1, 2), W.WT3),
+        (build_k_region(2, 1, 1, 2, 1), W.WT2),
+        (build_semihexagon_dented(3, 3, [1, 3, 5]), W.WT2),
+    ]
+    for region, w in cases:
+        poly = gen_function(region, w).poly
+        widest = max(c.bit_length() for c in poly.terms.values())
+        assert _slot_width(region, _exponent_tables(region, w), None) >= widest
 
 
 def test_gen_function_digest_is_the_region_hash():
