@@ -24,17 +24,7 @@ from .enumeration import (
     region_digest,
     tiling_json,
 )
-from .formulas import (
-    hex_M1,
-    hex_M2,
-    k_region_M2,
-    macmahon_q,
-    magnet_M2,
-    magnet_M3,
-    semihex_dents_M2,
-    theorem_main,
-    theorem_qmain,
-)
+from .formulas import FAMILIES, FORMULA_NAMES
 from .lattice import (
     DOWN,
     LEFT,
@@ -43,13 +33,7 @@ from .lattice import (
     VERTICAL,
     Lozenge,
     Region,
-    RegionParams,
     Triangle,
-    build_hexagon,
-    build_k_region,
-    build_magnet_bar,
-    build_q_region,
-    build_semihexagon_dented,
     build_shamrock,
 )
 from .verify import (
@@ -64,20 +48,6 @@ from .verify import (
 from .weights import weight_from_name
 
 DEFAULT_MAX_STATES = 1 << 22
-
-_BUILDER_NAMES = ("hexagon", "semihexagon", "k_region", "magnet_bar", "q_region")
-_FORMULA_NAMES = (
-    "macmahon",
-    "main",
-    "qmain",
-    "hex_m1",
-    "hex_m2",
-    "semihex",
-    "k_region",
-    "magnet_m2",
-    "magnet_m3",
-)
-
 
 # ---------------------------------------------------------------------------
 # parameter plumbing
@@ -108,46 +78,36 @@ def _int_list(text: str) -> list[int]:
         raise ValueError("expected comma-separated integers, got %r" % (text,))
 
 
-def _need_abc(args) -> tuple[int, int, int]:
-    if args.params is not None:
+def _family_params(name: str, args) -> tuple:
+    """A family's parameters, from --params or from the flags named after
+    them (--a, --b, --c, and --dents, which may be left out for no dents).
+    A family with dents takes its flags only."""
+    names = FAMILIES[name].params
+    listed = ",".join(names)
+    if args.params is not None and "dents" not in names:
         values = _int_list(args.params)
-        if len(values) != 3:
-            raise ValueError("expected 3 values in --params a,b,c")
-        return (values[0], values[1], values[2])
-    if args.a is None or args.b is None or args.c is None:
-        raise ValueError("need --a, --b and --c (or --params a,b,c)")
-    return (args.a, args.b, args.c)
-
-
-def _need_params(args, arity: int, names: str) -> tuple[int, ...]:
-    if args.params is None:
-        raise ValueError("need --params %s" % names)
-    values = _int_list(args.params)
-    if len(values) != arity:
+        if len(values) != len(names):
+            raise ValueError(
+                "expected %d values in --params %s, got %d" % (len(names), listed, len(values))
+            )
+        return tuple(values)
+    sides = [n for n in names if n != "dents"]
+    if not set(sides) <= {"a", "b", "c"}:
+        raise ValueError("%s needs --params %s" % (name, listed))
+    if any(getattr(args, n) is None for n in sides):
+        flags = ["--" + n for n in sides]
+        alternative = "" if "dents" in names else " (or --params %s)" % listed
         raise ValueError(
-            "expected %d values in --params %s, got %d" % (arity, names, len(values))
+            "%s needs %s and %s%s" % (name, ", ".join(flags[:-1]), flags[-1], alternative)
         )
-    return tuple(values)
+    values = tuple(getattr(args, n) for n in sides)
+    if "dents" in names:
+        values += (tuple(_int_list(args.dents)),)
+    return values
 
 
-def _need_semihex(args) -> tuple[int, int, list[int]]:
-    if args.a is None or args.b is None:
-        raise ValueError("need --a and --b for the semihexagon")
-    dents = _int_list(args.dents) if args.dents is not None else []
-    return (args.a, args.b, dents)
-
-
-def _build_region(builder: str, args) -> Region:
-    if builder == "hexagon":
-        return build_hexagon(*_need_abc(args))
-    if builder == "semihexagon":
-        a, b, dents = _need_semihex(args)
-        return build_semihexagon_dented(a, b, dents)
-    if builder == "k_region":
-        return build_k_region(*_need_params(args, 5, "a,x,y,z,t"))
-    if builder == "magnet_bar":
-        return build_magnet_bar(*_need_params(args, 6, "m,a,x,y,z,t"))
-    return build_q_region(RegionParams(*_need_params(args, 8, "x,y,z,t,m,a,b,c")))
+def _build_region(name: str, args) -> Region:
+    return FAMILIES[name].build(*_family_params(name, args))
 
 
 def _parse_marks(text: str) -> list[Triangle]:
@@ -298,59 +258,21 @@ def render_svg(region: Region, tiling: "Optional[frozenset[Lozenge]]" = None) ->
 
 
 def cmd_formula(args) -> int:
-    name = args.name
-    if name == "main":
-        ps = _need_params(args, 8, "x,y,z,t,m,a,b,c")
-        value = theorem_main(RegionParams(*ps))
-        if args.json:
-            print(
-                json.dumps(
-                    {"count": value, "formula": name, "params": list(ps)},
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(value)
-        return 0
-    if name == "macmahon":
-        ps: tuple = _need_abc(args)
-        result = macmahon_q(*ps)
-    elif name == "hex_m1":
-        ps = _need_abc(args)
-        result = hex_M1(*ps)
-    elif name == "hex_m2":
-        ps = _need_abc(args)
-        result = hex_M2(*ps)
-    elif name == "semihex":
-        a, b, dents = _need_semihex(args)
-        ps = (a, b, tuple(dents))
-        result = semihex_dents_M2(a, b, dents)
-    elif name == "k_region":
-        ps = _need_params(args, 5, "a,x,y,z,t")
-        result = k_region_M2(*ps)
-    elif name == "magnet_m2":
-        ps = _need_params(args, 6, "m,a,x,y,z,t")
-        result = magnet_M2(*ps)
-    elif name == "magnet_m3":
-        ps = _need_params(args, 6, "m,a,x,y,z,t")
-        result = magnet_M3(*ps)
+    family, weight = FORMULA_NAMES[args.name]
+    ps = _family_params(family, args)
+    value = FAMILIES[family].formulas[weight](*ps)
+    if isinstance(value, int):
+        payload = {"count": value, "formula": args.name, "params": ps}
+        text = value
     else:
-        ps = _need_params(args, 8, "x,y,z,t,m,a,b,c")
-        result = theorem_qmain(RegionParams(*ps))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "formula": name,
-                    "params": ps,
-                    "poly": str(result.poly),
-                    "prefactor_exponent": result.prefactor_exponent,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(result.poly)
+        payload = {
+            "formula": args.name,
+            "params": ps,
+            "poly": str(value.poly),
+            "prefactor_exponent": value.prefactor_exponent,
+        }
+        text = value.poly
+    print(json.dumps(payload, sort_keys=True) if args.json else text)
     return 0
 
 
@@ -456,7 +378,7 @@ def _region_flags(sub) -> None:
     )
     sub.add_argument(
         "--dents",
-        default=None,
+        default="",
         help="comma-separated dent positions (semihexagon only)",
     )
 
@@ -469,20 +391,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     formula = sub.add_parser("formula", help="print one closed-form value")
-    formula.add_argument("name", choices=_FORMULA_NAMES)
+    formula.add_argument("name", choices=FORMULA_NAMES)
     _region_flags(formula)
     formula.add_argument("--json", action="store_true")
     formula.set_defaults(func=cmd_formula)
 
     count = sub.add_parser("count", help="count tilings of a region")
-    count.add_argument("builder", choices=_BUILDER_NAMES)
+    count.add_argument("builder", choices=FAMILIES)
     _region_flags(count)
     count.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)
     count.add_argument("--json", action="store_true")
     count.set_defaults(func=cmd_count)
 
     genfun = sub.add_parser("genfun", help="weighted generating function")
-    genfun.add_argument("builder", choices=_BUILDER_NAMES)
+    genfun.add_argument("builder", choices=FAMILIES)
     _region_flags(genfun)
     genfun.add_argument(
         "--weight", choices=("wt0", "wt1", "wt2", "wt3"), default="wt2"
@@ -492,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     genfun.set_defaults(func=cmd_genfun)
 
     tilings = sub.add_parser("tilings", help="list every tiling, one JSON line each")
-    tilings.add_argument("builder", choices=_BUILDER_NAMES)
+    tilings.add_argument("builder", choices=FAMILIES)
     _region_flags(tilings)
     tilings.add_argument(
         "--max-triangles", type=int, default=DEFAULT_TRIANGLE_BUDGET
@@ -508,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     kuo = sub.add_parser("kuo", help="four-point removal identity on one region")
-    kuo.add_argument("builder", choices=_BUILDER_NAMES)
+    kuo.add_argument("builder", choices=FAMILIES)
     _region_flags(kuo)
     kuo.add_argument(
         "--marks",
@@ -522,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     kuo.set_defaults(func=cmd_kuo)
 
     render = sub.add_parser("render", help="draw a region or tiling as SVG")
-    render.add_argument("builder", choices=_BUILDER_NAMES)
+    render.add_argument("builder", choices=FAMILIES)
     _region_flags(render)
     render.add_argument(
         "--tiling-index",

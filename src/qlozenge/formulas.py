@@ -5,15 +5,29 @@ expands once at the end, so a transcription slip surfaces as a
 NonExactDivision instead of a silently wrong polynomial.  Results carry
 the full polynomial together with the q-power the displayed form splits
 out in front of the hyperfactorial ratio.
+
+FAMILIES is the one table of region families: for each, its parameter
+names, its builder and its closed formula per weight.  FORMULA_NAMES maps
+each command-line formula name to a family and weight in it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from math import comb, factorial
+from typing import Callable, Mapping
 
-from .lattice import BadDents, RegionParams
+from .lattice import (
+    Region,
+    RegionParams,
+    build_hexagon,
+    build_k_region,
+    build_magnet_bar,
+    build_q_region,
+    build_semihexagon_dented,
+    validate_dents,
+)
 from .qalgebra import (
     QFactorExponents,
     QPoly,
@@ -22,6 +36,7 @@ from .qalgebra import (
     push_q_int,
     resolve,
 )
+from .weights import f_exponent, g_exponent
 
 
 @dataclass(frozen=True)
@@ -54,7 +69,7 @@ def macmahon_q(a: int, b: int, c: int) -> FormulaResult:
 
 def _count_factor_lists(p: RegionParams) -> tuple[list[int], list[int]]:
     """Hyperfactorial arguments shared by the count and its q-analogue."""
-    x, y, z, t, m, a, b, c = p.x, p.y, p.z, p.t, p.m, p.a, p.b, p.c
+    x, y, z, t, m, a, b, c = astuple(p)
     big = m + a + b + c
     num = [
         big + x + y + z + t,
@@ -160,13 +175,7 @@ def semihex_dents_M2(a: int, b: int, dents) -> FormulaResult:
 
 @lru_cache(maxsize=None)
 def _semihex_cached(a: int, b: int, dents: tuple[int, ...]) -> FormulaResult:
-    if len(set(dents)) != len(dents):
-        raise BadDents("duplicate dent positions in %r" % (list(dents),))
-    if len(dents) != a:
-        raise BadDents("need exactly %d dents, got %d" % (a, len(dents)))
-    if any(not 1 <= k <= a + b for k in dents):
-        raise BadDents("dent positions must lie in 1..%d: %r" % (a + b, list(dents)))
-    s = sorted(dents)
+    s = sorted(validate_dents(a, b, dents))
     shown = sum(si - i for i, si in enumerate(s, start=1))
     acc = QFactorExponents(prefactor_exponent=shown)
     for i in range(len(s)):
@@ -187,7 +196,9 @@ def k_region_M2(a: int, x: int, y: int, z: int, t: int) -> FormulaResult:
     return _ratio(pre, num, den)
 
 
-def _bar_ratio_lists(m, a, x, y, z, t):
+@lru_cache(maxsize=None)
+def _bar_ratio(m: int, a: int, x: int, y: int, z: int, t: int) -> QPoly:
+    """The hyperfactorial ratio magnet_M2 and magnet_M3 shift."""
     num = [
         m + a + x + y + z + t,
         m + a + x + t,
@@ -217,7 +228,7 @@ def _bar_ratio_lists(m, a, x, y, z, t):
         m + y + z,
         m + x + t,
     ]
-    return num, den
+    return _ratio(0, num, den).poly
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +241,7 @@ def magnet_M2(m: int, a: int, x: int, y: int, z: int, t: int) -> FormulaResult:
         + (m + a) * (x + m) * z
         + x * comb(a + 1, 2)
     )
-    num, den = _bar_ratio_lists(m, a, x, y, z, t)
-    return _ratio(pre, num, den)
+    return FormulaResult(_bar_ratio(m, a, x, y, z, t).shift(pre), pre)
 
 
 @lru_cache(maxsize=None)
@@ -243,5 +253,75 @@ def magnet_M3(m: int, a: int, x: int, y: int, z: int, t: int) -> FormulaResult:
         + a * (z + m) * (x + a)
         + a * comb(z + m + 1, 2)
     )
-    num, den = _bar_ratio_lists(m, a, x, y, z, t)
-    return _ratio(pre, num, den)
+    return FormulaResult(_bar_ratio(m, a, x, y, z, t).shift(pre), pre)
+
+
+# ---------------------------------------------------------------------------
+# region families
+
+
+@dataclass(frozen=True)
+class Family:
+    """One degeneration of the notched hexagon.
+
+    params names the builder's arguments in order.  build takes them and
+    returns the region; formulas maps a weight name ("wt0" to "wt3", or
+    "count" for the plain tiling count) to the closed formula over the same
+    arguments.
+    """
+
+    params: tuple[str, ...]
+    build: Callable[..., Region]
+    formulas: Mapping[str, Callable]
+
+
+def _qmain_shifted(offset: Callable[[RegionParams], int]):
+    """theorem_qmain times q^offset(p), the wt1 and wt2 forms of wt0."""
+
+    def value(*ps: int) -> FormulaResult:
+        p = RegionParams(*ps)
+        pre = offset(p)
+        return FormulaResult(theorem_qmain(p).poly.shift(pre), pre)
+
+    return value
+
+
+FAMILIES: dict[str, Family] = {
+    "hexagon": Family(
+        ("a", "b", "c"),
+        build_hexagon,
+        {"wt0": macmahon_q, "wt1": hex_M1, "wt2": hex_M2},
+    ),
+    "semihexagon": Family(
+        ("a", "b", "dents"), build_semihexagon_dented, {"wt2": semihex_dents_M2}
+    ),
+    "k_region": Family(("a", "x", "y", "z", "t"), build_k_region, {"wt2": k_region_M2}),
+    "magnet_bar": Family(
+        ("m", "a", "x", "y", "z", "t"),
+        build_magnet_bar,
+        {"wt2": magnet_M2, "wt3": magnet_M3},
+    ),
+    "q_region": Family(
+        tuple(f.name for f in fields(RegionParams)),
+        lambda *ps: build_q_region(RegionParams(*ps)),
+        {
+            "count": lambda *ps: theorem_main(RegionParams(*ps)),
+            "wt0": lambda *ps: theorem_qmain(RegionParams(*ps)),
+            "wt1": _qmain_shifted(f_exponent),
+            "wt2": _qmain_shifted(g_exponent),
+        },
+    ),
+}
+
+# CLI formula name -> (family, weight) in FAMILIES.
+FORMULA_NAMES: dict[str, tuple[str, str]] = {
+    "macmahon": ("hexagon", "wt0"),
+    "main": ("q_region", "count"),
+    "qmain": ("q_region", "wt0"),
+    "hex_m1": ("hexagon", "wt1"),
+    "hex_m2": ("hexagon", "wt2"),
+    "semihex": ("semihexagon", "wt2"),
+    "k_region": ("k_region", "wt2"),
+    "magnet_m2": ("magnet_bar", "wt2"),
+    "magnet_m3": ("magnet_bar", "wt3"),
+}

@@ -24,7 +24,7 @@ Regions are immutable; builders and queries are pure functions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Optional
 
 UP = "U"
@@ -36,7 +36,8 @@ VERTICAL = "vertical"
 
 
 class BadDents(ValueError):
-    """Dent positions are duplicated, out of range, or miscounted."""
+    """Dent positions are duplicated, out of range, or miscounted, or a
+    half-hexagon side is negative."""
 
 
 class Unbalanced(ValueError):
@@ -45,14 +46,6 @@ class Unbalanced(ValueError):
 
 class Untileable(ValueError):
     """Forced-lozenge propagation exposed a triangle with no cover."""
-
-
-class NotBalanced(ValueError):
-    """split_region: the proposed part has unequal triangle counts."""
-
-
-class SeparatingViolated(ValueError):
-    """split_region: border-adjacent part triangles mix both orientations."""
 
 
 class Triangle(NamedTuple):
@@ -148,9 +141,7 @@ def is_balanced(region: Region) -> bool:
 def region_json(region: Region) -> str:
     """Canonical JSON text for a region; byte-identical across runs."""
     tri = sorted([t.row, t.pos, t.orient] for t in region.triangles)
-    params = None
-    if region.params is not None:
-        params = {k: getattr(region.params, k) for k in ("x", "y", "z", "t", "m", "a", "b", "c")}
+    params = None if region.params is None else asdict(region.params)
     return json.dumps({"triangles": tri, "params": params}, sort_keys=True, separators=(",", ":"))
 
 
@@ -259,17 +250,27 @@ def build_k_region(a: int, x: int, y: int, z: int, t: int) -> Region:
     return build_q_region(RegionParams(x=x, y=y, z=z, t=t, m=0, a=a, b=0, c=0))
 
 
-def build_semihexagon_dented(a: int, b: int, dents: Iterable[int]) -> Region:
-    """Top half of the hexagon with sides a, b, a: a trapezoid of height a
-    with base a+b, minus the up-pointing base triangles at the 1-indexed
-    positions in `dents` (exactly a of them, so the result is balanced)."""
+def validate_dents(a: int, b: int, dents: Iterable[int]) -> list[int]:
+    """The dent list of the half-hexagon with sides a, b, a, or BadDents
+    unless both sides are nonnegative and the dents are a distinct
+    positions in 1..a+b."""
     dents = list(dents)
+    if a < 0 or b < 0:
+        raise BadDents("semihexagon sides must be nonnegative, got a=%d, b=%d" % (a, b))
     if len(set(dents)) != len(dents):
         raise BadDents("duplicate dent positions in %r" % (dents,))
     if len(dents) != a:
         raise BadDents("need exactly %d dents, got %d" % (a, len(dents)))
     if any(not 1 <= s <= a + b for s in dents):
         raise BadDents("dent positions must lie in 1..%d: %r" % (a + b, dents))
+    return dents
+
+
+def build_semihexagon_dented(a: int, b: int, dents: Iterable[int]) -> Region:
+    """Top half of the hexagon with sides a, b, a: a trapezoid of height a
+    with base a+b, minus the up-pointing base triangles at the 1-indexed
+    positions in `dents` (exactly a of them, so the result is balanced)."""
+    dents = validate_dents(a, b, dents)
     tris: set[Triangle] = set()
     for r in range(a):
         for p in range(0, a + b - r):
@@ -317,39 +318,3 @@ def remove_forced(region: Region, w) -> tuple[Region, int]:
                 changed = True
                 break
     return Region(frozenset(remaining), None, region.frames), acc
-
-
-def _border_part_orientations(region: Region, part: frozenset[Triangle]) -> set[str]:
-    rest = region.triangles - part
-    orientations: set[str] = set()
-    for t in part:
-        for cand, _ in partner_candidates(t):
-            if cand in rest:
-                orientations.add(t.orient)
-                break
-    return orientations
-
-
-def split_region(region: Region, part: Iterable[Triangle]) -> tuple[Region, Region]:
-    """Cut a region in two along a border no lozenge can cross.
-
-    The part must be a balanced subset, and every part triangle that touches
-    the complement across an edge must have the same orientation.  Under
-    those conditions each tiling of the whole is the disjoint union of a
-    tiling of the part and one of the complement, so generating functions
-    multiply.
-    """
-    part = frozenset(part)
-    if not part <= region.triangles:
-        raise ValueError("part is not a subset of the region")
-    ups = sum(1 for t in part if t.orient == UP)
-    if 2 * ups != len(part):
-        raise NotBalanced("part has %d triangles but %d point up" % (len(part), ups))
-    orientations = _border_part_orientations(region, part)
-    if len(orientations) > 1:
-        raise SeparatingViolated("border-adjacent part triangles mix orientations")
-    rest = region.triangles - part
-    return (
-        Region(part, None, region.frames),
-        Region(rest, None, region.frames),
-    )

@@ -296,16 +296,6 @@ def push_q_int(acc: QFactorExponents, n: int, sign: int) -> QFactorExponents:
     return QFactorExponents(out, acc.prefactor_exponent)
 
 
-def push_q_factorial(acc: QFactorExponents, n: int, sign: int) -> QFactorExponents:
-    """Multiply or divide by [n]! = [1][2]...[n]."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = acc.exponents
-    for j in range(1, n + 1):
-        out[j] = out.get(j, 0) + sign
-    return QFactorExponents(out, acc.prefactor_exponent)
-
-
 def push_hyperfactorial(acc: QFactorExponents, n: int, sign: int) -> QFactorExponents:
     """Multiply or divide by the q-hyperfactorial [0]! [1]! ... [n-1]!.
 

@@ -15,7 +15,7 @@ emitted reports are identical however many workers ran them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import combinations
 from math import comb
 from multiprocessing import Pool
@@ -29,25 +29,13 @@ from .enumeration import (
     kuo_remove,
     region_digest,
 )
-from .formulas import (
-    hex_M1,
-    hex_M2,
-    k_region_M2,
-    macmahon_q,
-    magnet_M2,
-    magnet_M3,
-    semihex_dents_M2,
-    theorem_qmain,
-)
+from .formulas import FAMILIES, magnet_M2, theorem_qmain
 from .lattice import (
     Region,
     RegionParams,
     Triangle,
-    build_hexagon,
-    build_k_region,
     build_magnet_bar,
     build_q_region,
-    build_semihexagon_dented,
     down,
     remove_forced,
     up,
@@ -100,7 +88,7 @@ def _plain(value):
     if isinstance(value, WeightAssignment):
         return value.value
     if isinstance(value, RegionParams):
-        value = (value.x, value.y, value.z, value.t, value.m, value.a, value.b, value.c)
+        value = astuple(value)
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     return value
@@ -212,7 +200,7 @@ def _weighted_or_zero(x, y, z, t, m, a, b, c) -> QPoly:
 def check_q_recurrence(p: RegionParams) -> Report:
     """The same three-term recurrence for the full region's wt2 value,
     with each factor taken from the closed formula (prefactor included)."""
-    params = (p.x, p.y, p.z, p.t, p.m, p.a, p.b, p.c)
+    params = astuple(p)
     if p.y < 1 or p.t < 1:
         return _precondition("q_recurrence", params)
     x, y, z, t, m, a, b, c = params
@@ -235,7 +223,7 @@ def check_psi_recurrence(p: RegionParams) -> Report:
     picks up q^A with A = m+a+b+c+x+y+t-1.  The scalar identity
     [A] + q^A*[z] = [A+z] is re-checked on its own; Pass needs both.
     """
-    params = (p.x, p.y, p.z, p.t, p.m, p.a, p.b, p.c)
+    params = astuple(p)
     if p.y < 1 or p.t < 1 or p.z < 1:
         return _precondition("psi_recurrence", params)
     x, y, z, t, m, a, b, c = params
@@ -269,7 +257,7 @@ def check_prop31(
         e = tiling_volume(region, tiling)
         volume[e] = volume.get(e, 0) + 1
     vol = QPoly(volume)
-    params = (p.x, p.y, p.z, p.t, p.m, p.a, p.b, p.c)
+    params = astuple(p)
     first = _verdict(
         "prop31",
         params,
@@ -286,44 +274,6 @@ def check_prop31(
     )
 
 
-_BUILDERS = {
-    "hexagon": lambda ps: build_hexagon(*ps),
-    "semihexagon": lambda ps: build_semihexagon_dented(ps[0], ps[1], list(ps[2])),
-    "k_region": lambda ps: build_k_region(*ps),
-    "magnet_bar": lambda ps: build_magnet_bar(*ps),
-    "q_region": lambda ps: build_q_region(RegionParams(*ps)),
-}
-
-
-def _formula_value(builder_id: str, ps: tuple, w: WeightAssignment) -> QPoly:
-    if builder_id == "hexagon":
-        a, b, c = ps
-        if w is WeightAssignment.WT0:
-            return macmahon_q(a, b, c).poly
-        if w is WeightAssignment.WT1:
-            return hex_M1(a, b, c).poly
-        if w is WeightAssignment.WT2:
-            return hex_M2(a, b, c).poly
-    elif builder_id == "semihexagon" and w is WeightAssignment.WT2:
-        return semihex_dents_M2(ps[0], ps[1], list(ps[2])).poly
-    elif builder_id == "k_region" and w is WeightAssignment.WT2:
-        return k_region_M2(*ps).poly
-    elif builder_id == "magnet_bar":
-        if w is WeightAssignment.WT2:
-            return magnet_M2(*ps).poly
-        if w is WeightAssignment.WT3:
-            return magnet_M3(*ps).poly
-    elif builder_id == "q_region":
-        p = RegionParams(*ps)
-        if w is WeightAssignment.WT0:
-            return theorem_qmain(p).poly
-        if w is WeightAssignment.WT1:
-            return theorem_qmain(p).poly.shift(f_exponent(p))
-        if w is WeightAssignment.WT2:
-            return theorem_qmain(p).poly.shift(g_exponent(p))
-    raise ValueError("no closed formula for %r under %s" % (builder_id, w.value))
-
-
 def check_formula_vs_enumeration(
     builder_id: str,
     params: "RegionParams | Sequence",
@@ -331,14 +281,14 @@ def check_formula_vs_enumeration(
     max_states: Optional[int] = None,
 ) -> Report:
     """Closed formula against the frontier sweep for one builder/weight pair."""
-    if isinstance(params, RegionParams):
-        ps = (params.x, params.y, params.z, params.t, params.m, params.a, params.b, params.c)
-    else:
-        ps = tuple(params)
-    if builder_id not in _BUILDERS:
+    ps = astuple(params) if isinstance(params, RegionParams) else tuple(params)
+    family = FAMILIES.get(builder_id)
+    if family is None:
         raise ValueError("unknown builder %r" % (builder_id,))
-    formula = _formula_value(builder_id, ps, w)
-    swept = gen_function(_BUILDERS[builder_id](ps), w, max_states).poly
+    if w.value not in family.formulas:
+        raise ValueError("no closed formula for %r under %s" % (builder_id, w.value))
+    formula = family.formulas[w.value](*ps).poly
+    swept = gen_function(family.build(*ps), w, max_states).poly
     return _verdict("formula_vs_enumeration", (builder_id, ps, w), swept, formula)
 
 
@@ -412,7 +362,7 @@ def _run_task(task: tuple) -> Report:
         return check_formula_vs_enumeration(builder_id, ps, weight_from_name(wname))
     if kind == "kuo":
         _, builder_id, ps, mark_rows, wname = task
-        region = _BUILDERS[builder_id](ps)
+        region = FAMILIES[builder_id].build(*ps)
         marks = [Triangle(r, p, o) for r, p, o in mark_rows]
         return check_kuo(region, marks, weight_from_name(wname))
     if kind == "magnet_recurrence":

@@ -4,7 +4,14 @@ import pytest
 
 from qlozenge.cli import main, render_svg
 from qlozenge.enumeration import gen_function, iter_tilings
-from qlozenge.lattice import build_hexagon, build_q_region, RegionParams
+from qlozenge.formulas import semihex_dents_M2
+from qlozenge.lattice import (
+    BadDents,
+    RegionParams,
+    build_hexagon,
+    build_q_region,
+    build_semihexagon_dented,
+)
 from qlozenge.qalgebra import parse_poly
 from qlozenge.weights import WeightAssignment as W
 
@@ -264,3 +271,23 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
         main(argv)
     assert info.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["formula", "semihex", "--a", "0", "--b", "-1"],
+        ["count", "semihexagon", "--a", "0", "--b", "-2"],
+    ],
+    ids=["formula", "builder"],
+)
+def test_negative_semihexagon_side_is_rejected(capsys, argv):
+    # With a = 0 no dent is needed, so only the side check can refuse b < 0.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "nonnegative" in err
+    a, b = int(argv[3]), int(argv[5])
+    with pytest.raises(BadDents):
+        semihex_dents_M2(a, b, [])
+    with pytest.raises(BadDents):
+        build_semihexagon_dented(a, b, [])

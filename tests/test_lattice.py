@@ -4,10 +4,8 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from qlozenge.lattice import (
     BadDents,
-    NotBalanced,
     Region,
     RegionParams,
-    SeparatingViolated,
     Triangle,
     Unbalanced,
     Untileable,
@@ -22,7 +20,6 @@ from qlozenge.lattice import (
     make_lozenge,
     region_json,
     remove_forced,
-    split_region,
     up,
 )
 from qlozenge.weights import WeightAssignment as W
@@ -191,33 +188,13 @@ def test_remove_forced_untileable():
         remove_forced(region, W.WT2)
 
 
-def test_split_trivial():
-    region = build_hexagon(1, 1, 1)
-    part, rest = split_region(region, region.triangles)
-    assert part.triangles == region.triangles
-    assert rest.triangles == frozenset()
-
-
-def test_split_rejects_unbalanced_part():
-    region = build_hexagon(1, 1, 1)
-    with pytest.raises(NotBalanced):
-        split_region(region, [up(0, 0)])
-
-
-def test_split_rejects_mixed_border():
-    # Both border sides of this part are orientation-uniform on their own,
-    # but the part mixes up- and down-pointing border triangles globally,
-    # and lozenges really do cross: counts would not multiply.
-    region = build_hexagon(1, 1, 1)
-    with pytest.raises(SeparatingViolated):
-        split_region(region, [up(0, 0), down(0, 0)])
-
-
 def test_split_factors_bar_with_pendant():
     for m, a, x, y, t in [(1, 1, 1, 1, 1), (2, 1, 1, 2, 1), (1, 2, 2, 1, 1)]:
         whole = build_magnet_bar(m, a, x, y, 0, t)
         part = _translate(build_hexagon(m, y, a).triangles, 0, x + a)
-        S, rest = split_region(whole, part)
+        assert part <= whole.triangles
+        S = Region(part, None, whole.frames)
+        rest = Region(whole.triangles - part, None, whole.frames)
         product = oracle.gen(S, W.WT2) * oracle.gen(rest, W.WT2)
         assert product == oracle.gen(whole, W.WT2)
 
