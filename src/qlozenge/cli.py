@@ -81,18 +81,27 @@ def _int_list(text: str) -> list[int]:
 def _family_params(name: str, args) -> tuple:
     """A family's parameters, from --params or from the flags named after
     them (--a, --b, --c, and --dents, which may be left out for no dents).
-    A family with dents takes its flags only."""
+    A family with dents takes its flags only.  A region flag the family
+    does not take, or --params next to a side flag, is an error."""
     names = FAMILIES[name].params
     listed = ",".join(names)
-    if args.params is not None and "dents" not in names:
+    sides = [n for n in names if n != "dents"]
+    by_flags = set(sides) <= {"a", "b", "c"}
+    takes = (set(sides) if by_flags else set()) | {"dents" if "dents" in names else "params"}
+    given = [f for f in ("a", "b", "c", "dents", "params") if getattr(args, f) is not None]
+    for flag in given:
+        if flag not in takes:
+            raise ValueError("%s takes no --%s" % (name, flag))
+    if args.params is not None:
+        if len(given) > 1:
+            raise ValueError("--params cannot be combined with --%s" % given[0])
         values = _int_list(args.params)
         if len(values) != len(names):
             raise ValueError(
                 "expected %d values in --params %s, got %d" % (len(names), listed, len(values))
             )
         return tuple(values)
-    sides = [n for n in names if n != "dents"]
-    if not set(sides) <= {"a", "b", "c"}:
+    if not by_flags:
         raise ValueError("%s needs --params %s" % (name, listed))
     if any(getattr(args, n) is None for n in sides):
         flags = ["--" + n for n in sides]
@@ -102,7 +111,7 @@ def _family_params(name: str, args) -> tuple:
         )
     values = tuple(getattr(args, n) for n in sides)
     if "dents" in names:
-        values += (tuple(_int_list(args.dents)),)
+        values += (tuple(_int_list(args.dents or "")),)
     return values
 
 
@@ -378,7 +387,7 @@ def _region_flags(sub) -> None:
     )
     sub.add_argument(
         "--dents",
-        default="",
+        default=None,
         help="comma-separated dent positions (semihexagon only)",
     )
 

@@ -6,6 +6,10 @@ NonExactDivision instead of a silently wrong polynomial.  Results carry
 the full polynomial together with the q-power the displayed form splits
 out in front of the hyperfactorial ratio.
 
+Every notched-region formula is one product: theorem_qmain of the
+family's RegionParams (see the projections in lattice) times a q-power.
+MacMahon's box formula is the case with no notch and no q-power.
+
 FAMILIES is the one table of region families: for each, its parameter
 names, its builder and its closed formula per weight.  FORMULA_NAMES maps
 each command-line formula name to a family and weight in it.
@@ -26,6 +30,9 @@ from .lattice import (
     build_magnet_bar,
     build_q_region,
     build_semihexagon_dented,
+    hexagon_params,
+    k_region_params,
+    magnet_bar_params,
     validate_dents,
 )
 from .qalgebra import (
@@ -50,21 +57,6 @@ class FormulaResult:
 
     poly: QPoly
     prefactor_exponent: int
-
-
-def _ratio(prefactor: int, num: list[int], den: list[int]) -> FormulaResult:
-    acc = QFactorExponents(prefactor_exponent=prefactor)
-    for n in num:
-        acc = push_hyperfactorial(acc, n, 1)
-    for n in den:
-        acc = push_hyperfactorial(acc, n, -1)
-    return FormulaResult(resolve(acc), prefactor)
-
-
-@lru_cache(maxsize=None)
-def macmahon_q(a: int, b: int, c: int) -> FormulaResult:
-    """Volume generating function of plane partitions in an a x b x c box."""
-    return _ratio(0, [a, b, c, a + b + c], [a + b, b + c, c + a])
 
 
 def _count_factor_lists(p: RegionParams) -> tuple[list[int], list[int]]:
@@ -147,21 +139,59 @@ def theorem_main(p: RegionParams) -> int:
 def theorem_qmain(p: RegionParams) -> FormulaResult:
     """Volume generating function over the notched region's tilings."""
     num, den = _count_factor_lists(p)
-    return _ratio(0, num, den)
+    acc = QFactorExponents()
+    for n in num:
+        acc = push_hyperfactorial(acc, n, 1)
+    for n in den:
+        acc = push_hyperfactorial(acc, n, -1)
+    return FormulaResult(resolve(acc), 0)
 
 
-@lru_cache(maxsize=None)
+def _qmain_times(p: RegionParams, exponent: Callable[[RegionParams], int]) -> FormulaResult:
+    """theorem_qmain(p) times q^exponent(p), that power being the prefactor."""
+    pre = exponent(p)
+    return FormulaResult(theorem_qmain(p).poly.shift(pre), pre)
+
+
+def macmahon_q(a: int, b: int, c: int) -> FormulaResult:
+    """Volume generating function of plane partitions in an a x b x c box:
+    theorem_qmain with no notch."""
+    return theorem_qmain(hexagon_params(a, b, c))
+
+
 def hex_M1(a: int, b: int, c: int) -> FormulaResult:
     """First hexagon q-count: q^(ab(b+1)/2) times the box polynomial."""
-    pre = a * b * (b + 1) // 2
-    return FormulaResult(macmahon_q(a, b, c).poly.shift(pre), pre)
+    return _qmain_times(hexagon_params(a, b, c), f_exponent)
 
 
-@lru_cache(maxsize=None)
 def hex_M2(a: int, b: int, c: int) -> FormulaResult:
     """Second hexagon q-count: q^(ba(a+1)/2) times the box polynomial."""
-    pre = b * a * (a + 1) // 2
-    return FormulaResult(macmahon_q(a, b, c).poly.shift(pre), pre)
+    return _qmain_times(hexagon_params(a, b, c), g_exponent)
+
+
+def k_region_M2(a: int, x: int, y: int, z: int, t: int) -> FormulaResult:
+    """Second q-count of the one-lobe cornered region."""
+    return _qmain_times(k_region_params(a, x, y, z, t), g_exponent)
+
+
+def _bar_wt3_exponent(p: RegionParams) -> int:
+    """wt3-exponent of the empty-pile tiling when b = c = 0 (wt3 needs that)."""
+    return (
+        p.m * comb(p.a + 1, 2)
+        + p.t * comb(p.z + p.a + 1, 2)
+        + p.a * (p.z + p.m) * (p.x + p.a)
+        + p.a * comb(p.z + p.m + 1, 2)
+    )
+
+
+def magnet_M2(m: int, a: int, x: int, y: int, z: int, t: int) -> FormulaResult:
+    """Second q-count of the bar region (lobe plus core on the boundary)."""
+    return _qmain_times(magnet_bar_params(m, a, x, y, z, t), g_exponent)
+
+
+def magnet_M3(m: int, a: int, x: int, y: int, z: int, t: int) -> FormulaResult:
+    """Third q-count of the bar region; same ratio as magnet_M2."""
+    return _qmain_times(magnet_bar_params(m, a, x, y, z, t), _bar_wt3_exponent)
 
 
 def semihex_dents_M2(a: int, b: int, dents) -> FormulaResult:
@@ -187,75 +217,6 @@ def _semihex_cached(a: int, b: int, dents: tuple[int, ...]) -> FormulaResult:
     return FormulaResult(resolve(acc), shown)
 
 
-@lru_cache(maxsize=None)
-def k_region_M2(a: int, x: int, y: int, z: int, t: int) -> FormulaResult:
-    """Second q-count of the one-lobe cornered region."""
-    pre = y * comb(z + 1, 2) + x * comb(a + z + 1, 2)
-    num = [a, x, y, z, t, a + x + t, a + x + y, a + y + z, a + x + y + z + t]
-    den = [x + t, a + x, a + y, y + z, a + x + y + t, a + x + y + z, a + t + z]
-    return _ratio(pre, num, den)
-
-
-@lru_cache(maxsize=None)
-def _bar_ratio(m: int, a: int, x: int, y: int, z: int, t: int) -> QPoly:
-    """The hyperfactorial ratio magnet_M2 and magnet_M3 shift."""
-    num = [
-        m + a + x + y + z + t,
-        m + a + x + t,
-        m + a + x + y,
-        m + a + y + z,
-        x,
-        y,
-        z,
-        t,
-        m,
-        a,
-        a,
-        m + z + t,
-        m + a + x,
-        m + a + y,
-    ]
-    den = [
-        m + a + x + y + t,
-        m + a + x + y + z,
-        m + a + z + t,
-        m + a + x,
-        m + a + y,
-        a + x,
-        a + y,
-        z + t,
-        m + a,
-        m + y + z,
-        m + x + t,
-    ]
-    return _ratio(0, num, den).poly
-
-
-@lru_cache(maxsize=None)
-def magnet_M2(m: int, a: int, x: int, y: int, z: int, t: int) -> FormulaResult:
-    """Second q-count of the bar region (lobe plus core on the boundary)."""
-    pre = (
-        y * comb(m + 1, 2)
-        + (m + x + y) * comb(z + 1, 2)
-        + m * y * z
-        + (m + a) * (x + m) * z
-        + x * comb(a + 1, 2)
-    )
-    return FormulaResult(_bar_ratio(m, a, x, y, z, t).shift(pre), pre)
-
-
-@lru_cache(maxsize=None)
-def magnet_M3(m: int, a: int, x: int, y: int, z: int, t: int) -> FormulaResult:
-    """Third q-count of the bar region; same ratio as magnet_M2."""
-    pre = (
-        m * comb(a + 1, 2)
-        + t * comb(z + a + 1, 2)
-        + a * (z + m) * (x + a)
-        + a * comb(z + m + 1, 2)
-    )
-    return FormulaResult(_bar_ratio(m, a, x, y, z, t).shift(pre), pre)
-
-
 # ---------------------------------------------------------------------------
 # region families
 
@@ -273,17 +234,6 @@ class Family:
     params: tuple[str, ...]
     build: Callable[..., Region]
     formulas: Mapping[str, Callable]
-
-
-def _qmain_shifted(offset: Callable[[RegionParams], int]):
-    """theorem_qmain times q^offset(p), the wt1 and wt2 forms of wt0."""
-
-    def value(*ps: int) -> FormulaResult:
-        p = RegionParams(*ps)
-        pre = offset(p)
-        return FormulaResult(theorem_qmain(p).poly.shift(pre), pre)
-
-    return value
 
 
 FAMILIES: dict[str, Family] = {
@@ -307,8 +257,8 @@ FAMILIES: dict[str, Family] = {
         {
             "count": lambda *ps: theorem_main(RegionParams(*ps)),
             "wt0": lambda *ps: theorem_qmain(RegionParams(*ps)),
-            "wt1": _qmain_shifted(f_exponent),
-            "wt2": _qmain_shifted(g_exponent),
+            "wt1": lambda *ps: _qmain_times(RegionParams(*ps), f_exponent),
+            "wt2": lambda *ps: _qmain_times(RegionParams(*ps), g_exponent),
         },
     ),
 }

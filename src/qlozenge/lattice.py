@@ -206,13 +206,6 @@ def build_shamrock(m: int, a: int, b: int, c: int, anchor: tuple[int, int]) -> s
     return tris
 
 
-def build_hexagon(a: int, b: int, c: int) -> Region:
-    """Hexagon with clockwise sides a, b, c, a, b, c from the northwest."""
-    tris = _hexagon_triangles(a, b, c, a, b, c)
-    params = RegionParams(x=b, y=0, z=a, t=c, m=0, a=0, b=0, c=0)
-    return Region(frozenset(tris), params, Frames(base_row=0, se_i=b, sw_level=0))
-
-
 def build_q_region(p: RegionParams) -> Region:
     """Hexagon with a shamrock-shaped notch on its base.
 
@@ -240,14 +233,38 @@ def build_q_region(p: RegionParams) -> Region:
     return region
 
 
-def build_magnet_bar(m: int, a: int, x: int, y: int, z: int, t: int) -> Region:
-    """The b = c = 0 notch specialization: a bar-with-pendant hole."""
-    return build_q_region(RegionParams(x=x, y=y, z=z, t=t, m=m, a=a, b=0, c=0))
+# The notched hexagon's degenerations, each as a projection of its own
+# arguments to RegionParams; builders and closed formulas both go through it.
+
+
+def hexagon_params(a: int, b: int, c: int) -> RegionParams:
+    """The hexagon with sides a, b, c, a, b, c: no notch, x = b, z = a, t = c."""
+    return RegionParams(x=b, y=0, z=a, t=c, m=0, a=0, b=0, c=0)
+
+
+def k_region_params(a: int, x: int, y: int, z: int, t: int) -> RegionParams:
+    """A single up-pointing notch of size a: m = b = c = 0."""
+    return RegionParams(x=x, y=y, z=z, t=t, m=0, a=a, b=0, c=0)
+
+
+def magnet_bar_params(m: int, a: int, x: int, y: int, z: int, t: int) -> RegionParams:
+    """A bar-with-pendant notch: b = c = 0."""
+    return RegionParams(x=x, y=y, z=z, t=t, m=m, a=a, b=0, c=0)
+
+
+def build_hexagon(a: int, b: int, c: int) -> Region:
+    """Hexagon with clockwise sides a, b, c, a, b, c from the northwest."""
+    return build_q_region(hexagon_params(a, b, c))
 
 
 def build_k_region(a: int, x: int, y: int, z: int, t: int) -> Region:
     """Hexagon with a single up-pointing triangular notch of size a on the base."""
-    return build_q_region(RegionParams(x=x, y=y, z=z, t=t, m=0, a=a, b=0, c=0))
+    return build_q_region(k_region_params(a, x, y, z, t))
+
+
+def build_magnet_bar(m: int, a: int, x: int, y: int, z: int, t: int) -> Region:
+    """The b = c = 0 notch specialization: a bar-with-pendant hole."""
+    return build_q_region(magnet_bar_params(m, a, x, y, z, t))
 
 
 def validate_dents(a: int, b: int, dents: Iterable[int]) -> list[int]:

@@ -13,7 +13,6 @@ objects and are safe to call from worker processes.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Mapping
 
 
@@ -185,20 +184,6 @@ def q_int(n: int) -> QPoly:
     if n < 0:
         raise ValueError("q_int of negative %d" % n)
     return QPoly({e: 1 for e in range(n)})
-
-
-def q_factorial(n: int) -> QPoly:
-    """[n]! = [1][2]...[n], the generating polynomial of inversions."""
-    out = QPoly(1)
-    for j in range(2, n + 1):
-        out = out * q_int(j)
-    return out
-
-
-def poly_eval(p: QPoly, at: "Fraction | int") -> Fraction:
-    """Evaluate exactly at a rational point."""
-    x = Fraction(at)
-    return sum((c * x**e for e, c in p.terms.items()), Fraction(0))
 
 
 def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:

@@ -25,11 +25,11 @@ from .enumeration import (
     DEFAULT_TRIANGLE_BUDGET,
     count_tilings,
     gen_function,
-    iter_tilings,
+    gen_function_oracle,
     kuo_remove,
     region_digest,
 )
-from .formulas import FAMILIES, magnet_M2, theorem_qmain
+from .formulas import FAMILIES, theorem_qmain
 from .lattice import (
     Region,
     RegionParams,
@@ -37,6 +37,8 @@ from .lattice import (
     build_magnet_bar,
     build_q_region,
     down,
+    hexagon_params,
+    magnet_bar_params,
     remove_forced,
     up,
 )
@@ -45,7 +47,6 @@ from .weights import (
     WeightAssignment,
     f_exponent,
     g_exponent,
-    tiling_volume,
     weight_from_name,
 )
 
@@ -168,28 +169,6 @@ def four_point_marks(p: RegionParams) -> list[Triangle]:
     ]
 
 
-def _bar_or_zero(m: int, a: int, x: int, y: int, z: int, t: int) -> QPoly:
-    if min(x, y, z, t) < 0:
-        return QPoly(0)
-    return magnet_M2(m, a, x, y, z, t).poly
-
-
-def check_magnet_recurrence(m: int, a: int, x: int, y: int, z: int, t: int) -> Report:
-    """Three-term product recurrence for the bar value under wt2.
-
-    A side parameter driven to -1 contributes an empty factor, so that
-    term drops out; this is how z = 0 tuples stay inside the sweep.
-    """
-    params = (m, a, x, y, z, t)
-    if y < 1 or t < 1:
-        return _precondition("magnet_recurrence", params)
-    lhs = _bar_or_zero(m, a, x, y, z, t) * _bar_or_zero(m, a, x, y - 1, z, t - 1)
-    rhs = _bar_or_zero(m, a, x, y - 1, z, t) * _bar_or_zero(m, a, x, y, z, t - 1) + (
-        _bar_or_zero(m, a, x, y - 1, z + 1, t - 1) * _bar_or_zero(m, a, x, y, z - 1, t)
-    ).shift(z + t + m + a)
-    return _verdict("magnet_recurrence", params, lhs, rhs)
-
-
 def _weighted_or_zero(x, y, z, t, m, a, b, c) -> QPoly:
     if min(x, y, z, t) < 0:
         return QPoly(0)
@@ -197,13 +176,16 @@ def _weighted_or_zero(x, y, z, t, m, a, b, c) -> QPoly:
     return theorem_qmain(p).poly.shift(g_exponent(p))
 
 
-def check_q_recurrence(p: RegionParams) -> Report:
-    """The same three-term recurrence for the full region's wt2 value,
-    with each factor taken from the closed formula (prefactor included)."""
-    params = astuple(p)
+def _wt2_recurrence(name: str, params: tuple, p: RegionParams) -> Report:
+    """Three-term product recurrence for the region's wt2 value, with each
+    factor taken from the closed formula (prefactor included).
+
+    A side parameter driven to -1 contributes an empty factor, so that
+    term drops out; this is how z = 0 tuples stay inside the sweep.
+    """
     if p.y < 1 or p.t < 1:
-        return _precondition("q_recurrence", params)
-    x, y, z, t, m, a, b, c = params
+        return _precondition(name, params)
+    x, y, z, t, m, a, b, c = astuple(p)
     lhs = _weighted_or_zero(x, y, z, t, m, a, b, c) * _weighted_or_zero(
         x, y - 1, z, t - 1, m, a, b, c
     )
@@ -213,7 +195,19 @@ def check_q_recurrence(p: RegionParams) -> Report:
         _weighted_or_zero(x, y - 1, z + 1, t - 1, m, a, b, c)
         * _weighted_or_zero(x, y, z - 1, t, m, a, b, c)
     ).shift(z + t + m + a + b + c)
-    return _verdict("q_recurrence", params, lhs, rhs)
+    return _verdict(name, params, lhs, rhs)
+
+
+def check_magnet_recurrence(m: int, a: int, x: int, y: int, z: int, t: int) -> Report:
+    """The wt2 recurrence on the bar region (b = c = 0)."""
+    return _wt2_recurrence(
+        "magnet_recurrence", (m, a, x, y, z, t), magnet_bar_params(m, a, x, y, z, t)
+    )
+
+
+def check_q_recurrence(p: RegionParams) -> Report:
+    """The wt2 recurrence on the full notched region."""
+    return _wt2_recurrence("q_recurrence", astuple(p), p)
 
 
 def check_psi_recurrence(p: RegionParams) -> Report:
@@ -252,11 +246,7 @@ def check_prop31(
     the report carries the wt2 comparison.
     """
     region = build_q_region(p)
-    volume: dict[int, int] = {}
-    for tiling in iter_tilings(region, max_triangles):
-        e = tiling_volume(region, tiling)
-        volume[e] = volume.get(e, 0) + 1
-    vol = QPoly(volume)
+    vol = gen_function_oracle(region, WeightAssignment.WT0, max_triangles).poly
     params = astuple(p)
     first = _verdict(
         "prop31",
@@ -325,7 +315,7 @@ def check_magnet_reduction(
     if y < 1 or t < 1 or x + y + m < 2 or t + a < 2 or min(bx, by, bz, bt) < 0:
         return _precondition("magnet_reduction", params)
     region = build_magnet_bar(m, a, x, y, z, t)
-    marks = four_point_marks(RegionParams(x, y, z, t, m, a, 0, 0))
+    marks = four_point_marks(magnet_bar_params(m, a, x, y, z, t))
     part = dict(zip(_REDUCTION_STEPS, kuo_remove(region, marks)))[step]
     core, stripped = remove_forced(part, WeightAssignment.WT2)
     lhs = gen_function(core, WeightAssignment.WT2).poly.shift(stripped)
@@ -426,7 +416,7 @@ def _suite_kuo(max_sum: int) -> list[tuple]:
         ((3, 2, 2), "wt3"),
         ((2, 2, 3), "wt2"),
     ):
-        marks = four_point_marks(RegionParams(b, 0, a, c, 0, 0, 0, 0))
+        marks = four_point_marks(hexagon_params(a, b, c))
         tasks.append(("kuo", "hexagon", (a, b, c), _mark_rows(marks), wname))
     for (m, a, x, y, z, t), wname in (
         ((1, 1, 1, 1, 1, 1), "wt2"),
@@ -438,7 +428,7 @@ def _suite_kuo(max_sum: int) -> list[tuple]:
         ((1, 0, 1, 2, 1, 1), "wt3"),
         ((1, 1, 2, 1, 0, 1), "wt2"),
     ):
-        marks = four_point_marks(RegionParams(x, y, z, t, m, a, 0, 0))
+        marks = four_point_marks(magnet_bar_params(m, a, x, y, z, t))
         tasks.append(("kuo", "magnet_bar", (m, a, x, y, z, t), _mark_rows(marks), wname))
     for ps, wname in (
         ((1, 1, 1, 1, 1, 1, 1, 1), "wt1"),

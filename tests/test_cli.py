@@ -291,3 +291,27 @@ def test_negative_semihexagon_side_is_rejected(capsys, argv):
         semihex_dents_M2(a, b, [])
     with pytest.raises(BadDents):
         build_semihexagon_dented(a, b, [])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["count", "hexagon", "--params", "1,1,1", "--a", "5"], "--a"),
+        (
+            ["count", "semihexagon", "--a", "1", "--b", "1", "--dents", "1", "--params", "7,7"],
+            "--params",
+        ),
+        (["count", "hexagon", "--a", "1", "--b", "1", "--c", "1", "--dents", "9"], "--dents"),
+        (
+            ["formula", "macmahon", "--a", "1", "--b", "1", "--c", "1", "--params", "2,2,2"],
+            "--a",
+        ),
+    ],
+    ids=["params-and-side", "semihexagon-params", "hexagon-dents", "formula-params-and-sides"],
+)
+def test_region_flag_the_family_does_not_take_is_a_usage_error(capsys, argv, flag):
+    # Each of these used to print the value of a region built from some of
+    # the flags and exit 0, silently dropping the rest.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert flag in err

@@ -4,7 +4,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import oracle
 from qlozenge.enumeration import (
     BadMarks,
     BudgetExceeded,
@@ -43,7 +42,7 @@ def _rotate_to_min(walk):
 
 def test_unit_hexagon_count():
     assert count_tilings(build_hexagon(1, 1, 1)) == 2
-    assert oracle.count(build_hexagon(1, 1, 1).triangles) == 2
+    assert len(list(iter_tilings(build_hexagon(1, 1, 1)))) == 2
 
 
 def test_frozen_hexagon_counts():
@@ -66,7 +65,7 @@ def test_balanced_but_untileable_region():
     # One up and one down triangle too far apart to pair.
     stranded = Region(frozenset({up(0, 0), down(5, 5)}), None, None)
     assert count_tilings(stranded) == 0
-    assert oracle.count(stranded.triangles) == 0
+    assert len(list(iter_tilings(stranded))) == 0
 
 
 def test_iter_tilings_deterministic_and_exhaustive():
@@ -86,7 +85,7 @@ def test_engine_matches_oracle_on_hexagons():
     for a, b, c in itertools.product(range(3), repeat=3):
         region = build_hexagon(a, b, c)
         for w in (W.WT0, W.WT1, W.WT2, W.WT3):
-            assert gen_function(region, w).poly == oracle.gen(region, w)
+            assert gen_function(region, w).poly == gen_function_oracle(region, w).poly
 
 
 def test_engine_matches_oracle_on_notched_regions():
@@ -98,13 +97,13 @@ def test_engine_matches_oracle_on_notched_regions():
         if params.b == 0 and params.c == 0:
             weights.append(W.WT3)
         for w in weights:
-            assert gen_function(region, w).poly == oracle.gen(region, w)
+            assert gen_function(region, w).poly == gen_function_oracle(region, w).poly
 
 
 def test_engine_matches_oracle_on_the_all_ones_notched_region():
     region = build_q_region(RegionParams(1, 1, 1, 1, 1, 1, 1, 1))
     for w in (W.WT1, W.WT2):
-        assert gen_function(region, w).poly == oracle.gen(region, w)
+        assert gen_function(region, w).poly == gen_function_oracle(region, w).poly
 
 
 def test_semihexagon_gen_frozen():
@@ -251,8 +250,8 @@ def test_kuo_weighted_identity_on_a_hexagon():
     marks = [up(2, 1), down(3, -1), up(3, -1), down(3, -2)]
     parts = kuo_remove(region, marks)
     for w in (W.WT1, W.WT2, W.WT3):
-        g = oracle.gen(region, w)
-        removed, uv, ws, us, vw = (oracle.gen(r, w) for r in parts)
+        g = gen_function_oracle(region, w).poly
+        removed, uv, ws, us, vw = (gen_function_oracle(r, w).poly for r in parts)
         assert g * removed == uv * ws + us * vw
 
 
@@ -263,8 +262,8 @@ def test_kuo_weighted_identity_on_a_bar_region():
     marks = [up(2, 2), down(3, 0), up(3, 0), down(3, -2)]
     parts = kuo_remove(region, marks)
     for w in (W.WT2, W.WT3):
-        g = oracle.gen(region, w)
-        removed, uv, ws, us, vw = (oracle.gen(r, w) for r in parts)
+        g = gen_function_oracle(region, w).poly
+        removed, uv, ws, us, vw = (gen_function_oracle(r, w).poly for r in parts)
         assert g * removed == uv * ws + us * vw
 
 
@@ -279,7 +278,7 @@ def test_kuo_weighted_identity_on_a_bar_region():
 @settings(max_examples=40, deadline=None)
 def test_frontier_count_matches_oracle_on_bars(m, a, x, y, z, t):
     region = build_magnet_bar(m, a, x, y, z, t)
-    assert count_tilings(region) == oracle.count(region.triangles)
+    assert count_tilings(region) == len(list(iter_tilings(region)))
 
 
 def test_region_digest_changes_with_the_region():

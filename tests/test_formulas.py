@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -25,7 +26,7 @@ from qlozenge.lattice import (
     build_q_region,
     build_semihexagon_dented,
 )
-from qlozenge.qalgebra import parse_poly, poly_eval
+from qlozenge.qalgebra import parse_poly
 from qlozenge.weights import WeightAssignment as W, f_exponent, g_exponent
 
 
@@ -39,7 +40,7 @@ def test_macmahon_frozen_values():
 
 def test_macmahon_counts_small_boxes():
     for a, b, c in itertools.product(range(3), repeat=3):
-        boxed = poly_eval(macmahon_q(a, b, c).poly, 1)
+        boxed = sum(macmahon_q(a, b, c).poly.terms.values())
         assert boxed == count_tilings(build_hexagon(a, b, c)), (a, b, c)
 
 
@@ -59,7 +60,7 @@ def test_theorem_main_trivial_and_frozen():
 def test_theorem_main_reduces_to_the_box_count():
     for x, y, z, t in itertools.product(range(3), repeat=4):
         p = RegionParams(x, y, z, t, 0, 0, 0, 0)
-        expected = poly_eval(macmahon_q(z, x + y, t).poly, 1)
+        expected = sum(macmahon_q(z, x + y, t).poly.terms.values())
         assert theorem_main(p) == expected, p
 
 
@@ -77,7 +78,7 @@ def test_qmain_matches_count_and_q1_on_the_unit_cube_sweep():
     for raw in itertools.product(range(2), repeat=8):
         p = RegionParams(*raw)
         n = theorem_main(p)
-        assert poly_eval(theorem_qmain(p).poly, 1) == n, p
+        assert sum(theorem_qmain(p).poly.terms.values()) == n, p
         assert count_tilings(build_q_region(p)) == n, p
 
 
@@ -188,4 +189,27 @@ def test_qmain_expands_exactly_and_counts_at_q1(raw):
     result = theorem_qmain(p)
     assert isinstance(result, FormulaResult)
     assert all(coef > 0 for coef in result.poly.terms.values())
-    assert poly_eval(result.poly, 1) == theorem_main(p)
+    assert sum(result.poly.terms.values()) == theorem_main(p)
+
+
+# SHA-256 over "<args> <poly> <prefactor_exponent>" lines, args in
+# itertools.product order, recorded from the separate hyperfactorial
+# products each formula had before it became theorem_qmain times a q-power.
+_FOLD_GRID = {
+    macmahon_q: (3, 6, "4b215f058adc2e7fa5eb77bf2da90352e3c2c16695c10991b87a8540366d7f9a"),
+    hex_M1: (3, 6, "6ffce3159080d3c459fa0c149f56224d8d1c2c958329e55e54883fb590d71dac"),
+    hex_M2: (3, 6, "098df89cd3ebff93c6241fbbbf0cf1d69c71fc4db1e090a1db816c28ea0e5f4a"),
+    k_region_M2: (5, 3, "fc2410db5f38ffc4243695770076968228f09021c27c86d9844e9a549d21c3f1"),
+    magnet_M2: (6, 2, "f5779133fd86ab3a3069b9231686364b04510165145367fd494b01b257807cde"),
+    magnet_M3: (6, 2, "7b7d57614502711e42165863d8fe4c34ced0e0e845666b0817509445f5749b06"),
+}
+
+
+@pytest.mark.parametrize("formula", list(_FOLD_GRID), ids=lambda f: f.__name__)
+def test_formula_values_on_the_recorded_grid(formula):
+    arity, top, expected = _FOLD_GRID[formula]
+    digest = hashlib.sha256()
+    for ps in itertools.product(range(top + 1), repeat=arity):
+        r = formula(*ps)
+        digest.update(("%r %s %d\n" % (ps, r.poly, r.prefactor_exponent)).encode())
+    assert digest.hexdigest() == expected
