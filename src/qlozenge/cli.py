@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .enumeration import (
     DEFAULT_TRIANGLE_BUDGET,
+    BadMarks,
     BudgetExceeded,
     count_tilings,
     gen_function,
@@ -82,7 +83,8 @@ def _family_params(name: str, args) -> tuple:
     """A family's parameters, from --params or from the flags named after
     them (--a, --b, --c, and --dents, which may be left out for no dents).
     A family with dents takes its flags only.  A region flag the family
-    does not take, or --params next to a side flag, is an error."""
+    does not take, --params next to a side flag, or a negative side is an
+    error, and a negative side is named as it was typed."""
     names = FAMILIES[name].params
     listed = ",".join(names)
     sides = [n for n in names if n != "dents"]
@@ -95,21 +97,25 @@ def _family_params(name: str, args) -> tuple:
     if args.params is not None:
         if len(given) > 1:
             raise ValueError("--params cannot be combined with --%s" % given[0])
-        values = _int_list(args.params)
+        values = tuple(_int_list(args.params))
         if len(values) != len(names):
             raise ValueError(
                 "expected %d values in --params %s, got %d" % (len(names), listed, len(values))
             )
-        return tuple(values)
-    if not by_flags:
+    elif not by_flags:
         raise ValueError("%s needs --params %s" % (name, listed))
-    if any(getattr(args, n) is None for n in sides):
+    elif any(getattr(args, n) is None for n in sides):
         flags = ["--" + n for n in sides]
         alternative = "" if "dents" in names else " (or --params %s)" % listed
         raise ValueError(
             "%s needs %s and %s%s" % (name, ", ".join(flags[:-1]), flags[-1], alternative)
         )
-    values = tuple(getattr(args, n) for n in sides)
+    else:
+        values = tuple(getattr(args, n) for n in sides)
+    for n, v in zip(sides, values):
+        if v < 0:
+            where = "--" + n if args.params is None else "%s in --params %s" % (n, listed)
+            raise ValueError("%s must be a nonnegative integer, got %d" % (where, v))
     if "dents" in names:
         values += (tuple(_int_list(args.dents or "")),)
     return values
@@ -348,7 +354,14 @@ def cmd_kuo(args) -> int:
         marks = four_point_marks(region.params)
     else:
         raise ValueError("this builder records no parameters; pass --marks")
-    report = check_kuo(region, marks, weight_from_name(args.weight), args.max_states)
+    try:
+        report = check_kuo(region, marks, weight_from_name(args.weight), args.max_states)
+    except BadMarks as err:
+        if args.marks is not None:
+            raise
+        raise BadMarks(
+            "the canonical marks degenerate on this region (%s); pass --marks" % err
+        ) from err
     print(report_json(report) if args.json else report_line(report))
     return 0 if report.status == PASS else 1
 
@@ -445,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--marks",
         default=None,
         help="four marks as row,pos,U/D joined by semicolons; defaults to the "
-        "canonical corner placement for parameter-tagged regions",
+        "canonical corner placement for parameter-tagged regions, which "
+        "degenerates on some small ones (exit 2: pass --marks there)",
     )
     kuo.add_argument("--weight", choices=("wt0", "wt1", "wt2", "wt3"), default="wt2")
     kuo.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)

@@ -67,7 +67,12 @@ class BadMarks(ValueError):
 class GenFunction:
     poly: QPoly
     assignment: WeightAssignment
-    region_digest: str
+    region: Region
+
+    @property
+    def region_digest(self) -> str:
+        """SHA-256 of the region's canonical JSON, computed when read."""
+        return region_digest(self.region)
 
 
 def region_digest(region: Region) -> str:
@@ -133,7 +138,7 @@ def gen_function_oracle(
         else:
             e = sum(lozenge_exponent(w, region, loz) for loz in tiling)
         terms[e] = terms.get(e, 0) + 1
-    return GenFunction(QPoly(terms), w, region_digest(region))
+    return GenFunction(QPoly(terms), w, region)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +283,7 @@ def gen_function(
         poly = base.shift(-g_exponent(region.params))
     else:
         poly = _frontier(region, w, max_states)
-    return GenFunction(poly, w, region_digest(region))
+    return GenFunction(poly, w, region)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ integers, so every operation is exact.  Products of q-integers (the
 building blocks of q-factorials and q-hyperfactorials) are kept in
 factored form (QFactorExponents) and only expanded on demand, because
 product formulas cancel most factors before expansion is worthwhile.
+resolve cancels them in the cyclotomic basis, where no division is
+left, and multiplies the survivors as Kronecker-packed integers.
 
 All values are immutable after construction; operations return new
 objects and are safe to call from worker processes.
@@ -13,11 +15,13 @@ objects and are safe to call from worker processes.
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from functools import lru_cache
+from math import isqrt
+from typing import Mapping, Sequence
 
 
 class NonExactDivision(ArithmeticError):
-    """A polynomial quotient would need a nonzero remainder."""
+    """A quotient of polynomials is not a polynomial."""
 
 
 class QPoly:
@@ -90,18 +94,6 @@ class QPoly:
         return QPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "QPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QPoly(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k.  k may be negative only when q^(-k) divides self."""
@@ -186,46 +178,6 @@ def q_int(n: int) -> QPoly:
     return QPoly({e: 1 for e in range(n)})
 
 
-def poly_exact_div(num: QPoly, den: QPoly) -> QPoly:
-    """Quotient p with p*den == num, via ascending-exponent long division.
-
-    Any remainder, fractional coefficient, or overshoot past the possible
-    quotient degree raises NonExactDivision.  This is deliberate: a failed
-    division here almost always means a product formula was copied wrong.
-
-    >>> str(poly_exact_div(QPoly({2: 1, 0: -1}), QPoly({1: 1, 0: -1})))
-    '1 + q'
-    """
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return QPoly(0)
-    dmin = min(den._terms)
-    dlead = den._terms[dmin]
-    qdeg_max = num.degree() - den.degree()
-    if qdeg_max < 0:
-        raise NonExactDivision("numerator degree below denominator degree")
-    rem = dict(num._terms)
-    quot: dict[int, int] = {}
-    while rem:
-        rmin = min(rem)
-        e = rmin - dmin
-        if e < 0 or e > qdeg_max:
-            raise NonExactDivision("inexact polynomial division")
-        c, leftover = divmod(rem[rmin], dlead)
-        if leftover:
-            raise NonExactDivision("inexact polynomial division")
-        quot[e] = c
-        for de, dc in den._terms.items():
-            k = e + de
-            v = rem.get(k, 0) - c * dc
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    return QPoly(quot)
-
-
 class QFactorExponents:
     """A formal product q^E * prod_j [j]^(e_j), kept unexpanded.
 
@@ -302,19 +254,102 @@ def push_prefactor(acc: QFactorExponents, k: int) -> QFactorExponents:
     return QFactorExponents(acc.exponents, acc.prefactor_exponent + k)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Coefficients of the cyclotomic polynomial Phi_d (d > 1), lowest first.
+
+    [d] is the product of Phi_e over the divisors e > 1 of d, so Phi_d is
+    [d] divided by the others.  Each has constant term 1 and Phi_d has
+    degree below d, so power series division cut after q^(d-1) is exact.
+    """
+    c = [1] * d
+    for e in range(2, d):
+        if d % e == 0:
+            phi = _cyclotomic(e)
+            for i in range(d):
+                c[i] -= sum(phi[k] * c[i - k] for k in range(1, min(i, len(phi) - 1) + 1))
+    while c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _offsets(size: int, slots: int) -> int:
+    """2^(W-1) in each of `slots` slots of W = 8*size bits."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+
+
+def _packed(coeffs: Sequence[int], size: int) -> int:
+    """The polynomial with these coefficients (lowest first, each of
+    magnitude below 2^(W-1)) at q = 2^W, W = 8*size bits."""
+    half = 1 << (8 * size - 1)
+    raw = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _offsets(size, len(coeffs))
+
+
+def _digits(value: int, size: int, slots: int) -> list[int]:
+    """Inverse of _packed, in linear time: adding 2^(W-1) to every slot
+    makes each signed digit a plain byte slice."""
+    half = 1 << (8 * size - 1)
+    raw = (value + _offsets(size, slots)).to_bytes(slots * size, "little")
+    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") - half for i in range(slots)]
+
+
+def _expand(factors: list[tuple[int, int]]) -> list[int]:
+    """Coefficients, lowest first, of the product of Phi_d^e over (d, e).
+
+    No coefficient of a product exceeds the product of its factors'
+    coefficient-magnitude sums, so W is that bound's bit length plus a
+    sign bit, in whole bytes.  The powers are multiplied in a balanced tree.
+    """
+    bound, degree = 1, 0
+    for d, e in factors:
+        phi = _cyclotomic(d)
+        bound *= sum(map(abs, phi)) ** e
+        degree += (len(phi) - 1) * e
+    size = bound.bit_length() // 8 + 1
+    packed = [1] + [pow(_packed(_cyclotomic(d), size), e) for d, e in factors]
+    while len(packed) > 1:
+        packed = [
+            packed[i] * packed[i + 1] if i + 1 < len(packed) else packed[i]
+            for i in range(0, len(packed), 2)
+        ]
+    return _digits(packed[0], size, degree + 1)
+
+
 def resolve(acc: QFactorExponents) -> QPoly:
     """Expand the factored product into a single polynomial.
 
-    Positive slots multiply into a numerator, negative slots into a
-    denominator, and the quotient must be exact.
+    Each [j] is the product of the cyclotomic polynomials Phi_d over the
+    divisors d > 1 of j.  The Phi_d are irreducible, so the product is a
+    polynomial exactly when every Phi_d exponent is nonnegative; otherwise
+    NonExactDivision is raised before anything is multiplied.
+
+    Polynomials are multiplied as integers, evaluated at q = 2^W
+    (Kronecker substitution), with W wide enough for every coefficient of
+    the product.  The factors split into two halves, each expanded under
+    the coefficient-sum bound of _expand.  That bound is about twice as
+    many bits as the true one once factors cancel, so the final product
+    takes its W from Cauchy-Schwarz instead: no coefficient of left*right
+    exceeds |left|_2 |right|_2, computed exactly from the two halves.
+
+    >>> str(resolve(QFactorExponents({6: 1, 3: -1, 2: -1})))
+    '1 - q + q^2'
     """
-    num = QPoly(1)
-    den = QPoly(1)
-    for j in sorted(acc.exponents):
-        e = acc.exponents[j]
-        base = q_int(j)
-        if e > 0:
-            num = num * base**e
-        else:
-            den = den * base ** (-e)
-    return poly_exact_div(num, den).shift(acc.prefactor_exponent)
+    power: dict[int, int] = {}
+    for j, e in acc.exponents.items():
+        for d in range(2, j + 1):
+            if j % d == 0:
+                power[d] = power.get(d, 0) + e
+    factors = sorted((d, e) for d, e in power.items() if e)
+    for d, e in factors:
+        if e < 0:
+            raise NonExactDivision(
+                "cyclotomic factor Phi_%d has exponent %d: not a polynomial" % (d, e)
+            )
+    half = len(factors) // 2
+    left, right = _expand(factors[:half]), _expand(factors[half:])
+    square = sum(c * c for c in left) * sum(c * c for c in right)
+    size = isqrt(square).bit_length() // 8 + 1
+    product = _packed(left, size) * _packed(right, size)
+    coeffs = _digits(product, size, len(left) + len(right) - 1)
+    return QPoly(dict(enumerate(coeffs))).shift(acc.prefactor_exponent)

@@ -315,3 +315,38 @@ def test_region_flag_the_family_does_not_take_is_a_usage_error(capsys, argv, fla
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["count", "hexagon", "--a", "-1", "--b", "2", "--c", "2"], "--a"),
+        (["formula", "macmahon", "--a", "-1", "--b", "2", "--c", "2"], "--a"),
+        (["count", "hexagon", "--a", "2", "--b", "-1", "--c", "2"], "--b"),
+        (["formula", "hex_m2", "--params", "1,-2,1"], "b in --params a,b,c"),
+    ],
+    ids=["count-a", "formula-a", "count-b", "formula-params"],
+)
+def test_negative_hexagon_side_names_the_flag_typed(capsys, argv, named):
+    # The hexagon's sides project to differently named RegionParams fields;
+    # the message used to name those (`parameter z` for --a).
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named + " must be a nonnegative integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kuo", "hexagon", "--a", "1", "--b", "1", "--c", "1"],
+        ["kuo", "hexagon", "--a", "3", "--b", "1", "--c", "1"],
+        ["kuo", "k_region", "--params", "2,1,0,1,1"],
+        ["kuo", "magnet_bar", "--params", "0,1,1,0,1,1"],
+        ["kuo", "q_region", "--params", "0,0,0,0,0,0,0,0"],
+    ],
+    ids=["hexagon-111", "hexagon-311", "k_region", "magnet_bar", "q_region-empty"],
+)
+def test_degenerate_default_kuo_marks_say_so(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "canonical marks degenerate" in err and "--marks" in err

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlozenge.enumeration import count_tilings, gen_function
 from qlozenge.formulas import (
@@ -180,9 +180,17 @@ def test_bar_formulas_differ_by_a_pure_q_power(m, a, x, y, z, t):
     assert m2.poly.shift(m3.prefactor_exponent) == m3.poly.shift(m2.prefactor_exponent)
 
 
+# SHA-256 of str(poly), recorded by the expand-then-divide route that
+# preceded cyclotomic cancellation; the widest coefficient has 270 bits.
+_PINNED_QMAIN = {
+    (6, 4, 6, 7, 4, 5, 5, 5): "63b745f967679bbbfbb64dfdb4e5b386b30205803c325f8971ab56e58e653003",
+}
+
+
 @given(
     raw=st.tuples(*[st.integers(0, 2)] * 8),
 )
+@example(raw=(6, 4, 6, 7, 4, 5, 5, 5))
 @settings(max_examples=60, deadline=None)
 def test_qmain_expands_exactly_and_counts_at_q1(raw):
     p = RegionParams(*raw)
@@ -190,6 +198,8 @@ def test_qmain_expands_exactly_and_counts_at_q1(raw):
     assert isinstance(result, FormulaResult)
     assert all(coef > 0 for coef in result.poly.terms.values())
     assert sum(result.poly.terms.values()) == theorem_main(p)
+    if raw in _PINNED_QMAIN:
+        assert hashlib.sha256(str(result.poly).encode()).hexdigest() == _PINNED_QMAIN[raw]
 
 
 # SHA-256 over "<args> <poly> <prefactor_exponent>" lines, args in

@@ -1,12 +1,15 @@
+import doctest
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from qlozenge import qalgebra
 from qlozenge.qalgebra import (
     NonExactDivision,
     QFactorExponents,
     QPoly,
     parse_poly,
-    poly_exact_div,
     push_hyperfactorial,
     push_prefactor,
     push_q_int,
@@ -78,27 +81,65 @@ def test_resolve_applies_prefactor():
     assert resolve_of({2: 1}, prefactor=2) == QPoly({2: 1, 3: 1})
 
 
-def test_exact_div_difference_of_squares():
-    num = QPoly({2: 1, 0: -1})
-    den = QPoly({1: 1, 0: -1})
-    assert poly_exact_div(num, den) == QPoly({0: 1, 1: 1})
+def test_resolve_binomial_rows_near_the_slot_bound():
+    # [2]^e = (1 + q)^e has coefficient sum 2^e, the bound the slot width is
+    # taken from, and its middle coefficient is within a few bits of it.
+    for e in range(0, 301):
+        assert resolve_of({2: e}) == QPoly({k: math.comb(e, k) for k in range(e + 1)}), e
 
 
-def test_exact_div_rejects_inexact():
+def test_resolve_decodes_signed_coefficients():
+    # [6] / ([3] [2]) is the cyclotomic polynomial Phi_6, [4] / [2] is Phi_4.
+    assert resolve_of({6: 1, 3: -1, 2: -1}) == QPoly({0: 1, 1: -1, 2: 1})
+    assert resolve_of({4: 1, 2: -1}) == QPoly({0: 1, 2: 1})
+
+
+def test_resolve_rejects_a_negative_cyclotomic_exponent():
+    # [6] / [4] has a numerator of higher degree, yet Phi_4 divides only [4].
     with pytest.raises(NonExactDivision):
-        poly_exact_div(QPoly({0: 1, 1: 1}), QPoly({0: 1, 1: 1, 2: 1}))
+        resolve_of({6: 1, 4: -1})
+    with pytest.raises(NonExactDivision):
+        resolve_of({2: 1, 3: -1})
 
 
-def test_exact_div_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        poly_exact_div(QPoly(1), QPoly(0))
+def _expand(exponents):
+    out = QPoly(1)
+    for j, e in exponents.items():
+        for _ in range(e):
+            out = out * q_int(j)
+    return out
 
 
-@given(small_polys, small_polys)
-def test_exact_div_round_trip(p, d):
-    if not d:
+def _divides(den, num):
+    """Ascending long division; den has constant term 1."""
+    rem = num.terms
+    for e in range(max(rem) - den.degree() + 1):
+        c = rem.get(e, 0)
+        for de, dc in den.terms.items():
+            rem[e + de] = rem.get(e + de, 0) - c * dc
+    return not any(rem.values())
+
+
+@given(
+    st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=4),
+    st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=4),
+)
+def test_resolve_is_the_quotient_exactly_when_it_divides(num, den):
+    combined = dict(num)
+    for j, e in den.items():
+        combined[j] = combined.get(j, 0) - e
+    divides = _divides(_expand(den), _expand(num))
+    try:
+        quotient = resolve_of(combined)
+    except NonExactDivision:
+        assert not divides
         return
-    assert poly_exact_div(p * d, d) == p
+    assert divides and quotient * _expand(den) == _expand(num)
+
+
+def test_docstring_examples():
+    result = doctest.testmod(qalgebra)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def test_eval_at_one_counts():
