@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -338,7 +339,8 @@ def cmd_tilings(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, args.max_sum, args.jobs)
+    # More workers than cores only adds processes and memory.
+    reports = run_suite(args.suite, args.max_sum, min(args.jobs, os.cpu_count() or 1))
     all_pass = True
     for report in reports:
         all_pass = all_pass and report.status == PASS
@@ -439,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     tilings.add_argument("builder", choices=FAMILIES)
     _region_flags(tilings)
     tilings.add_argument(
-        "--max-triangles", type=int, default=DEFAULT_TRIANGLE_BUDGET
+        "--max-triangles", type=_at_least(0), default=DEFAULT_TRIANGLE_BUDGET
     )
     tilings.add_argument("--json", action="store_true")
     tilings.set_defaults(func=cmd_tilings)
@@ -471,12 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     _region_flags(render)
     render.add_argument(
         "--tiling-index",
-        type=int,
+        type=_at_least(0),
         default=None,
         help="render the n-th tiling in enumeration order instead of the bare region",
     )
     render.add_argument(
-        "--max-triangles", type=int, default=DEFAULT_TRIANGLE_BUDGET
+        "--max-triangles", type=_at_least(0), default=DEFAULT_TRIANGLE_BUDGET
     )
     render.add_argument("--svg", default=None, help="write to this file instead of stdout")
     render.set_defaults(func=cmd_render)

@@ -49,6 +49,7 @@ from .weights import (
     frame_origin,
     g_exponent,
     lozenge_exponent,
+    tiling_exponent,
     tiling_volume,
 )
 
@@ -136,7 +137,7 @@ def gen_function_oracle(
         if w is WeightAssignment.WT0:
             e = tiling_volume(region, tiling)
         else:
-            e = sum(lozenge_exponent(w, region, loz) for loz in tiling)
+            e = tiling_exponent(w, region, tiling)
         terms[e] = terms.get(e, 0) + 1
     return GenFunction(QPoly(terms), w, region)
 

@@ -1,10 +1,10 @@
 """Closed product evaluators for the tiling counts and volume sums.
 
-Each evaluator assembles its value in the factored q-integer algebra and
-expands once at the end, so a transcription slip surfaces as a
-NonExactDivision instead of a silently wrong polynomial.  Results carry
-the full polynomial together with the q-power the displayed form splits
-out in front of the hyperfactorial ratio.
+Each evaluator writes its value as an exponent map over q-integers and
+expands it once at the end with resolve, so a transcription slip
+surfaces as a NonExactDivision instead of a silently wrong polynomial.
+Results carry the full polynomial together with the q-power the
+displayed form splits out in front of the hyperfactorial ratio.
 
 Every notched-region formula is one product: theorem_qmain of the
 family's RegionParams (see the projections in lattice) times a q-power.
@@ -17,8 +17,10 @@ each command-line formula name to a family and weight in it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 from typing import Callable, Mapping
 
@@ -35,14 +37,7 @@ from .lattice import (
     magnet_bar_params,
     validate_dents,
 )
-from .qalgebra import (
-    QFactorExponents,
-    QPoly,
-    push_hyperfactorial,
-    push_prefactor,
-    push_q_int,
-    resolve,
-)
+from .qalgebra import QPoly, resolve
 from .weights import f_exponent, g_exponent
 
 
@@ -139,12 +134,13 @@ def theorem_main(p: RegionParams) -> int:
 def theorem_qmain(p: RegionParams) -> FormulaResult:
     """Volume generating function over the notched region's tilings."""
     num, den = _count_factor_lists(p)
-    acc = QFactorExponents()
+    # The q-hyperfactorial [0]! [1]! ... [n-1]! is prod_{j<n} [j]^(n-j).
+    exponents: Counter[int] = Counter()
     for n in num:
-        acc = push_hyperfactorial(acc, n, 1)
+        exponents.update({j: n - j for j in range(1, n)})
     for n in den:
-        acc = push_hyperfactorial(acc, n, -1)
-    return FormulaResult(resolve(acc), 0)
+        exponents.subtract({j: n - j for j in range(1, n)})
+    return FormulaResult(resolve(exponents), 0)
 
 
 def _qmain_times(p: RegionParams, exponent: Callable[[RegionParams], int]) -> FormulaResult:
@@ -207,14 +203,12 @@ def semihex_dents_M2(a: int, b: int, dents) -> FormulaResult:
 def _semihex_cached(a: int, b: int, dents: tuple[int, ...]) -> FormulaResult:
     s = sorted(validate_dents(a, b, dents))
     shown = sum(si - i for i, si in enumerate(s, start=1))
-    acc = QFactorExponents(prefactor_exponent=shown)
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            # (q^s_j - q^s_i) / (q^j - q^i) = q^(s_i - i) [s_j - s_i] / [j - i]
-            acc = push_prefactor(acc, s[i] - (i + 1))
-            acc = push_q_int(acc, s[j] - s[i], 1)
-            acc = push_q_int(acc, j - i, -1)
-    return FormulaResult(resolve(acc), shown)
+    # (q^s_j - q^s_i) / (q^j - q^i) = q^(s_i - i) [s_j - s_i] / [j - i]
+    pairs = list(combinations(range(len(s)), 2))
+    exponents = Counter(s[j] - s[i] for i, j in pairs)
+    exponents.subtract(j - i for i, j in pairs)
+    prefactor = shown + sum(s[i] - (i + 1) for i, _ in pairs)
+    return FormulaResult(resolve(exponents, prefactor), shown)
 
 
 # ---------------------------------------------------------------------------

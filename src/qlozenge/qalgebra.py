@@ -1,9 +1,9 @@
 """Exact arithmetic in the indeterminate q.
 
 Polynomials are stored sparsely as {exponent: coefficient} with Python
-integers, so every operation is exact.  Products of q-integers (the
-building blocks of q-factorials and q-hyperfactorials) are kept in
-factored form (QFactorExponents) and only expanded on demand, because
+integers, so every operation is exact.  A product of q-integers (the
+building blocks of q-factorials and q-hyperfactorials) is written as an
+exponent map {j: e} for prod_j [j]^e, and resolve takes that map, because
 product formulas cancel most factors before expansion is worthwhile.
 resolve cancels them in the cyclotomic basis, where no division is
 left, and multiplies the survivors as Kronecker-packed integers.
@@ -178,82 +178,6 @@ def q_int(n: int) -> QPoly:
     return QPoly({e: 1 for e in range(n)})
 
 
-class QFactorExponents:
-    """A formal product q^E * prod_j [j]^(e_j), kept unexpanded.
-
-    The exponent map may carry negative entries while factors are being
-    accumulated; resolve() demands that the final quotient is an honest
-    polynomial.
-    """
-
-    __slots__ = ("_exponents", "_prefactor")
-
-    def __init__(self, exponents: Mapping[int, int] | None = None, prefactor_exponent: int = 0):
-        clean: dict[int, int] = {}
-        if exponents:
-            for j, e in exponents.items():
-                if not isinstance(j, int) or j < 1:
-                    raise ValueError("factor index must be a positive integer, got %r" % (j,))
-                if e:
-                    clean[j] = e
-        if prefactor_exponent < 0:
-            raise ValueError("prefactor exponent must be nonnegative")
-        self._exponents = clean
-        self._prefactor = prefactor_exponent
-
-    @property
-    def exponents(self) -> dict[int, int]:
-        return dict(self._exponents)
-
-    @property
-    def prefactor_exponent(self) -> int:
-        return self._prefactor
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QFactorExponents):
-            return NotImplemented
-        return self._exponents == other._exponents and self._prefactor == other._prefactor
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self._exponents.items()), self._prefactor))
-
-    def __repr__(self) -> str:
-        return "QFactorExponents(%r, prefactor_exponent=%d)" % (self._exponents, self._prefactor)
-
-
-def push_q_int(acc: QFactorExponents, n: int, sign: int) -> QFactorExponents:
-    """Multiply (sign=+1) or divide (sign=-1) by the single factor [n]."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if n < 0:
-        raise ValueError("q-integer index must be nonnegative")
-    out = acc.exponents
-    if n >= 1:
-        out[n] = out.get(n, 0) + sign
-    return QFactorExponents(out, acc.prefactor_exponent)
-
-
-def push_hyperfactorial(acc: QFactorExponents, n: int, sign: int) -> QFactorExponents:
-    """Multiply or divide by the q-hyperfactorial [0]! [1]! ... [n-1]!.
-
-    Expanding the factorials gives prod_{j=1}^{n-1} [j]^(n-j), so the push
-    just adds sign*(n-j) to each slot.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if n < 0:
-        raise ValueError("hyperfactorial index must be nonnegative")
-    out = acc.exponents
-    for j in range(1, n):
-        out[j] = out.get(j, 0) + sign * (n - j)
-    return QFactorExponents(out, acc.prefactor_exponent)
-
-
-def push_prefactor(acc: QFactorExponents, k: int) -> QFactorExponents:
-    """Multiply by q^k; the running prefactor must stay nonnegative."""
-    return QFactorExponents(acc.exponents, acc.prefactor_exponent + k)
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(d: int) -> tuple[int, ...]:
     """Coefficients of the cyclotomic polynomial Phi_d (d > 1), lowest first.
@@ -316,9 +240,11 @@ def _expand(factors: list[tuple[int, int]]) -> list[int]:
     return _digits(packed[0], size, degree + 1)
 
 
-def resolve(acc: QFactorExponents) -> QPoly:
-    """Expand the factored product into a single polynomial.
+def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
+    """Expand q^prefactor * prod_j [j]^exponents[j] into a single polynomial.
 
+    Exponents may be negative, as in a ratio of q-hyperfactorials; the
+    prefactor may not, and every factor index j must be an int >= 1.
     Each [j] is the product of the cyclotomic polynomials Phi_d over the
     divisors d > 1 of j.  The Phi_d are irreducible, so the product is a
     polynomial exactly when every Phi_d exponent is nonnegative; otherwise
@@ -332,11 +258,17 @@ def resolve(acc: QFactorExponents) -> QPoly:
     takes its W from Cauchy-Schwarz instead: no coefficient of left*right
     exceeds |left|_2 |right|_2, computed exactly from the two halves.
 
-    >>> str(resolve(QFactorExponents({6: 1, 3: -1, 2: -1})))
+    >>> str(resolve({6: 1, 3: -1, 2: -1}))
     '1 - q + q^2'
+    >>> str(resolve({2: 2}, prefactor=1))
+    'q + 2*q^2 + q^3'
     """
+    if prefactor < 0:
+        raise ValueError("prefactor exponent must be nonnegative, got %d" % prefactor)
     power: dict[int, int] = {}
-    for j, e in acc.exponents.items():
+    for j, e in exponents.items():
+        if not isinstance(j, int) or j < 1:
+            raise ValueError("factor index must be a positive integer, got %r" % (j,))
         for d in range(2, j + 1):
             if j % d == 0:
                 power[d] = power.get(d, 0) + e
@@ -352,4 +284,4 @@ def resolve(acc: QFactorExponents) -> QPoly:
     size = isqrt(square).bit_length() // 8 + 1
     product = _packed(left, size) * _packed(right, size)
     coeffs = _digits(product, size, len(left) + len(right) - 1)
-    return QPoly(dict(enumerate(coeffs))).shift(acc.prefactor_exponent)
+    return QPoly(dict(enumerate(coeffs))).shift(prefactor)

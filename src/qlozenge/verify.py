@@ -15,7 +15,7 @@ emitted reports are identical however many workers ran them.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from itertools import combinations
 from math import comb
 from multiprocessing import Pool
@@ -169,11 +169,15 @@ def four_point_marks(p: RegionParams) -> list[Triangle]:
     ]
 
 
-def _weighted_or_zero(x, y, z, t, m, a, b, c) -> QPoly:
-    if min(x, y, z, t) < 0:
-        return QPoly(0)
-    p = RegionParams(x, y, z, t, m, a, b, c)
-    return theorem_qmain(p).poly.shift(g_exponent(p))
+def _moved(p: RegionParams, **steps: int) -> Optional[RegionParams]:
+    """p with each named side moved by its step, or None once one is negative."""
+    moved = {name: getattr(p, name) + step for name, step in steps.items()}
+    return None if min(moved.values(), default=0) < 0 else replace(p, **moved)
+
+
+def _weighted_or_zero(p: RegionParams, **steps: int) -> QPoly:
+    n = _moved(p, **steps)
+    return QPoly(0) if n is None else theorem_qmain(n).poly.shift(g_exponent(n))
 
 
 def _wt2_recurrence(name: str, params: tuple, p: RegionParams) -> Report:
@@ -185,16 +189,10 @@ def _wt2_recurrence(name: str, params: tuple, p: RegionParams) -> Report:
     """
     if p.y < 1 or p.t < 1:
         return _precondition(name, params)
-    x, y, z, t, m, a, b, c = astuple(p)
-    lhs = _weighted_or_zero(x, y, z, t, m, a, b, c) * _weighted_or_zero(
-        x, y - 1, z, t - 1, m, a, b, c
-    )
-    rhs = _weighted_or_zero(x, y - 1, z, t, m, a, b, c) * _weighted_or_zero(
-        x, y, z, t - 1, m, a, b, c
-    ) + (
-        _weighted_or_zero(x, y - 1, z + 1, t - 1, m, a, b, c)
-        * _weighted_or_zero(x, y, z - 1, t, m, a, b, c)
-    ).shift(z + t + m + a + b + c)
+    lhs = _weighted_or_zero(p) * _weighted_or_zero(p, y=-1, t=-1)
+    rhs = _weighted_or_zero(p, y=-1) * _weighted_or_zero(p, t=-1) + (
+        _weighted_or_zero(p, y=-1, z=1, t=-1) * _weighted_or_zero(p, z=-1)
+    ).shift(p.z + p.t + p.m + p.a + p.b + p.c)
     return _verdict(name, params, lhs, rhs)
 
 
@@ -220,18 +218,15 @@ def check_psi_recurrence(p: RegionParams) -> Report:
     params = astuple(p)
     if p.y < 1 or p.t < 1 or p.z < 1:
         return _precondition("psi_recurrence", params)
-    x, y, z, t, m, a, b, c = params
-    big_a = m + a + b + c + x + y + t - 1
+    big_a = p.m + p.a + p.b + p.c + p.x + p.y + p.t - 1
 
-    def phi(xx: int, yy: int, zz: int, tt: int) -> QPoly:
-        return theorem_qmain(RegionParams(xx, yy, zz, tt, m, a, b, c)).poly
+    def phi(**steps: int) -> QPoly:
+        return theorem_qmain(_moved(p, **steps)).poly
 
-    lhs = phi(x, y - 1, z, t) * phi(x, y, z, t - 1) + (
-        phi(x, y, z - 1, t) * phi(x, y - 1, z + 1, t - 1)
-    ).shift(big_a)
-    rhs = phi(x, y, z, t) * phi(x, y - 1, z, t - 1)
+    lhs = phi(y=-1) * phi(t=-1) + (phi(z=-1) * phi(y=-1, z=1, t=-1)).shift(big_a)
+    rhs = phi() * phi(y=-1, t=-1)
     report = _verdict("psi_recurrence", params, lhs, rhs)
-    scalar = check_q_int_addition(big_a, z)
+    scalar = check_q_int_addition(big_a, p.z)
     if report.status is PASS and scalar.status is not PASS:
         return Report("psi_recurrence", params, FAIL, lhs, rhs, scalar.witness)
     return report
@@ -323,11 +318,6 @@ def check_magnet_reduction(
         build_magnet_bar(m, a, bx, by, bz, bt), WeightAssignment.WT2
     ).poly.shift(exponent)
     return _verdict("magnet_reduction", params, lhs, rhs)
-
-
-def check_magnet_reductions(m: int, a: int, x: int, y: int, z: int, t: int) -> list[Report]:
-    """All five mark-deletion identities for one bar, in fixed order."""
-    return [check_magnet_reduction(m, a, x, y, z, t, step) for step in _REDUCTION_STEPS]
 
 
 # ---------------------------------------------------------------------------

@@ -263,14 +263,41 @@ def test_budget_message_names_row_and_state_count(capsys):
         ["count", "hexagon", "--params", "2,2,2", "--max-states", "-1"],
         ["verify", "--suite", "qmain", "--max-sum", "-3"],
         ["verify", "--suite", "qmain", "--max-sum", "2", "--jobs", "0"],
+        ["tilings", "hexagon", "--a", "1", "--b", "1", "--c", "1", "--max-triangles", "-1"],
+        ["render", "hexagon", "--a", "1", "--b", "1", "--c", "1", "--max-triangles", "-1"],
+        ["render", "hexagon", "--a", "1", "--b", "1", "--c", "1", "--tiling-index", "-1"],
     ],
-    ids=["negative-max-states", "negative-max-sum", "zero-jobs"],
+    ids=[
+        "negative-max-states",
+        "negative-max-sum",
+        "zero-jobs",
+        "tilings-negative-max-triangles",
+        "render-negative-max-triangles",
+        "render-negative-tiling-index",
+    ],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+def test_jobs_is_capped_at_the_core_count(capsys, monkeypatch):
+    # The recorder stands in for the pool, so no worker is ever started.
+    calls = []
+
+    def record(suite, max_sum, jobs):
+        calls.append(jobs)
+        return []
+
+    monkeypatch.setattr("qlozenge.cli.run_suite", record)
+    monkeypatch.setattr("qlozenge.cli.os.cpu_count", lambda: 4)
+    assert main(["verify", "--suite", "qmain", "--jobs", "1000000"]) == 0
+    assert main(["verify", "--suite", "qmain", "--jobs", "3"]) == 0
+    monkeypatch.setattr("qlozenge.cli.os.cpu_count", lambda: None)
+    assert main(["verify", "--suite", "qmain", "--jobs", "1000000"]) == 0
+    assert calls == [4, 3, 1]
 
 
 @pytest.mark.parametrize(

@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlozenge import qalgebra
-from qlozenge.qalgebra import (
-    NonExactDivision,
-    QFactorExponents,
-    QPoly,
-    parse_poly,
-    push_hyperfactorial,
-    push_prefactor,
-    push_q_int,
-    q_int,
-)
+from qlozenge.qalgebra import NonExactDivision, QPoly, parse_poly, q_int, resolve
 
 
 def _poly(d):
@@ -42,64 +33,52 @@ def test_q_int_addition_law():
             assert q_int(big) + q_int(small).shift(big) == q_int(big + small)
 
 
-def test_push_hyperfactorial_expansions():
-    acc = push_hyperfactorial(QFactorExponents(), 3, 1)
-    assert acc.exponents == {1: 2, 2: 1}
-    assert push_hyperfactorial(QFactorExponents(), 1, 1).exponents == {}
-    assert push_hyperfactorial(QFactorExponents(), 0, 1).exponents == {}
-    cancelled = push_hyperfactorial(QFactorExponents({2: 1}), 3, -1)
-    assert cancelled.exponents == {1: -2}
-
-
 def test_resolve_single_factor():
-    assert resolve_of({2: 1}) == QPoly({0: 1, 1: 1})
-
-
-def resolve_of(exponents, prefactor=0):
-    from qlozenge.qalgebra import resolve
-
-    return resolve(QFactorExponents(exponents, prefactor))
+    assert resolve({2: 1}) == QPoly({0: 1, 1: 1})
 
 
 def test_resolve_unit_box_product():
     # H(1)^3 H(3) / H(2)^3 collapses to [2]: the two-element chain of piles
-    # in a 1x1x1 box.
-    acc = QFactorExponents()
-    for n, sign in [(1, 1), (1, 1), (1, 1), (3, 1), (2, -1), (2, -1), (2, -1)]:
-        acc = push_hyperfactorial(acc, n, sign)
-    from qlozenge.qalgebra import resolve
+    # in a 1x1x1 box.  H(1) is empty, H(2) = [1] and H(3) = [1]^2 [2].
+    assert resolve({1: 2 - 3, 2: 1}) == QPoly({0: 1, 1: 1})
 
-    assert resolve(acc) == QPoly({0: 1, 1: 1})
+
+@pytest.mark.parametrize(
+    "exponents, prefactor", [({0: 1}, 0), ({-2: 1}, 0), ({"2": 1}, 0), ({}, -1)]
+)
+def test_resolve_rejects_bad_factor_index_or_prefactor(exponents, prefactor):
+    with pytest.raises(ValueError):
+        resolve(exponents, prefactor)
 
 
 def test_resolve_rejects_non_polynomial():
     with pytest.raises(NonExactDivision):
-        resolve_of({2: -1})
+        resolve({2: -1})
 
 
 def test_resolve_applies_prefactor():
-    assert resolve_of({2: 1}, prefactor=2) == QPoly({2: 1, 3: 1})
+    assert resolve({2: 1}, prefactor=2) == QPoly({2: 1, 3: 1})
 
 
 def test_resolve_binomial_rows_near_the_slot_bound():
     # [2]^e = (1 + q)^e has coefficient sum 2^e, the bound the slot width is
     # taken from, and its middle coefficient is within a few bits of it.
     for e in range(0, 301):
-        assert resolve_of({2: e}) == QPoly({k: math.comb(e, k) for k in range(e + 1)}), e
+        assert resolve({2: e}) == QPoly({k: math.comb(e, k) for k in range(e + 1)}), e
 
 
 def test_resolve_decodes_signed_coefficients():
     # [6] / ([3] [2]) is the cyclotomic polynomial Phi_6, [4] / [2] is Phi_4.
-    assert resolve_of({6: 1, 3: -1, 2: -1}) == QPoly({0: 1, 1: -1, 2: 1})
-    assert resolve_of({4: 1, 2: -1}) == QPoly({0: 1, 2: 1})
+    assert resolve({6: 1, 3: -1, 2: -1}) == QPoly({0: 1, 1: -1, 2: 1})
+    assert resolve({4: 1, 2: -1}) == QPoly({0: 1, 2: 1})
 
 
 def test_resolve_rejects_a_negative_cyclotomic_exponent():
     # [6] / [4] has a numerator of higher degree, yet Phi_4 divides only [4].
     with pytest.raises(NonExactDivision):
-        resolve_of({6: 1, 4: -1})
+        resolve({6: 1, 4: -1})
     with pytest.raises(NonExactDivision):
-        resolve_of({2: 1, 3: -1})
+        resolve({2: 1, 3: -1})
 
 
 def _expand(exponents):
@@ -130,7 +109,7 @@ def test_resolve_is_the_quotient_exactly_when_it_divides(num, den):
         combined[j] = combined.get(j, 0) - e
     divides = _divides(_expand(den), _expand(num))
     try:
-        quotient = resolve_of(combined)
+        quotient = resolve(combined)
     except NonExactDivision:
         assert not divides
         return
@@ -155,30 +134,6 @@ def test_ring_laws(p, r, s):
     assert (p * r) * s == p * (r * s)
     assert p + QPoly(0) == p
     assert p * QPoly(1) == p
-
-
-@given(st.permutations([(3, 1), (1, 1), (4, 1), (2, -1), (2, -1)]))
-def test_resolve_ignores_push_order(pushes):
-    acc = QFactorExponents()
-    for n, sign in pushes:
-        acc = push_hyperfactorial(acc, n, sign)
-    from qlozenge.qalgebra import resolve
-
-    baseline = QFactorExponents()
-    for n, sign in [(3, 1), (1, 1), (4, 1), (2, -1), (2, -1)]:
-        baseline = push_hyperfactorial(baseline, n, sign)
-    assert resolve(acc) == resolve(baseline)
-
-
-def test_push_q_int_and_prefactor():
-    acc = push_q_int(QFactorExponents(), 3, 1)
-    assert acc.exponents == {3: 1}
-    acc = push_q_int(acc, 3, -1)
-    assert acc.exponents == {}
-    acc = push_prefactor(acc, 4)
-    assert acc.prefactor_exponent == 4
-    with pytest.raises(ValueError):
-        push_prefactor(acc, -5)
 
 
 def test_text_form_frozen():

@@ -13,7 +13,7 @@ from qlozenge.lattice import (
     make_lozenge,
     up,
 )
-from qlozenge.qalgebra import QFactorExponents, push_hyperfactorial, resolve
+from qlozenge.qalgebra import resolve
 from qlozenge.weights import (
     MissingFrame,
     NegativeVolume,
@@ -29,14 +29,14 @@ from qlozenge.weights import (
 
 
 def _mac_q(a, b, c):
-    # Independent route: assemble the boxed-pile product directly from
-    # hyperfactorial pushes.
-    acc = QFactorExponents()
-    for n in (a, b, c, a + b + c):
-        acc = push_hyperfactorial(acc, n, 1)
-    for n in (a + b, b + c, c + a):
-        acc = push_hyperfactorial(acc, n, -1)
-    return resolve(acc)
+    # Independent route: MacMahon's boxed-pile product H(a) H(b) H(c)
+    # H(a+b+c) / (H(a+b) H(b+c) H(c+a)), with H(n) = prod_{j<n} [j]^(n-j).
+    exponents = {}
+    for sign, ns in ((1, (a, b, c, a + b + c)), (-1, (a + b, b + c, c + a))):
+        for n in ns:
+            for j in range(1, n):
+                exponents[j] = exponents.get(j, 0) + sign * (n - j)
+    return resolve(exponents)
 
 
 def test_weight_names():
