@@ -380,8 +380,11 @@ def cmd_render(args) -> int:
             raise ValueError("tiling index %d out of range" % args.tiling_index)
     document = render_svg(region, tiling)
     if args.svg is not None:
-        with open(args.svg, "w", encoding="ascii") as handle:
-            handle.write(document)
+        try:
+            with open(args.svg, "w", encoding="ascii") as handle:
+                handle.write(document)
+        except OSError as err:
+            raise ValueError("cannot write %s: %s" % (args.svg, err.strerror or err)) from None
     else:
         sys.stdout.write(document)
     return 0

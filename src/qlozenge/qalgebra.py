@@ -59,12 +59,14 @@ class QPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = QPoly(other)
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, QPoly):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))  # equal to that int, so hash like it
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "QPoly | int") -> "QPoly":

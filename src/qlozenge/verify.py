@@ -7,7 +7,12 @@ Parameter tuples outside a check's precondition come back with status
 "Precondition" rather than Fail, so sweeps record skipped corners
 without burying them.
 
-run_suite builds a deterministic task list per suite name.  With jobs > 1
+Each check's precondition is one private predicate, which the check
+calls and the suites filter on, so a suite never emits a Precondition line.
+
+run_suite builds a deterministic task list per suite name.  A task is a
+check call: the check function followed by its arguments, already typed
+(RegionParams, Region, Triangle marks, WeightAssignment).  With jobs > 1
 the tasks fan out over a process pool and return in list order, so the
 emitted reports are identical however many workers ran them.
 """
@@ -43,12 +48,7 @@ from .lattice import (
     up,
 )
 from .qalgebra import QPoly, q_int
-from .weights import (
-    WeightAssignment,
-    f_exponent,
-    g_exponent,
-    weight_from_name,
-)
+from .weights import WeightAssignment, f_exponent, g_exponent
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -75,10 +75,7 @@ class Report:
 def _verdict(name: str, params: tuple, lhs: QPoly, rhs: QPoly) -> Report:
     if lhs == rhs:
         return Report(name, params, PASS, lhs, rhs)
-    diff = lhs.terms
-    for e, c in rhs.terms.items():
-        diff[e] = diff.get(e, 0) - c
-    return Report(name, params, FAIL, lhs, rhs, QPoly(diff))
+    return Report(name, params, FAIL, lhs, rhs, lhs - rhs)
 
 
 def _precondition(name: str, params: tuple) -> Report:
@@ -180,6 +177,14 @@ def _weighted_or_zero(p: RegionParams, **steps: int) -> QPoly:
     return QPoly(0) if n is None else theorem_qmain(n).poly.shift(g_exponent(n))
 
 
+def _recurrence_applies(p: RegionParams) -> bool:
+    return p.y >= 1 and p.t >= 1
+
+
+def _psi_applies(p: RegionParams) -> bool:
+    return _recurrence_applies(p) and p.z >= 1
+
+
 def _wt2_recurrence(name: str, params: tuple, p: RegionParams) -> Report:
     """Three-term product recurrence for the region's wt2 value, with each
     factor taken from the closed formula (prefactor included).
@@ -187,7 +192,7 @@ def _wt2_recurrence(name: str, params: tuple, p: RegionParams) -> Report:
     A side parameter driven to -1 contributes an empty factor, so that
     term drops out; this is how z = 0 tuples stay inside the sweep.
     """
-    if p.y < 1 or p.t < 1:
+    if not _recurrence_applies(p):
         return _precondition(name, params)
     lhs = _weighted_or_zero(p) * _weighted_or_zero(p, y=-1, t=-1)
     rhs = _weighted_or_zero(p, y=-1) * _weighted_or_zero(p, t=-1) + (
@@ -216,7 +221,7 @@ def check_psi_recurrence(p: RegionParams) -> Report:
     [A] + q^A*[z] = [A+z] is re-checked on its own; Pass needs both.
     """
     params = astuple(p)
-    if p.y < 1 or p.t < 1 or p.z < 1:
+    if not _psi_applies(p):
         return _precondition("psi_recurrence", params)
     big_a = p.m + p.a + p.b + p.c + p.x + p.y + p.t - 1
 
@@ -242,21 +247,12 @@ def check_prop31(
     """
     region = build_q_region(p)
     vol = gen_function_oracle(region, WeightAssignment.WT0, max_triangles).poly
-    params = astuple(p)
-    first = _verdict(
-        "prop31",
-        params,
-        gen_function(region, WeightAssignment.WT1).poly,
-        vol.shift(f_exponent(p)),
-    )
-    if first.status is not PASS:
-        return first
-    return _verdict(
-        "prop31",
-        params,
-        gen_function(region, WeightAssignment.WT2).poly,
-        vol.shift(g_exponent(p)),
-    )
+    for w, offset in ((WeightAssignment.WT1, f_exponent), (WeightAssignment.WT2, g_exponent)):
+        swept = gen_function(region, w).poly
+        report = _verdict("prop31", astuple(p), swept, vol.shift(offset(p)))
+        if report.status is not PASS:
+            break
+    return report
 
 
 def check_formula_vs_enumeration(
@@ -280,15 +276,23 @@ def check_formula_vs_enumeration(
 _REDUCTION_STEPS = ("uvws", "uv", "ws", "us", "vw")
 
 
-def _reduction_targets(m, a, x, y, z, t):
+def _reduction_target(m, a, x, y, z, t, step):
+    """The smaller bar's (x, y, z, t) after one deletion step, and the
+    exponent of its predicted prefactor."""
     hh = z + t + m + a
+    near, far = comb(z + m + 1, 2), (x + y + m - 2) * hh
     return {
-        "uvws": ((x, y - 1, z, t - 1), comb(z + m + 1, 2) + (x + y + m - 2) * hh),
-        "uv": ((x, y - 1, z, t), comb(z + m + 1, 2)),
-        "ws": ((x, y, z, t - 1), (x + y + m - 2) * hh),
-        "us": ((x, y - 1, z + 1, t - 1), comb(z + m + 1, 2)),
+        "uvws": ((x, y - 1, z, t - 1), near + far),
+        "uv": ((x, y - 1, z, t), near),
+        "ws": ((x, y, z, t - 1), far),
+        "us": ((x, y - 1, z + 1, t - 1), near),
         "vw": ((x, y, z - 1, t), (x + y + m - 1) * hh),
-    }
+    }[step]
+
+
+def _reduction_applies(m, a, x, y, z, t, step) -> bool:
+    bar, _ = _reduction_target(m, a, x, y, z, t, step)
+    return y >= 1 and t >= 1 and x + y + m >= 2 and t + a >= 2 and min(bar) >= 0
 
 
 def check_magnet_reduction(
@@ -302,22 +306,18 @@ def check_magnet_reduction(
     remove_forced accumulated, against the smaller bar built from
     scratch shifted by the predicted prefactor.
     """
-    targets = _reduction_targets(m, a, x, y, z, t)
-    if step not in targets:
+    if step not in _REDUCTION_STEPS:
         raise ValueError("unknown reduction step %r" % (step,))
     params = (m, a, x, y, z, t, step)
-    (bx, by, bz, bt), exponent = targets[step]
-    if y < 1 or t < 1 or x + y + m < 2 or t + a < 2 or min(bx, by, bz, bt) < 0:
+    if not _reduction_applies(m, a, x, y, z, t, step):
         return _precondition("magnet_reduction", params)
-    region = build_magnet_bar(m, a, x, y, z, t)
-    marks = four_point_marks(magnet_bar_params(m, a, x, y, z, t))
-    part = dict(zip(_REDUCTION_STEPS, kuo_remove(region, marks)))[step]
-    core, stripped = remove_forced(part, WeightAssignment.WT2)
+    p = magnet_bar_params(m, a, x, y, z, t)
+    parts = kuo_remove(build_q_region(p), four_point_marks(p))
+    core, stripped = remove_forced(parts[_REDUCTION_STEPS.index(step)], WeightAssignment.WT2)
     lhs = gen_function(core, WeightAssignment.WT2).poly.shift(stripped)
-    rhs = gen_function(
-        build_magnet_bar(m, a, bx, by, bz, bt), WeightAssignment.WT2
-    ).poly.shift(exponent)
-    return _verdict("magnet_reduction", params, lhs, rhs)
+    bar, exponent = _reduction_target(m, a, x, y, z, t, step)
+    rhs = gen_function(build_magnet_bar(m, a, *bar), WeightAssignment.WT2).poly
+    return _verdict("magnet_reduction", params, lhs, rhs.shift(exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -336,132 +336,100 @@ def _bounded_tuples(slots: int, total: int) -> Iterator[tuple[int, ...]]:
 
 
 def _run_task(task: tuple) -> Report:
-    kind = task[0]
-    if kind == "formula":
-        _, builder_id, ps, wname = task
-        return check_formula_vs_enumeration(builder_id, ps, weight_from_name(wname))
-    if kind == "kuo":
-        _, builder_id, ps, mark_rows, wname = task
-        region = FAMILIES[builder_id].build(*ps)
-        marks = [Triangle(r, p, o) for r, p, o in mark_rows]
-        return check_kuo(region, marks, weight_from_name(wname))
-    if kind == "magnet_recurrence":
-        return check_magnet_recurrence(*task[1])
-    if kind == "q_recurrence":
-        return check_q_recurrence(RegionParams(*task[1]))
-    if kind == "psi_recurrence":
-        return check_psi_recurrence(RegionParams(*task[1]))
-    if kind == "prop31":
-        return check_prop31(RegionParams(*task[1]))
-    if kind == "reduction":
-        m, a, x, y, z, t = task[1]
-        return check_magnet_reduction(m, a, x, y, z, t, task[2])
-    if kind == "scalar":
-        return check_q_int_addition(*task[1])
-    raise ValueError("unknown task kind %r" % (kind,))
+    return task[0](*task[1:])
 
 
 def _suite_qmain(max_sum: int) -> list[tuple]:
     return [
-        ("formula", "q_region", ps, "wt2") for ps in _bounded_tuples(8, max_sum)
+        (check_formula_vs_enumeration, "q_region", ps, WeightAssignment.WT2)
+        for ps in _bounded_tuples(8, max_sum)
     ]
 
 
 def _suite_formulas(max_sum: int) -> list[tuple]:
-    tasks: list[tuple] = []
-    for trip in _bounded_tuples(3, max_sum):
-        for wname in ("wt0", "wt1", "wt2"):
-            tasks.append(("formula", "hexagon", trip, wname))
+    W = WeightAssignment
+    check = check_formula_vs_enumeration
+    tasks = [
+        (check, "hexagon", abc, w)
+        for abc in _bounded_tuples(3, max_sum)
+        for w in (W.WT0, W.WT1, W.WT2)
+    ]
     cap = min(max_sum, 6)
     for a in range(cap + 1):
         for b in range(cap - a + 1):
             for dents in combinations(range(1, a + b + 1), a):
-                tasks.append(("formula", "semihexagon", (a, b, dents), "wt2"))
-    for ps in _bounded_tuples(5, max_sum):
-        tasks.append(("formula", "k_region", ps, "wt2"))
+                tasks.append((check, "semihexagon", (a, b, dents), W.WT2))
+    tasks += [(check, "k_region", ps, W.WT2) for ps in _bounded_tuples(5, max_sum)]
     for ps in _bounded_tuples(6, max_sum):
-        tasks.append(("formula", "magnet_bar", ps, "wt2"))
-        tasks.append(("formula", "magnet_bar", ps, "wt3"))
-    for ps in _bounded_tuples(8, max_sum):
-        for wname in ("wt0", "wt1", "wt2"):
-            tasks.append(("formula", "q_region", ps, wname))
+        tasks += [(check, "magnet_bar", ps, W.WT2), (check, "magnet_bar", ps, W.WT3)]
+    tasks += [
+        (check, "q_region", ps, w)
+        for ps in _bounded_tuples(8, max_sum)
+        for w in (W.WT0, W.WT1, W.WT2)
+    ]
     return tasks
-
-
-def _mark_rows(marks: list[Triangle]) -> tuple:
-    return tuple((t.row, t.pos, t.orient) for t in marks)
 
 
 def _suite_kuo(max_sum: int) -> list[tuple]:
     """Fixed placement library; max_sum is ignored because nothing sweeps."""
-    tasks: list[tuple] = []
-    unit_marks = ((0, 0, "U"), (0, 0, "D"), (1, 0, "U"), (1, -1, "D"))
-    for wname in ("wt0", "wt1", "wt2", "wt3"):
-        tasks.append(("kuo", "hexagon", (1, 1, 1), unit_marks, wname))
-    for (a, b, c), wname in (
-        ((2, 2, 2), "wt0"),
-        ((2, 2, 2), "wt2"),
-        ((1, 2, 2), "wt2"),
-        ((2, 3, 2), "wt1"),
-        ((3, 2, 2), "wt3"),
-        ((2, 2, 3), "wt2"),
+    W = WeightAssignment
+    unit = build_q_region(hexagon_params(1, 1, 1))
+    unit_marks = [up(0, 0), down(0, 0), up(1, 0), down(1, -1)]
+    tasks = [(check_kuo, unit, unit_marks, w) for w in W]
+    bar = magnet_bar_params
+    for p, weights in (
+        (hexagon_params(2, 2, 2), (W.WT0, W.WT2)),
+        (hexagon_params(1, 2, 2), (W.WT2,)),
+        (hexagon_params(2, 3, 2), (W.WT1,)),
+        (hexagon_params(3, 2, 2), (W.WT3,)),
+        (hexagon_params(2, 2, 3), (W.WT2,)),
+        (bar(1, 1, 1, 1, 1, 1), (W.WT2, W.WT3)),
+        (bar(1, 2, 2, 1, 1, 1), (W.WT2, W.WT3)),
+        (bar(2, 1, 1, 1, 1, 2), (W.WT2,)),
+        (bar(0, 1, 2, 1, 1, 1), (W.WT2,)),
+        (bar(1, 0, 1, 2, 1, 1), (W.WT3,)),
+        (bar(1, 1, 2, 1, 0, 1), (W.WT2,)),
+        (RegionParams(1, 1, 1, 1, 1, 1, 1, 1), (W.WT1, W.WT2)),
+        (RegionParams(2, 1, 1, 2, 1, 1, 1, 1), (W.WT1, W.WT2)),
     ):
-        marks = four_point_marks(hexagon_params(a, b, c))
-        tasks.append(("kuo", "hexagon", (a, b, c), _mark_rows(marks), wname))
-    for (m, a, x, y, z, t), wname in (
-        ((1, 1, 1, 1, 1, 1), "wt2"),
-        ((1, 1, 1, 1, 1, 1), "wt3"),
-        ((1, 2, 2, 1, 1, 1), "wt2"),
-        ((1, 2, 2, 1, 1, 1), "wt3"),
-        ((2, 1, 1, 1, 1, 2), "wt2"),
-        ((0, 1, 2, 1, 1, 1), "wt2"),
-        ((1, 0, 1, 2, 1, 1), "wt3"),
-        ((1, 1, 2, 1, 0, 1), "wt2"),
-    ):
-        marks = four_point_marks(magnet_bar_params(m, a, x, y, z, t))
-        tasks.append(("kuo", "magnet_bar", (m, a, x, y, z, t), _mark_rows(marks), wname))
-    for ps, wname in (
-        ((1, 1, 1, 1, 1, 1, 1, 1), "wt1"),
-        ((1, 1, 1, 1, 1, 1, 1, 1), "wt2"),
-        ((2, 1, 1, 2, 1, 1, 1, 1), "wt1"),
-        ((2, 1, 1, 2, 1, 1, 1, 1), "wt2"),
-    ):
-        marks = four_point_marks(RegionParams(*ps))
-        tasks.append(("kuo", "q_region", ps, _mark_rows(marks), wname))
+        region, marks = build_q_region(p), four_point_marks(p)
+        tasks += [(check_kuo, region, marks, w) for w in weights]
     return tasks
 
 
 def _suite_recurrences(max_sum: int) -> list[tuple]:
-    tasks: list[tuple] = []
-    for ps in _bounded_tuples(6, max_sum):
-        if ps[3] >= 1 and ps[5] >= 1:
-            tasks.append(("magnet_recurrence", ps))
+    bars = list(_bounded_tuples(6, max_sum))
+    tasks = [
+        (check_magnet_recurrence, *ps)
+        for ps in bars
+        if _recurrence_applies(magnet_bar_params(*ps))
+    ]
     for ps in _bounded_tuples(8, max_sum):
-        x, y, z, t = ps[:4]
-        if y >= 1 and t >= 1:
-            tasks.append(("q_recurrence", ps))
-            if z >= 1:
-                tasks.append(("psi_recurrence", ps))
-    for ps in _bounded_tuples(6, max_sum):
-        m, a, x, y, z, t = ps
-        if y < 1 or t < 1 or x + y + m < 2 or t + a < 2:
-            continue
-        targets = _reduction_targets(m, a, x, y, z, t)
-        for step in _REDUCTION_STEPS:
-            if min(targets[step][0]) >= 0:
-                tasks.append(("reduction", ps, step))
-    for a_val in range(max_sum + 1):
-        for z_val in range(max_sum + 1):
-            tasks.append(("scalar", (a_val, z_val)))
+        p = RegionParams(*ps)
+        if _recurrence_applies(p):
+            tasks.append((check_q_recurrence, p))
+        if _psi_applies(p):
+            tasks.append((check_psi_recurrence, p))
+    tasks += [
+        (check_magnet_reduction, *ps, step)
+        for ps in bars
+        for step in _REDUCTION_STEPS
+        if _reduction_applies(*ps, step)
+    ]
+    tasks += [
+        (check_q_int_addition, a, z)
+        for a in range(max_sum + 1)
+        for z in range(max_sum + 1)
+    ]
     return tasks
 
 
 def _suite_prop31(max_sum: int) -> list[tuple]:
     tasks: list[tuple] = []
     for ps in _bounded_tuples(8, max_sum):
-        region = build_q_region(RegionParams(*ps))
-        if len(region.triangles) <= DEFAULT_TRIANGLE_BUDGET:
-            tasks.append(("prop31", ps))
+        p = RegionParams(*ps)
+        if len(build_q_region(p).triangles) <= DEFAULT_TRIANGLE_BUDGET:
+            tasks.append((check_prop31, p))
     return tasks
 
 

@@ -229,6 +229,17 @@ def test_render_writes_file(tmp_path, capsys):
     assert "#b0b0b0" in text
 
 
+def test_render_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    code, out, err = run(
+        capsys, "render", "hexagon", "--a", "1", "--b", "1", "--c", "1",
+        "--svg", str(target),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write %s: " % target)
+    assert "Traceback" not in err and not target.exists()
+
+
 def test_render_svg_function_direct():
     region = build_hexagon(1, 1, 1)
     tilings = list(iter_tilings(region))

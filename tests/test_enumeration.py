@@ -106,6 +106,26 @@ def test_engine_matches_oracle_on_the_all_ones_notched_region():
         assert gen_function(region, w).poly == gen_function_oracle(region, w).poly
 
 
+_HEX = build_hexagon(2, 3, 2)
+_UPS = sorted(t for t in _HEX.triangles if t.orient == "U")
+_DOWNS = sorted(t for t in _HEX.triangles if t.orient == "D")
+
+
+@st.composite
+def _balanced_subregions(draw):
+    """The 2,3,2 hexagon less k up and k down triangles, in its own frames."""
+    k = draw(st.integers(0, 4))
+    ups = draw(st.lists(st.sampled_from(_UPS), min_size=k, max_size=k, unique=True))
+    downs = draw(st.lists(st.sampled_from(_DOWNS), min_size=k, max_size=k, unique=True))
+    return Region(_HEX.triangles - frozenset(ups + downs), None, _HEX.frames)
+
+
+@settings(max_examples=100, deadline=None)
+@given(region=_balanced_subregions(), w=st.sampled_from([W.WT1, W.WT2, W.WT3]))
+def test_engine_matches_oracle_on_random_balanced_subregions(region, w):
+    assert str(gen_function(region, w).poly) == str(gen_function_oracle(region, w).poly)
+
+
 def test_semihexagon_gen_frozen():
     region = build_semihexagon_dented(2, 1, [1, 3])
     assert gen_function(region, W.WT2).poly == parse_poly("q + q^2")

@@ -149,6 +149,14 @@ def test_text_form_round_trip(p):
     assert parse_poly(str(p)) == p
 
 
+def test_constant_hashes_like_its_int():
+    assert len({3, QPoly(3)}) == 1
+    assert len({0, QPoly(0), QPoly({})}) == 1
+    assert hash(QPoly(0)) == hash(0)
+    assert len({True, QPoly(1)}) == 1
+    assert len({QPoly({1: 1}), QPoly({1: 1}), QPoly({0: 1, 1: 1})}) == 2
+
+
 def test_shift_guards_negative_exponents():
     p = QPoly({2: 1, 3: 5})
     assert p.shift(-2) == QPoly({0: 1, 1: 5})

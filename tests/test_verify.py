@@ -260,6 +260,26 @@ def test_suite_parallel_matches_sequential():
     assert all(json.loads(line)["status"] == "Pass" for line in sequential)
 
 
+def test_all_suites_cross_the_pool_unchanged():
+    # kuo tasks carry Regions, Triangle marks and enum weights into the workers
+    sequential = [report_json(r) for r in run_suite("all", 1)]
+    parallel = [report_json(r) for r in run_suite("all", 1, jobs=2)]
+    assert sequential == parallel
+    assert len(sequential) == len(suite_tasks("all", 1))
+
+
+def test_suite_task_counts_frozen():
+    counts = {name: len(suite_tasks(name, 5)) for name in suite_names()}
+    assert counts == {
+        "qmain": 1287,
+        "formulas": 5268,
+        "kuo": 22,
+        "recurrences": 468,
+        "prop31": 1287,
+        "all": 8332,
+    }
+
+
 def test_qmain_suite_small():
     reports = run_suite("qmain", max_sum=2)
     assert len(reports) == 45
