@@ -216,8 +216,9 @@ def render_svg(region: Region, tiling: "Optional[frozenset[Lozenge]]" = None) ->
     stroked on top, and the notch is shaded and outlined whenever the
     region's recorded parameters describe one.
     """
+    hole = _recorded_hole(region)
     corners = [c for t in sorted(region.triangles) for c in _triangle_corners(t)]
-    corners.extend(c for t in sorted(_recorded_hole(region)) for c in _triangle_corners(t))
+    corners.extend(c for t in sorted(hole) for c in _triangle_corners(t))
     xs = [_point(i, j)[0] for i, j in corners] or [0.0, 1.0]
     ys = [_point(i, j)[1] for i, j in corners] or [-1.0, 0.0]
     pad = 0.5
@@ -248,7 +249,6 @@ def render_svg(region: Region, tiling: "Optional[frozenset[Lozenge]]" = None) ->
                 'stroke-width="0.04"/>'
                 % (_points_attr(_lozenge_corners(loz)), _LOZENGE_FILL[loz.orientation])
             )
-    hole = _recorded_hole(region)
     for t in sorted(hole):
         lines.append(
             '<polygon points="%s" fill="#b0b0b0" stroke="none"/>'

@@ -36,11 +36,9 @@ from .lattice import (
     Lozenge,
     Region,
     Triangle,
-    down,
     make_lozenge,
     partner_candidates,
     region_json,
-    up,
 )
 from .qalgebra import QPoly
 from .weights import (
@@ -290,14 +288,6 @@ def gen_function(
 # ---------------------------------------------------------------------------
 # four-point boundary removal
 
-def _neighbors_ccw(t: Triangle) -> list[Triangle]:
-    """Edge-neighbors of t in counterclockwise rotational order."""
-    r, p = t.row, t.pos
-    if t.orient == UP:
-        return [down(r, p), down(r, p - 1), down(r - 1, p)]
-    return [up(r, p + 1), up(r + 1, p), up(r, p)]
-
-
 def _centroid3(t: Triangle) -> tuple[int, int]:
     """Triangle centroid scaled by 3, in the skew coordinates."""
     if t.orient == UP:
@@ -316,8 +306,8 @@ def _outer_walk(triangles: frozenset[Triangle]) -> list[Triangle]:
     and holes pinched to the boundary merge into the outer face the same
     way.  The four-point recurrences mark exactly such triangles.
     """
-    ring = {
-        t: [n for n in _neighbors_ccw(t) if n in triangles] for t in triangles
+    ring = {  # neighbours in counterclockwise order
+        t: [n for n, _ in partner_candidates(t) if n in triangles] for t in triangles
     }
     half_edges = {(t, n) for t, nbs in ring.items() for n in nbs}
     if not half_edges:

@@ -15,6 +15,9 @@ orientations:
     left     up(r, p) + down(r, p-1)
     vertical up(r+1, p) + down(r, p)
 
+Every region and notch leaf comes from one primitive, the hexagon with
+given sides read off as one range of positions per row and orientation;
+the notch's lobes and core, and the dented trapezoid, have zero sides.
 Every builder anchors its region with the base side on row 0 and the
 southwest corner of the base at (0, 0); the Frames record carries the
 reference lines that the weight assignments measure distances from.
@@ -69,7 +72,8 @@ class Lozenge(NamedTuple):
 
 
 def partner_candidates(t: Triangle) -> list[tuple[Triangle, str]]:
-    """The three triangles that could pair with t, with lozenge orientation."""
+    """The three triangles that could pair with t, with lozenge orientation,
+    in counterclockwise order around t (the outer-face walk relies on it)."""
     r, p = t.row, t.pos
     if t.orient == UP:
         return [(down(r, p), RIGHT), (down(r, p - 1), LEFT), (down(r - 1, p), VERTICAL)]
@@ -149,61 +153,38 @@ def region_json(region: Region) -> str:
 # builders
 
 
-def _hexagon_triangles(n1: int, n2: int, n3: int, n4: int, n5: int, n6: int) -> set[Triangle]:
+def _hexagon_triangles(
+    n1: int, n2: int, n3: int, n4: int, n5: int, n6: int, origin: tuple[int, int] = (0, 0)
+) -> set[Triangle]:
     """All unit triangles of the hexagon with clockwise sides n1..n6
-    (northwest, north, northeast, southeast, south, southwest), base side
-    n5 lying on row 0 from (0, 0) to (n5, 0)."""
+    (northwest, north, northeast, southeast, south, southwest), south side
+    n5 running from `origin` = (i0, j0) to (i0 + n5, j0).  Row j0 + r holds
+    the triangles whose corners (i0 + di, j0 + dj) keep -n6 <= di <= n5 and
+    0 <= di + dj <= n5 + n4."""
     if n2 + n3 != n5 + n6 or n1 + n6 != n3 + n4:
         raise Unbalanced("hexagon sides do not close up: %r" % ((n1, n2, n3, n4, n5, n6),))
-
-    def inside(i: int, j: int) -> bool:
-        return 0 <= j <= n6 + n1 and -n6 <= i <= n5 and 0 <= i + j <= n5 + n4
-
+    i0, j0 = origin
     tris: set[Triangle] = set()
     for r in range(n6 + n1):
-        for p in range(-n6, n5 + 1):
-            if inside(p, r) and inside(p + 1, r) and inside(p, r + 1):
-                tris.add(up(r, p))
-            if inside(p + 1, r) and inside(p, r + 1) and inside(p + 1, r + 1):
-                tris.add(down(r, p))
-    return tris
-
-
-def _up_triangle_block(i0: int, j0: int, size: int) -> set[Triangle]:
-    """A size-`size` up-pointing triangle with lower-left corner (i0, j0)."""
-    tris: set[Triangle] = set()
-    for k in range(size):
-        r = j0 + k
-        for p in range(i0, i0 + size - k):
-            tris.add(up(r, p))
-        for p in range(i0, i0 + size - k - 1):
-            tris.add(down(r, p))
-    return tris
-
-
-def _down_triangle_block(i0: int, j0: int, size: int) -> set[Triangle]:
-    """A size-`size` down-pointing triangle with bottom vertex (i0, j0);
-    its other corners sit at (i0-size, j0+size) and (i0, j0+size)."""
-    tris: set[Triangle] = set()
-    for k in range(size):
-        r = j0 + k
-        for p in range(i0 - k - 1, i0):
-            tris.add(down(r, p))
-        for p in range(i0 - k, i0):
-            tris.add(up(r, p))
+        tris.update(up(j0 + r, i0 + p) for p in range(max(-r, -n6), min(n5, n5 + n4 - r)))
+        tris.update(
+            down(j0 + r, i0 + p) for p in range(max(-r - 1, -n6), min(n5, n5 + n4 - r - 1))
+        )
     return tris
 
 
 def build_shamrock(m: int, a: int, b: int, c: int, anchor: tuple[int, int]) -> set[Triangle]:
     """Triangles of the four-leaf hole: a central down-pointing core of size
     m with up-pointing lobes of sizes a (below), b (upper right) and c
-    (upper left).  `anchor` is the lower-left corner of the a-lobe."""
+    (upper left), each leaf a hexagon with three zero sides.  `anchor` is
+    the lower-left corner of the a-lobe."""
     i0, j0 = anchor
-    tris = _up_triangle_block(i0, j0, a)
-    tris |= _down_triangle_block(i0, j0 + a, m)
-    tris |= _up_triangle_block(i0, j0 + a + m, b)
-    tris |= _up_triangle_block(i0 - m - c, j0 + a + m, c)
-    return tris
+    return (
+        _hexagon_triangles(a, 0, a, 0, a, 0, (i0, j0))
+        | _hexagon_triangles(0, m, 0, m, 0, m, (i0, j0 + a))
+        | _hexagon_triangles(b, 0, b, 0, b, 0, (i0, j0 + a + m))
+        | _hexagon_triangles(c, 0, c, 0, c, 0, (i0 - m - c, j0 + a + m))
+    )
 
 
 def build_q_region(p: RegionParams) -> Region:
@@ -231,6 +212,15 @@ def build_q_region(p: RegionParams) -> Region:
     if not is_balanced(region):
         raise Unbalanced("region is not balanced for %r" % (p,))
     return region
+
+
+def q_region_triangle_count(p: RegionParams) -> int:
+    """len(build_q_region(p)) without building it: the hexagon's
+    L^2 - n2^2 - n4^2 - n6^2 triangles, L = n4 + n5 + n6, less the notch's
+    m^2 + a^2 + b^2 + c^2."""
+    n2, n4, n6 = p.x + p.y + p.m, p.z + p.m, p.t + p.m
+    side = n4 + p.x + p.y + p.a + p.b + p.c + n6
+    return side**2 - n2**2 - n4**2 - n6**2 - (p.m**2 + p.a**2 + p.b**2 + p.c**2)
 
 
 # The notched hexagon's degenerations, each as a projection of its own
@@ -288,14 +278,7 @@ def build_semihexagon_dented(a: int, b: int, dents: Iterable[int]) -> Region:
     with base a+b, minus the up-pointing base triangles at the 1-indexed
     positions in `dents` (exactly a of them, so the result is balanced)."""
     dents = validate_dents(a, b, dents)
-    tris: set[Triangle] = set()
-    for r in range(a):
-        for p in range(0, a + b - r):
-            tris.add(up(r, p))
-        for p in range(0, a + b - r - 1):
-            tris.add(down(r, p))
-    for s in dents:
-        tris.discard(up(0, s - 1))
+    tris = _hexagon_triangles(a, b, a, 0, a + b, 0) - {up(0, s - 1) for s in dents}
     return Region(frozenset(tris), None, Frames(base_row=0, se_i=None, sw_level=None))
 
 

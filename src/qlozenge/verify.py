@@ -44,6 +44,7 @@ from .lattice import (
     down,
     hexagon_params,
     magnet_bar_params,
+    q_region_triangle_count,
     remove_forced,
     up,
 )
@@ -425,12 +426,11 @@ def _suite_recurrences(max_sum: int) -> list[tuple]:
 
 
 def _suite_prop31(max_sum: int) -> list[tuple]:
-    tasks: list[tuple] = []
-    for ps in _bounded_tuples(8, max_sum):
-        p = RegionParams(*ps)
-        if len(build_q_region(p).triangles) <= DEFAULT_TRIANGLE_BUDGET:
-            tasks.append((check_prop31, p))
-    return tasks
+    return [
+        (check_prop31, p)
+        for p in (RegionParams(*ps) for ps in _bounded_tuples(8, max_sum))
+        if q_region_triangle_count(p) <= DEFAULT_TRIANGLE_BUDGET
+    ]
 
 
 _SUITES = {

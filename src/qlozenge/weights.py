@@ -60,7 +60,7 @@ def frame_origin(w: WeightAssignment, region: Region) -> int:
     """
     if w is WeightAssignment.WT0:
         raise WeightUndefined("wt0 is defined per tiling, not per lozenge")
-    frames = region.frames if isinstance(region, Region) else region
+    frames = region.frames
     if frames is None:
         raise MissingFrame("region carries no frame data")
     if w is WeightAssignment.WT1:

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +21,7 @@ from qlozenge.lattice import (
     down,
     is_balanced,
     make_lozenge,
+    q_region_triangle_count,
     region_json,
     remove_forced,
     up,
@@ -211,3 +215,59 @@ def test_region_json_canonical():
 def test_region_params_rejects_negative():
     with pytest.raises(ValueError):
         RegionParams(x=-1, y=0, z=0, t=0, m=0, a=0, b=0, c=0)
+
+
+def _small_params(top):
+    for ps in itertools.product(range(top + 1), repeat=8):
+        if sum(ps) <= top:
+            yield RegionParams(*ps)
+
+
+def test_q_region_triangle_count_is_the_built_size():
+    for p in _small_params(6):
+        assert q_region_triangle_count(p) == len(build_q_region(p))
+
+
+def _q_regions():
+    for p in _small_params(6):
+        yield p, build_q_region(p)
+
+
+def _semihexagons():
+    for a, b in itertools.product(range(6), repeat=2):
+        for dents in itertools.combinations(range(1, a + b + 1), a):
+            yield (a, b, dents), build_semihexagon_dented(a, b, dents)
+
+
+def _shamrocks():
+    for m, a, b, c in itertools.product(range(4), repeat=4):
+        for anchor in ((0, 0), (3, -1)):
+            yield (m, a, b, c, anchor), Region(frozenset(build_shamrock(m, a, b, c, anchor)))
+
+
+# One SHA-256 per builder over region_json of every region on its grid.
+# Every builder reads its rows from _hexagon_triangles, so a slip in either
+# row range changes all three.
+_BUILDER_GRID = {
+    "q_region": (
+        _q_regions,
+        "25d0734ea1ea32be3b8351fd45278e984742296a4f63f5d913f7e138636d428d",
+    ),
+    "semihexagon": (
+        _semihexagons,
+        "1c138259135ef678e3b243dd0b5a1a568fdc8c15d87abadfa00bd51ecde9c537",
+    ),
+    "shamrock": (
+        _shamrocks,
+        "5ac222f77494360c30087a171c57f97176067e3094816b0de6acde21ce75f586",
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", list(_BUILDER_GRID))
+def test_builders_on_the_recorded_grid(builder):
+    regions, expected = _BUILDER_GRID[builder]
+    digest = hashlib.sha256()
+    for args, region in regions():
+        digest.update(("%r %s\n" % (args, region_json(region))).encode())
+    assert digest.hexdigest() == expected

@@ -2,15 +2,17 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qlozenge.enumeration import BadMarks, BudgetExceeded, kuo_remove
+from qlozenge.enumeration import BadMarks, BudgetExceeded, _outer_walk, kuo_remove
 from qlozenge.lattice import (
     RegionParams,
     Triangle,
     build_hexagon,
     build_magnet_bar,
+    build_q_region,
     down,
+    q_region_triangle_count,
     remove_forced,
     up,
 )
@@ -73,6 +75,39 @@ def test_kuo_propagates_bad_marks():
     region = build_hexagon(1, 1, 1)
     with pytest.raises(BadMarks):
         check_kuo(region, [up(0, 0), up(0, 0), down(0, 0), down(1, -1)], W.WT2)
+
+
+_SMALL_Q = [
+    RegionParams(*ps)
+    for ps in itertools.product(range(5), repeat=8)
+    if sum(ps) <= 4 and q_region_triangle_count(RegionParams(*ps)) >= 4
+]
+
+
+@st.composite
+def _outer_walk_marks(draw):
+    """A small q_region and four distinct triangles of its outer walk at
+    positions i < j < k < l, with i, k of one parity and j, l of the other.
+    Consecutive walk entries alternate orientation, so the marks do too."""
+    region = build_q_region(draw(st.sampled_from(_SMALL_Q)))
+    walk = _outer_walk(region.triangles)
+    n = len(walk)
+    assume(n >= 4)
+    i = draw(st.integers(0, n - 4))
+    j = i + 1 + 2 * draw(st.integers(0, (n - 4 - i) // 2))
+    k = j + 1 + 2 * draw(st.integers(0, (n - 3 - j) // 2))
+    l = k + 1 + 2 * draw(st.integers(0, (n - 2 - k) // 2))
+    marks = [walk[i], walk[j], walk[k], walk[l]]
+    assume(len(set(marks)) == 4)
+    return region, marks
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_outer_walk_marks())
+def test_kuo_holds_on_random_outer_walk_marks(drawn):
+    region, marks = drawn
+    for w in (W.WT1, W.WT2, W.WT0):
+        assert check_kuo(region, marks, w).status == PASS
 
 
 def test_four_point_marks_frozen():
