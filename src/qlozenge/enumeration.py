@@ -2,19 +2,25 @@
 
 The two routes share one contract (the generating function of a region
 under a weight assignment) and deliberately share no code: the oracle
-backtracks over whole tilings, the engine sweeps the region row by row
-carrying a boundary mask.  Tests pit them against each other.
+backtracks over whole tilings, the engine sweeps the region one triangle
+at a time carrying a boundary mask.  Tests pit them against each other.
 
 Before the engine sweeps, it tabulates the right, left and vertical
 exponent of every lozenge the region holds, keyed by the (row, pos) of
 the lozenge's down triangle, and checks the frame the weight needs
-whatever lozenges the region holds.  A state is an int bitmask of the
-next row's up triangles already covered by vertical lozenges; the row
-scan is keyed by (carry, mask).  Each state carries its polynomial
-Kronecker-packed into one int, the coefficient of q^e in bits e*W to
-(e+1)*W - 1: a lozenge is a left shift and merging two states is one
-addition.  The packed sum is exact integer arithmetic whatever W is, so
-only the result's coefficients must fit their slots.  They are
+whatever lozenges the region holds.  It visits the triangles in slot
+order: with positions counted from the region's lowest and span
+positions to a row, up(r, p) sits in slot 2*(r*span + p) and down(r, p)
+in the next, so rows run bottom to top and left to right.  A state is an
+int bitmask whose bit k says the triangle k slots ahead is already
+covered; between visited triangles it shifts right by the slot gap.  An
+uncovered up triangle can only take its right partner, the next slot; an
+uncovered down triangle takes its left partner, the next slot, or its
+vertical partner, 2*span - 1 slots ahead.  Each state carries its
+polynomial Kronecker-packed into one int, the coefficient of q^e in bits
+e*W to (e+1)*W - 1: a lozenge is a left shift and merging two states is
+one addition.  The packed sum is exact integer arithmetic whatever W is,
+so only the result's coefficients must fit their slots.  They are
 nonnegative and sum to the number of tilings, so W is the bit length of
 that count, taken from a degree-0 sweep (W = 0) over the same states.
 The result is unpacked into a QPoly once, at the end.
@@ -143,10 +149,6 @@ def gen_function_oracle(
 # ---------------------------------------------------------------------------
 # engine route: frontier dynamic programming
 
-_NONE = 0  # no pending decision in this row
-_LEFT = 1  # previous down triangle waits to pair left with the next up
-_RIGHT = 2  # current up triangle claimed its right-hand down partner
-
 # orientation -> {(row, pos) of the lozenge's down triangle: exponent}
 ExponentTables = dict[str, dict[tuple[int, int], int]]
 
@@ -177,81 +179,49 @@ def _sweep(
     region: Region, tables: ExponentTables, width: int, max_states: Optional[int]
 ) -> int:
     """Sum of 2**(width * exponent) over all tilings: exact whatever the
-    width, decodable once every coefficient fits a slot (see _slot_width)."""
+    width, decodable once every coefficient fits a slot (see the module
+    docstring)."""
     right, left, vertical = (
         {key: e * width for key, e in tables[o].items()} for o in (RIGHT, LEFT, VERTICAL)
     )
-    rows: dict[int, tuple[set[int], set[int]]] = {}
-    for t in region.triangles:
-        ups, downs = rows.setdefault(t.row, (set(), set()))
-        (ups if t.orient == UP else downs).add(t.pos)
     lowest = min((t.pos for t in region.triangles), default=0)
-
-    def check_budget(n: int, r: int) -> None:
-        if max_states is not None and n > max_states:
-            raise BudgetExceeded(
-                "frontier needs %d states at row %d, budget is %d" % (n, r, max_states)
-            )
-
+    span = max((t.pos for t in region.triangles), default=0) - lowest + 1
+    above = 1 << (2 * span - 2)  # a down triangle's vertical partner, from the next slot
+    slots = sorted(
+        (2 * (t.row * span + t.pos - lowest) + (t.orient == DOWN), t) for t in region.triangles
+    )
     states: dict[int, int] = {0: 1}
-    for r in sorted(rows):
-        ups, downs = rows[r]
-        steps = []  # (is up, bit, shift, vertical shift); None: no such lozenge
-        for p in range(min(ups | downs), max(ups | downs) + 1):
-            bit = 1 << (p - lowest)
-            if p in ups:
-                steps.append((True, bit, right.get((r, p)), None))
-            if p in downs:
-                steps.append((False, bit, left.get((r, p)), vertical.get((r, p))))
-        new_states: dict[int, int] = {}
-        for mask, entry in states.items():
-            inner: dict[tuple[int, int], int] = {(_NONE, 0): entry}
-            for is_up, bit, shift, vshift in steps:
-                # a fresh key takes val itself: 0 + val and val << 0 copy big ints
-                nxt: dict[tuple[int, int], int] = {}
-                if is_up:
-                    claimed = mask & bit
-                    for (carry, out), val in inner.items():
-                        if carry == _LEFT or claimed:
-                            if carry == _LEFT and claimed:
-                                continue  # covered twice
-                            key = (_NONE, out)
-                        elif shift is None:
-                            continue
-                        else:
-                            key, val = (_RIGHT, out), val << shift if shift else val
-                        nxt[key] = nxt[key] + val if key in nxt else val
-                else:
-                    for (carry, out), val in inner.items():
-                        if carry == _RIGHT:
-                            key = (_NONE, out)
-                            nxt[key] = nxt[key] + val if key in nxt else val
-                            continue
-                        if shift is not None:
-                            key, add = (_LEFT, out), val << shift if shift else val
-                            nxt[key] = nxt[key] + add if key in nxt else add
-                        if vshift is not None:
-                            key, add = (_NONE, out | bit), val << vshift if vshift else val
-                            nxt[key] = nxt[key] + add if key in nxt else add
-                inner = nxt
-                check_budget(len(inner), r)
-            for (carry, out), val in inner.items():
-                if carry == _NONE:
-                    new_states[out] = new_states[out] + val if out in new_states else val
-        states = new_states
-        check_budget(len(states), r)
+    at = slots[0][0] if slots else 0  # the slot of bit 0
+    for slot, (r, p, orient) in slots:
+        if slot > at:
+            states = {mask >> (slot - at): val for mask, val in states.items()}
+        at = slot + 1
+        if orient == UP:  # (bit of the partner, shift or None: no such lozenge)
+            moves = ((1, right.get((r, p))),)
+        else:
+            moves = ((1, left.get((r, p))), (above, vertical.get((r, p))))
+        # bit 0 is this triangle: covered, it passes through; else it takes
+        # a partner.  The new masks count from the next slot.
+        nxt = {mask >> 1: val for mask, val in states.items() if mask & 1}
+        for mask, val in states.items():
+            if not mask & 1:
+                ahead = mask >> 1
+                for bit, shift in moves:
+                    if shift is not None and not ahead & bit:
+                        # a fresh key takes val itself: 0 + val and val << 0 copy big ints
+                        key, add = ahead | bit, val << shift if shift else val
+                        nxt[key] = nxt[key] + add if key in nxt else add
+        states = nxt
+        if max_states is not None and len(states) > max_states:
+            raise BudgetExceeded(
+                "frontier needs %d states at row %d, budget is %d" % (len(states), r, max_states)
+            )
     return states.get(0, 0)
-
-
-def _slot_width(region: Region, tables: ExponentTables, max_states: Optional[int]) -> int:
-    """Bits per packed slot: the bit length of the number of tilings,
-    which no coefficient can exceed (see the module docstring)."""
-    return _sweep(region, tables, 0, max_states).bit_length()
 
 
 def _frontier(region: Region, w: WeightAssignment, max_states: Optional[int]) -> QPoly:
     tables = _exponent_tables(region, w)
-    width = _slot_width(region, tables, max_states)
+    width = _sweep(region, tables, 0, max_states).bit_length()
     if not width:
         return QPoly(0)
     packed = _sweep(region, tables, width, max_states)
@@ -314,7 +284,7 @@ def _outer_walk(triangles: frozenset[Triangle]) -> list[Triangle]:
         return sorted(triangles)
     seen = set()
     best_walk, best_area = None, None
-    for start in half_edges:
+    for start in sorted(half_edges):  # an area tie goes to the smallest half-edge's orbit
         if start in seen:
             continue
         orbit = []

@@ -289,32 +289,27 @@ def build_semihexagon_dented(a: int, b: int, dents: Iterable[int]) -> Region:
 def remove_forced(region: Region, w) -> tuple[Region, int]:
     """Strip lozenges that every tiling must contain.
 
-    Repeatedly finds a triangle with exactly one in-region partner, removes
-    the pair, and accumulates the q-exponent of the removed lozenge under
-    the weight assignment w.  Raises Untileable if some triangle ends up
-    with no partner at all.
+    Takes triangles off a worklist that starts with every triangle: one
+    with exactly one in-region partner is removed with that partner, the
+    q-exponent of the removed lozenge under the weight assignment w is
+    accumulated, and the pair's remaining neighbours go back on the list.
+    Raises Untileable if some triangle ends up with no partner at all.
     """
     from .weights import lozenge_exponent
 
     remaining = set(region.triangles)
     acc = 0
-    changed = True
-    while changed:
-        changed = False
-        for t in sorted(remaining):
-            options = [
-                (cand, orientation)
-                for cand, orientation in partner_candidates(t)
-                if cand in remaining
-            ]
-            if not options:
-                raise Untileable("triangle %r has no possible cover" % (t,))
-            if len(options) == 1:
-                cand, _ = options[0]
-                loz = make_lozenge(t, cand)
-                acc += lozenge_exponent(w, region, loz)
-                remaining.discard(t)
-                remaining.discard(cand)
-                changed = True
-                break
+    todo = sorted(remaining, reverse=True)  # popped smallest first
+    while todo:
+        t = todo.pop()
+        if t not in remaining:
+            continue
+        options = [cand for cand, _ in partner_candidates(t) if cand in remaining]
+        if not options:
+            raise Untileable("triangle %r has no possible cover" % (t,))
+        if len(options) == 1:
+            (cand,) = options
+            acc += lozenge_exponent(w, region, make_lozenge(t, cand))
+            remaining -= {t, cand}
+            todo += [n for s in (t, cand) for n, _ in partner_candidates(s) if n in remaining]
     return Region(frozenset(remaining), None, region.frames), acc

@@ -265,7 +265,7 @@ def test_missing_frame_is_a_usage_error_whatever_the_dents(capsys, dents):
 def test_budget_message_names_row_and_state_count(capsys):
     code, out, err = run(capsys, "count", "hexagon", "--params", "2,2,2", "--max-states", "3")
     assert code == 3 and out == ""
-    assert "needs 4 states at row 1, budget is 3" in err
+    assert "needs 5 states at row 1, budget is 3" in err
 
 
 @pytest.mark.parametrize(
