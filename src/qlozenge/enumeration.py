@@ -24,6 +24,14 @@ so only the result's coefficients must fit their slots.  They are
 nonnegative and sum to the number of tilings, so W is the bit length of
 that count, taken from a degree-0 sweep (W = 0) over the same states.
 The result is unpacked into a QPoly once, at the end.
+
+Inside lattice.shared_work (verify runs each group of checks on one
+region in such a block), the engine keeps each tiling count under
+(region, max_states) and each polynomial under (region, weight,
+max_states): the count is the slot width every weight of the region
+reuses, wt0 reuses the wt2 sweep, and a budgeted call never reads a
+result computed under another budget.  The first request for a (region,
+weight) still builds its exponent tables, so the frame check runs.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .lattice import (
     make_lozenge,
     partner_candidates,
     region_json,
+    shared,
 )
 from .qalgebra import QPoly
 from .weights import (
@@ -219,9 +228,19 @@ def _sweep(
     return states.get(0, 0)
 
 
+def _tiling_count(region: Region, tables: ExponentTables, max_states: Optional[int]) -> int:
+    """The degree-0 sweep: the same for every weight's tables, as they all
+    hold the same lozenges."""
+    return shared((region, max_states), lambda: _sweep(region, tables, 0, max_states))
+
+
 def _frontier(region: Region, w: WeightAssignment, max_states: Optional[int]) -> QPoly:
+    return shared((region, w, max_states), lambda: _unpacked(region, w, max_states))
+
+
+def _unpacked(region: Region, w: WeightAssignment, max_states: Optional[int]) -> QPoly:
     tables = _exponent_tables(region, w)
-    width = _sweep(region, tables, 0, max_states).bit_length()
+    width = _tiling_count(region, tables, max_states).bit_length()
     if not width:
         return QPoly(0)
     packed = _sweep(region, tables, width, max_states)
@@ -232,7 +251,7 @@ def _frontier(region: Region, w: WeightAssignment, max_states: Optional[int]) ->
 
 def count_tilings(region: Region, max_states: Optional[int] = None) -> int:
     """Number of tilings (0 if untileable, 1 for the empty region)."""
-    return _sweep(region, _exponent_tables(region, None), 0, max_states)
+    return _tiling_count(region, _exponent_tables(region, None), max_states)
 
 
 def gen_function(
@@ -265,26 +284,38 @@ def _centroid3(t: Triangle) -> tuple[int, int]:
     return (3 * t.pos + 2, 3 * t.row + 2)
 
 
-def _outer_walk(triangles: frozenset[Triangle]) -> list[Triangle]:
-    """Triangles along the outer face of the adjacency graph, in walk order.
+def _outer_walks(triangles: frozenset[Triangle]) -> list[list[Triangle]]:
+    """Triangles along the outer face of each connected component of the
+    adjacency graph that has an edge, in walk order, components in order
+    of their smallest such triangle.
 
     Faces of the adjacency graph are orbits of the next-half-edge map of
-    its planar embedding; the outer face is the orbit with the most
-    negative signed area.  Tracing faces rather than boundary edges
-    matters: a triangle whose three neighbors all exist still sits on the
-    outer face when it touches the region's boundary in a single point,
-    and holes pinched to the boundary merge into the outer face the same
-    way.  The four-point recurrences mark exactly such triangles.
+    its planar embedding; a component's outer face is its orbit with the
+    least signed area (0 for a tree-like strip, whose only orbit it is).
+    Tracing faces rather than boundary edges matters: a triangle whose
+    three neighbors all exist still sits on the outer face when it touches
+    the region's boundary in a single point, and holes pinched to the
+    boundary merge into the outer face the same way.  The four-point
+    recurrences mark exactly such triangles.
     """
     ring = {  # neighbours in counterclockwise order
         t: [n for n, _ in partner_candidates(t) if n in triangles] for t in triangles
     }
-    half_edges = {(t, n) for t, nbs in ring.items() for n in nbs}
-    if not half_edges:
-        return sorted(triangles)
+    component: dict[Triangle, Triangle] = {}  # triangle -> a triangle of its component
+    for root in triangles:
+        if root in component:
+            continue
+        component[root] = root
+        todo = [root]
+        while todo:
+            for n in ring[todo.pop()]:
+                if n not in component:
+                    component[n] = root
+                    todo.append(n)
+    best: dict[Triangle, tuple[int, list[Triangle]]] = {}
     seen = set()
-    best_walk, best_area = None, None
-    for start in sorted(half_edges):  # an area tie goes to the smallest half-edge's orbit
+    half_edges = sorted((t, n) for t, nbs in ring.items() for n in nbs)
+    for start in half_edges:  # an area tie goes to the smallest half-edge's orbit
         if start in seen:
             continue
         orbit = []
@@ -299,10 +330,10 @@ def _outer_walk(triangles: frozenset[Triangle]) -> list[Triangle]:
         for a, b in orbit:
             ca, cb = _centroid3(a), _centroid3(b)
             area += ca[0] * cb[1] - cb[0] * ca[1]
-        if best_area is None or area < best_area:
-            best_walk = [t for t, _ in orbit]
-            best_area = area
-    return best_walk
+        root = component[start[0]]
+        if root not in best or area < best[root][0]:
+            best[root] = (area, [t for t, _ in orbit])
+    return [walk for _, walk in best.values()]
 
 
 def _cyclically_ordered(length: int, pu: int, pv: int, pw: int, ps: int) -> bool:
@@ -312,13 +343,31 @@ def _cyclically_ordered(length: int, pu: int, pv: int, pw: int, ps: int) -> bool
     return 0 < dv < dw < ds
 
 
+def _marks_in_order(
+    walk: list[Triangle], u: Triangle, v: Triangle, w: Triangle, s: Triangle
+) -> bool:
+    """Whether some visits of u, v, w, s along the walk come in that cyclic
+    order, read in either direction."""
+    spots = {t: [k for k, owner in enumerate(walk) if owner == t] for t in (u, v, w, s)}
+    n = len(walk)
+    return any(
+        _cyclically_ordered(n, pu, pv, pw, ps) or _cyclically_ordered(n, pu, ps, pw, pv)
+        for pu in spots[u]
+        for pv in spots[v]
+        for pw in spots[w]
+        for ps in spots[s]
+    )
+
+
 def kuo_remove(region: Region, marked: list[Triangle]) -> list[Region]:
     """Validate four boundary marks and return the five derived regions.
 
     Order of the result: [R - {u,v,w,s}, R - {u,v}, R - {w,s}, R - {u,s},
     R - {v,w}].  The marks must alternate orientation (u, w one way and
     v, s the other) and appear in cyclic order on the outer boundary walk,
-    read in either direction.
+    read in either direction.  A region of several components has one
+    outer walk each, and all four marks must lie on the same one: every
+    other component multiplies both sides of the identity alike.
     """
     if len(marked) != 4 or len(set(marked)) != 4:
         raise BadMarks("need four distinct marked triangles")
@@ -327,20 +376,11 @@ def kuo_remove(region: Region, marked: list[Triangle]) -> list[Region]:
         raise BadMarks("marked triangles must lie in the region")
     if u.orient != w.orient or v.orient != s.orient or u.orient == v.orient:
         raise BadMarks("marks must alternate orientation as u, v, w, s")
-    walk = _outer_walk(region.triangles)
-    spots = {t: [k for k, owner in enumerate(walk) if owner == t] for t in marked}
-    if any(not positions for positions in spots.values()):
+    walks = _outer_walks(region.triangles)
+    if any(all(t not in walk for walk in walks) for t in marked):
         raise BadMarks("every mark must lie on the outer boundary")
-    n = len(walk)
-    ordered = any(
-        _cyclically_ordered(n, pu, pv, pw, ps) or _cyclically_ordered(n, pu, ps, pw, pv)
-        for pu in spots[u]
-        for pv in spots[v]
-        for pw in spots[w]
-        for ps in spots[s]
-    )
-    if not ordered:
-        raise BadMarks("marks are not in cyclic order on the outer boundary")
+    if not any(_marks_in_order(walk, u, v, w, s) for walk in walks):
+        raise BadMarks("marks are not in cyclic order on one component's outer boundary")
     removals = [(u, v, w, s), (u, v), (w, s), (u, s), (v, w)]
     return [
         Region(region.triangles - frozenset(gone), None, region.frames) for gone in removals

@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Optional
 
 from .lattice import (
     Region,
@@ -102,7 +102,14 @@ def _count_factor_lists(p: RegionParams) -> tuple[list[int], list[int]]:
     return num, den
 
 
-@lru_cache(maxsize=None)
+# Cache bounds.  theorem_qmain holds every RegionParams that the recurrence
+# suite at --max-sum 8 asks for (7 821, about 1 KB each); the others need
+# far fewer keys at the sizes the suites and the CLI reach.
+_PARAMS_CACHE = 8192
+_SMALL_CACHE = 1024
+
+
+@lru_cache(maxsize=_SMALL_CACHE)
 def _hyperfactorial_int(n: int) -> int:
     out = 1
     for k in range(1, n):
@@ -110,7 +117,7 @@ def _hyperfactorial_int(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PARAMS_CACHE)
 def theorem_main(p: RegionParams) -> int:
     """Number of tilings of the notched region, by the hyperfactorial product.
 
@@ -130,7 +137,7 @@ def theorem_main(p: RegionParams) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PARAMS_CACHE)
 def theorem_qmain(p: RegionParams) -> FormulaResult:
     """Volume generating function over the notched region's tilings."""
     num, den = _count_factor_lists(p)
@@ -199,7 +206,7 @@ def semihex_dents_M2(a: int, b: int, dents) -> FormulaResult:
     return _semihex_cached(a, b, tuple(dents))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SMALL_CACHE)
 def _semihex_cached(a: int, b: int, dents: tuple[int, ...]) -> FormulaResult:
     s = sorted(validate_dents(a, b, dents))
     shown = sum(si - i for i, si in enumerate(s, start=1))
@@ -222,12 +229,14 @@ class Family:
     params names the builder's arguments in order.  build takes them and
     returns the region; formulas maps a weight name ("wt0" to "wt3", or
     "count" for the plain tiling count) to the closed formula over the same
-    arguments.
+    arguments.  region_params projects them to the notched hexagon's
+    RegionParams, None for a family that is not one of its degenerations.
     """
 
     params: tuple[str, ...]
     build: Callable[..., Region]
     formulas: Mapping[str, Callable]
+    region_params: Optional[Callable[..., RegionParams]] = None
 
 
 FAMILIES: dict[str, Family] = {
@@ -235,15 +244,19 @@ FAMILIES: dict[str, Family] = {
         ("a", "b", "c"),
         build_hexagon,
         {"wt0": macmahon_q, "wt1": hex_M1, "wt2": hex_M2},
+        hexagon_params,
     ),
     "semihexagon": Family(
         ("a", "b", "dents"), build_semihexagon_dented, {"wt2": semihex_dents_M2}
     ),
-    "k_region": Family(("a", "x", "y", "z", "t"), build_k_region, {"wt2": k_region_M2}),
+    "k_region": Family(
+        ("a", "x", "y", "z", "t"), build_k_region, {"wt2": k_region_M2}, k_region_params
+    ),
     "magnet_bar": Family(
         ("m", "a", "x", "y", "z", "t"),
         build_magnet_bar,
         {"wt2": magnet_M2, "wt3": magnet_M3},
+        magnet_bar_params,
     ),
     "q_region": Family(
         tuple(f.name for f in fields(RegionParams)),
@@ -254,6 +267,7 @@ FAMILIES: dict[str, Family] = {
             "wt1": lambda *ps: _qmain_times(RegionParams(*ps), f_exponent),
             "wt2": lambda *ps: _qmain_times(RegionParams(*ps), g_exponent),
         },
+        RegionParams,
     ),
 }
 

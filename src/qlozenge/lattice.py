@@ -22,13 +22,19 @@ Every builder anchors its region with the base side on row 0 and the
 southwest corner of the base at (0, 0); the Frames record carries the
 reference lines that the weight assignments measure distances from.
 Regions are immutable; builders and queries are pure functions.
+
+Inside a shared_work block, build_q_region and the frontier engine hand
+back what they already computed for an equal request (see shared); the
+block's memo goes when it ends, so nothing outlives it.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 UP = "U"
 DOWN = "D"
@@ -150,6 +156,38 @@ def region_json(region: Region) -> str:
 
 
 # ---------------------------------------------------------------------------
+# work shared within a block
+
+_T = TypeVar("_T")
+_memo: ContextVar[Optional[dict]] = ContextVar("qlozenge_shared_work", default=None)
+_MISSING = object()
+
+
+@contextmanager
+def shared_work() -> Iterator[None]:
+    """Within the block (in this thread), shared answers an equal key from
+    one memo, which is dropped when the block ends."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def shared(key: Hashable, compute: Callable[[], _T]) -> _T:
+    """compute(), or inside shared_work the value it gave for an equal key
+    earlier in the block.  The key must hold every input of compute, and
+    a call that raised leaves nothing behind."""
+    memo = _memo.get()
+    if memo is None:
+        return compute()
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute()
+    return value
+
+
+# ---------------------------------------------------------------------------
 # builders
 
 
@@ -192,8 +230,13 @@ def build_q_region(p: RegionParams) -> Region:
 
     The hexagon has clockwise sides z+a+b+c, x+y+m, t+a+b+c, z+m,
     x+y+a+b+c, t+m; the notch sits on the base with the a-lobe's lower-left
-    corner x+c units right of the hexagon's lower-left corner.
+    corner x+c units right of the hexagon's lower-left corner.  Inside
+    shared_work equal parameters get the same Region object back.
     """
+    return shared(p, lambda: _q_region(p))
+
+
+def _q_region(p: RegionParams) -> Region:
     hexa = _hexagon_triangles(
         p.z + p.a + p.b + p.c,
         p.x + p.y + p.m,

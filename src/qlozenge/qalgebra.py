@@ -180,7 +180,7 @@ def q_int(n: int) -> QPoly:
     return QPoly({e: 1 for e in range(n)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _cyclotomic(d: int) -> tuple[int, ...]:
     """Coefficients of the cyclotomic polynomial Phi_d (d > 1), lowest first.
 

@@ -12,9 +12,15 @@ calls and the suites filter on, so a suite never emits a Precondition line.
 
 run_suite builds a deterministic task list per suite name.  A task is a
 check call: the check function followed by its arguments, already typed
-(RegionParams, Region, Triangle marks, WeightAssignment).  With jobs > 1
-the tasks fan out over a process pool and return in list order, so the
-emitted reports are identical however many workers ran them.
+(RegionParams, Region, Triangle marks, WeightAssignment).  Tasks that
+build the same region form one group: the RegionParams a formula check's
+family projects to, or prop31's own, while a semihexagon is keyed by its
+arguments and every other task is a group of its own.  Each group runs
+inside one lattice.shared_work block, so the region is built, counted and
+swept under each weight once however many checks ask; nothing is kept
+from one group to the next.  Groups run in this process or, with
+jobs > 1, one per pool item, and the reports are put back in task order,
+so the output is identical however many workers ran them.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import astuple, dataclass, replace
 from itertools import combinations
 from math import comb
 from multiprocessing import Pool
-from typing import Iterator, Optional, Sequence
+from typing import Hashable, Iterator, Optional, Sequence
 
 from .enumeration import (
     DEFAULT_TRIANGLE_BUDGET,
@@ -46,6 +52,7 @@ from .lattice import (
     magnet_bar_params,
     q_region_triangle_count,
     remove_forced,
+    shared_work,
     up,
 )
 from .qalgebra import QPoly, q_int
@@ -336,10 +343,6 @@ def _bounded_tuples(slots: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def _run_task(task: tuple) -> Report:
-    return task[0](*task[1:])
-
-
 def _suite_qmain(max_sum: int) -> list[tuple]:
     return [
         (check_formula_vs_enumeration, "q_region", ps, WeightAssignment.WT2)
@@ -456,10 +459,41 @@ def suite_tasks(name: str, max_sum: int = 4) -> list[tuple]:
     return _SUITES[name](max_sum)
 
 
+def _group_key(task: tuple) -> Optional[Hashable]:
+    """The region a task builds, when other tasks may build it too: the
+    family's RegionParams for a formula check (the builder's arguments for
+    a family with no projection), p for prop31; None for any other task."""
+    check, *args = task
+    if check is check_prop31:
+        return args[0]
+    if check is check_formula_vs_enumeration:
+        builder_id, ps = args[0], args[1]
+        project = FAMILIES[builder_id].region_params
+        return (builder_id, ps) if project is None else project(*ps)
+    return None
+
+
+def _run_group(tasks: list[tuple]) -> list[Report]:
+    with shared_work():
+        return [task[0](*task[1:]) for task in tasks]
+
+
 def run_suite(name: str, max_sum: int = 4, jobs: int = 1) -> list[Report]:
-    """Run one suite; reports come back in task order regardless of jobs."""
+    """Run one suite a group at a time (see the module docstring); reports
+    come back in task order regardless of jobs."""
     tasks = suite_tasks(name, max_sum)
+    groups: dict = {}
+    for i, task in enumerate(tasks):
+        key = _group_key(task)
+        groups.setdefault(i if key is None else key, []).append(i)
+    batches = ([tasks[i] for i in group] for group in groups.values())
     if jobs > 1:
         with Pool(jobs) as pool:
-            return pool.map(_run_task, tasks)
-    return [_run_task(t) for t in tasks]
+            done = pool.map(_run_group, batches)
+    else:
+        done = map(_run_group, batches)
+    reports: list = [None] * len(tasks)
+    for group, ran in zip(groups.values(), done):
+        for i, report in zip(group, ran):
+            reports[i] = report
+    return reports

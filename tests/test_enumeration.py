@@ -19,7 +19,7 @@ from qlozenge.enumeration import (
     iter_tilings,
     kuo_remove,
     region_digest,
-    _outer_walk,
+    _outer_walks,
 )
 from qlozenge.formulas import hex_M2
 from qlozenge.lattice import (
@@ -33,6 +33,7 @@ from qlozenge.lattice import (
     build_semihexagon_dented,
     down,
     region_json,
+    shared_work,
     up,
 )
 from qlozenge.qalgebra import QPoly, parse_poly
@@ -170,6 +171,54 @@ def test_frontier_state_budget():
     assert count_tilings(build_hexagon(2, 2, 2), max_states=6) == 20
 
 
+def test_shared_work_builds_counts_and_sweeps_each_region_once(monkeypatch):
+    widths = []
+
+    def sweep(region, tables, width, max_states):
+        widths.append(width)
+        return _sweep(region, tables, width, max_states)
+
+    monkeypatch.setattr("qlozenge.enumeration._sweep", sweep)
+    p = RegionParams(1, 1, 1, 1, 1, 0, 0, 0)
+    assert build_q_region(p) is not build_q_region(p)
+    with shared_work():
+        region = build_q_region(p)
+        assert build_q_region(p) is region
+        wt2 = gen_function(region, W.WT2).poly
+        assert gen_function(build_q_region(p), W.WT2).poly is wt2
+        assert widths[0] == 0 and len(widths) == 2  # the count, then the packed sweep
+        gen_function(region, W.WT0)  # the wt2 sweep, shifted
+        gen_function(region, W.WT1)  # reuses the count as its slot width
+        assert count_tilings(region) == sum(wt2.terms.values())
+        assert len(widths) == 3 and widths[2] > 0
+    assert build_q_region(p) is not region
+
+
+def test_budgeted_calls_in_shared_work_never_read_unbudgeted_sweeps():
+    region = build_hexagon(2, 2, 2)
+    with shared_work():
+        assert count_tilings(region) == 20
+        gen_function(region, W.WT2)
+        # the sweep peaks at 6 states (see test_frontier_state_budget)
+        with pytest.raises(BudgetExceeded):
+            count_tilings(region, max_states=5)
+        with pytest.raises(BudgetExceeded):
+            gen_function(region, W.WT2, max_states=5)
+        with pytest.raises(BudgetExceeded):
+            gen_function(region, W.WT1, max_states=5)
+        assert count_tilings(region, max_states=6) == 20
+
+
+def test_shared_work_still_checks_each_weights_frame():
+    region = build_semihexagon_dented(2, 1, [1, 3])
+    with shared_work():
+        gen_function(region, W.WT2)
+        with pytest.raises(MissingFrame):
+            gen_function(region, W.WT1)
+        with pytest.raises(MissingFrame):
+            gen_function(region, W.WT1)
+
+
 def test_missing_frame_fails_before_the_sweep():
     # dents 1,2 leave no right lozenge in reach of the sweep, dents 2,3 do;
     # both regions lack the southeast side wt1 measures from.
@@ -220,7 +269,7 @@ def test_gen_function_digest_is_the_region_hash():
 
 
 def test_outer_walk_unit_hexagon():
-    walk = _outer_walk(build_hexagon(1, 1, 1).triangles)
+    (walk,) = _outer_walks(build_hexagon(1, 1, 1).triangles)
     assert _rotate_to_min(walk) == [
         down(0, -1),
         up(1, -1),
@@ -232,7 +281,7 @@ def test_outer_walk_unit_hexagon():
 
 
 def test_outer_walk_skips_interior_triangles():
-    walk = _outer_walk(build_hexagon(2, 2, 2).triangles)
+    (walk,) = _outer_walks(build_hexagon(2, 2, 2).triangles)
     assert up(1, 0) not in walk
 
 
@@ -240,7 +289,7 @@ def test_outer_walk_includes_point_contact_triangles():
     # In the bar region the triangle under the top side touches the
     # boundary only at one lattice point, yet it sits on the outer face.
     region = build_magnet_bar(1, 1, 1, 1, 1, 1)
-    walk = _outer_walk(region.triangles)
+    (walk,) = _outer_walks(region.triangles)
     assert up(3, 0) in walk
 
 
@@ -272,6 +321,19 @@ def test_outer_walk_ties_do_not_depend_on_the_hash_seed():
         )
         runs.add((done.returncode, done.stdout, done.stderr))
     assert len(runs) == 1
+    ((code, out, _),) = runs
+    # the bar's marks all lie on its upper component's walk
+    assert code == 0 and out.splitlines()[-1].startswith("Pass kuo ")
+
+
+def test_kuo_takes_marks_on_any_one_component():
+    hexagon = build_hexagon(1, 1, 1).triangles
+    twin = Region(hexagon | {t._replace(pos=t.pos + 10) for t in hexagon})
+    on_second = [up(0, 10), down(0, 10), up(1, 10), down(1, 9)]
+    assert [len(part) for part in kuo_remove(twin, on_second)] == [8, 10, 10, 10, 10]
+    split = [up(0, 0), down(0, 0), up(1, 10), down(1, 9)]
+    with pytest.raises(BadMarks, match="one component"):
+        kuo_remove(twin, split)
 
 
 def test_kuo_unit_hexagon():

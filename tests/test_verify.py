@@ -4,7 +4,8 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qlozenge.enumeration import BadMarks, BudgetExceeded, _outer_walk, kuo_remove
+from qlozenge import enumeration, lattice
+from qlozenge.enumeration import BadMarks, BudgetExceeded, _outer_walks, kuo_remove
 from qlozenge.lattice import (
     RegionParams,
     Triangle,
@@ -86,11 +87,12 @@ _SMALL_Q = [
 
 @st.composite
 def _outer_walk_marks(draw):
-    """A small q_region and four distinct triangles of its outer walk at
-    positions i < j < k < l, with i, k of one parity and j, l of the other.
-    Consecutive walk entries alternate orientation, so the marks do too."""
+    """A small q_region and four distinct triangles of one component's
+    outer walk at positions i < j < k < l, with i, k of one parity and j, l
+    of the other.  Consecutive walk entries alternate orientation, so the
+    marks do too."""
     region = build_q_region(draw(st.sampled_from(_SMALL_Q)))
-    walk = _outer_walk(region.triangles)
+    walk = draw(st.sampled_from(_outer_walks(region.triangles)))
     n = len(walk)
     assume(n >= 4)
     i = draw(st.integers(0, n - 4))
@@ -301,6 +303,59 @@ def test_all_suites_cross_the_pool_unchanged():
     parallel = [report_json(r) for r in run_suite("all", 1, jobs=2)]
     assert sequential == parallel
     assert len(sequential) == len(suite_tasks("all", 1))
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_grouping_changes_no_report(name):
+    reference = [report_json(t[0](*t[1:])) for t in suite_tasks(name, 2)]
+    for jobs in (1, 2):
+        assert [report_json(r) for r in run_suite(name, 2, jobs)] == reference
+
+
+def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
+    builds, tables, counts = [], [], []
+    real_build, real_tables, real_sweep = (
+        lattice._q_region,
+        enumeration._exponent_tables,
+        enumeration._sweep,
+    )
+
+    def build(p):
+        builds.append(p)
+        return real_build(p)
+
+    def exponent_tables(region, w):
+        tables.append((region, w))
+        return real_tables(region, w)
+
+    def sweep(region, tables, width, max_states):
+        if width == 0:
+            counts.append(region)
+        return real_sweep(region, tables, width, max_states)
+
+    monkeypatch.setattr(lattice, "_q_region", build)
+    monkeypatch.setattr(enumeration, "_exponent_tables", exponent_tables)
+    monkeypatch.setattr(enumeration, "_sweep", sweep)
+    # A formulas task on a notched hexagon shares its group with every other
+    # task on that region.  (Semihexagons with a = 0 are all the empty
+    # region, reached from different arguments, so they are left out.)
+    run_suite("formulas", 2)
+    tables = [(region, w) for region, w in tables if region.params is not None]
+    counts = [region for region in counts if region.params is not None]
+    assert builds and len(builds) == len(set(builds))
+    assert tables and len(tables) == len(set(tables))
+    assert len(counts) == len(set(counts)) == len({region for region, _ in tables})
+
+
+def test_no_memo_outlives_run_suite():
+    for jobs in (1, 2):
+        run_suite("prop31", 1, jobs)
+        assert lattice._memo.get() is None
+    with pytest.raises(ZeroDivisionError):
+        with lattice.shared_work():
+            build_q_region(RegionParams(1, 1, 1, 1, 0, 0, 0, 0))
+            1 / 0
+    assert lattice._memo.get() is None
 
 
 def test_suite_task_counts_frozen():
