@@ -16,22 +16,27 @@ int bitmask whose bit k says the triangle k slots ahead is already
 covered; between visited triangles it shifts right by the slot gap.  An
 uncovered up triangle can only take its right partner, the next slot; an
 uncovered down triangle takes its left partner, the next slot, or its
-vertical partner, 2*span - 1 slots ahead.  Each state carries its
-polynomial Kronecker-packed into one int, the coefficient of q^e in bits
-e*W to (e+1)*W - 1: a lozenge is a left shift and merging two states is
-one addition.  The packed sum is exact integer arithmetic whatever W is,
-so only the result's coefficients must fit their slots.  They are
-nonnegative and sum to the number of tilings, so W is the bit length of
-that count, taken from a degree-0 sweep (W = 0) over the same states.
-The result is unpacked into a QPoly once, at the end.
+vertical partner, 2*span - 1 slots ahead.  A state's value is a pair:
+its tiling count, and its polynomial Kronecker-packed into one int with
+the coefficient of q^e in bytes e*B to (e+1)*B - 1, so a lozenge is a
+left shift and a merge adds both parts.  A state's coefficients are
+nonnegative and sum to its count, and no mask has more than three
+predecessors in a step (pass-through, next-slot move, vertical move).
+So if every count is below 2**(8B - 2) before a step, every count and
+coefficient after it is below 2**(8B), and the packed sums are exact.
+Slots start one byte wide; when a merged count reaches 2**(8B - 2), the
+step ends by re-spacing every state into the bytes the largest count
+needs, two bits to spare.  One pass gives the count and the polynomial,
+decoded by byte slices at the end; count_tilings reads the count of the
+same sweep over all-zero tables.
 
 Inside lattice.shared_work (verify runs each group of checks on one
-region in such a block), the engine keeps each tiling count under
-(region, max_states) and each polynomial under (region, weight,
-max_states): the count is the slot width every weight of the region
-reuses, wt0 reuses the wt2 sweep, and a budgeted call never reads a
-result computed under another budget.  The first request for a (region,
-weight) still builds its exponent tables, so the frame check runs.
+region in such a block), the engine keeps each polynomial under (region,
+weight, max_states) and each count, swept for or found by a weighted
+sweep, under (region, max_states): wt0 reuses the wt2 sweep, and a
+budgeted call never reads a result computed under another budget.  The
+first request for a (region, weight) still builds its exponent tables,
+so the frame check runs.
 """
 
 from __future__ import annotations
@@ -185,30 +190,26 @@ def _exponent_tables(region: Region, w: Optional[WeightAssignment]) -> ExponentT
 
 
 def _sweep(
-    region: Region, tables: ExponentTables, width: int, max_states: Optional[int]
-) -> int:
-    """Sum of 2**(width * exponent) over all tilings: exact whatever the
-    width, decodable once every coefficient fits a slot (see the module
-    docstring)."""
-    right, left, vertical = (
-        {key: e * width for key, e in tables[o].items()} for o in (RIGHT, LEFT, VERTICAL)
-    )
+    region: Region, tables: ExponentTables, max_states: Optional[int]
+) -> tuple[int, int, int]:
+    """(tiling count, sum of 2**(8 * size * exponent) over all tilings, size):
+    size is the slot width in bytes, which every coefficient fits."""
     lowest = min((t.pos for t in region.triangles), default=0)
     span = max((t.pos for t in region.triangles), default=0) - lowest + 1
     above = 1 << (2 * span - 2)  # a down triangle's vertical partner, from the next slot
+    # (bit of the partner, exponent table) of each lozenge a triangle can take
+    partners = {UP: ((1, tables[RIGHT]),), DOWN: ((1, tables[LEFT]), (above, tables[VERTICAL]))}
     slots = sorted(
         (2 * (t.row * span + t.pos - lowest) + (t.orient == DOWN), t) for t in region.triangles
     )
-    states: dict[int, int] = {0: 1}
+    size, top = 1, 1  # slot bytes, and the largest count merged so far
+    states: dict[int, tuple[int, int]] = {0: (1, 1)}  # mask -> (count, packed)
     at = slots[0][0] if slots else 0  # the slot of bit 0
     for slot, (r, p, orient) in slots:
         if slot > at:
             states = {mask >> (slot - at): val for mask, val in states.items()}
         at = slot + 1
-        if orient == UP:  # (bit of the partner, shift or None: no such lozenge)
-            moves = ((1, right.get((r, p))),)
-        else:
-            moves = ((1, left.get((r, p))), (above, vertical.get((r, p))))
+        moves = [(bit, 8 * size * e[r, p]) for bit, e in partners[orient] if (r, p) in e]
         # bit 0 is this triangle: covered, it passes through; else it takes
         # a partner.  The new masks count from the next slot.
         nxt = {mask >> 1: val for mask, val in states.items() if mask & 1}
@@ -216,22 +217,37 @@ def _sweep(
             if not mask & 1:
                 ahead = mask >> 1
                 for bit, shift in moves:
-                    if shift is not None and not ahead & bit:
-                        # a fresh key takes val itself: 0 + val and val << 0 copy big ints
-                        key, add = ahead | bit, val << shift if shift else val
-                        nxt[key] = nxt[key] + add if key in nxt else add
+                    if not ahead & bit:
+                        # a fresh key takes val itself: val[1] << 0 copies a big int
+                        key = ahead | bit
+                        if key in nxt:
+                            c, v = nxt[key]
+                            c += val[0]
+                            nxt[key] = (c, v + (val[1] << shift if shift else val[1]))
+                            top = c if c > top else top
+                        else:
+                            nxt[key] = (val[0], val[1] << shift) if shift else val
         states = nxt
         if max_states is not None and len(states) > max_states:
             raise BudgetExceeded(
                 "frontier needs %d states at row %d, budget is %d" % (len(states), r, max_states)
             )
-    return states.get(0, 0)
+        if top >> (8 * size - 2):  # keep every count below 2**(8*size - 2)
+            wider = (top.bit_length() + 9) // 8
+            states = {mask: (c, _respaced(v, size, wider)) for mask, (c, v) in states.items()}
+            size = wider
+    return (*states.get(0, (0, 0)), size)
 
 
-def _tiling_count(region: Region, tables: ExponentTables, max_states: Optional[int]) -> int:
-    """The degree-0 sweep: the same for every weight's tables, as they all
-    hold the same lozenges."""
-    return shared((region, max_states), lambda: _sweep(region, tables, 0, max_states))
+def _respaced(packed: int, size: int, wider: int) -> int:
+    """packed with each size-byte slot moved into a slot of wider bytes."""
+    if not packed >> (8 * size):  # one slot (or none) is already in place
+        return packed
+    slots = -(-packed.bit_length() // (8 * size))
+    old, new = packed.to_bytes(slots * size, "little"), bytearray(slots * wider)
+    for k in range(size):
+        new[k::wider] = old[k::size]
+    return int.from_bytes(new, "little")
 
 
 def _frontier(region: Region, w: WeightAssignment, max_states: Optional[int]) -> QPoly:
@@ -239,19 +255,18 @@ def _frontier(region: Region, w: WeightAssignment, max_states: Optional[int]) ->
 
 
 def _unpacked(region: Region, w: WeightAssignment, max_states: Optional[int]) -> QPoly:
-    tables = _exponent_tables(region, w)
-    width = _tiling_count(region, tables, max_states).bit_length()
-    if not width:
-        return QPoly(0)
-    packed = _sweep(region, tables, width, max_states)
-    slot = (1 << width) - 1
-    slots = -(-packed.bit_length() // width)
-    return QPoly({e: packed >> (e * width) & slot for e in range(slots)})
+    count, packed, size = _sweep(region, _exponent_tables(region, w), max_states)
+    shared((region, max_states), lambda: count)  # a later count_tilings reads it
+    data = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
+    starts = range(0, len(data), size)
+    return QPoly({k // size: int.from_bytes(data[k : k + size], "little") for k in starts})
 
 
 def count_tilings(region: Region, max_states: Optional[int] = None) -> int:
     """Number of tilings (0 if untileable, 1 for the empty region)."""
-    return _tiling_count(region, _exponent_tables(region, None), max_states)
+    return shared(
+        (region, max_states), lambda: _sweep(region, _exponent_tables(region, None), max_states)[0]
+    )
 
 
 def gen_function(

@@ -18,7 +18,7 @@ each command-line formula name to a family and weight in it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
@@ -56,7 +56,7 @@ class FormulaResult:
 
 def _count_factor_lists(p: RegionParams) -> tuple[list[int], list[int]]:
     """Hyperfactorial arguments shared by the count and its q-analogue."""
-    x, y, z, t, m, a, b, c = astuple(p)
+    x, y, z, t, m, a, b, c = p
     big = m + a + b + c
     num = [
         big + x + y + z + t,

@@ -26,7 +26,7 @@ so the output is identical however many workers ran them.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from multiprocessing import Pool
@@ -93,9 +93,7 @@ def _precondition(name: str, params: tuple) -> Report:
 def _plain(value):
     if isinstance(value, WeightAssignment):
         return value.value
-    if isinstance(value, RegionParams):
-        value = astuple(value)
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, (tuple, list, RegionParams)):
         return [_plain(v) for v in value]
     return value
 
@@ -218,7 +216,7 @@ def check_magnet_recurrence(m: int, a: int, x: int, y: int, z: int, t: int) -> R
 
 def check_q_recurrence(p: RegionParams) -> Report:
     """The wt2 recurrence on the full notched region."""
-    return _wt2_recurrence("q_recurrence", astuple(p), p)
+    return _wt2_recurrence("q_recurrence", tuple(p), p)
 
 
 def check_psi_recurrence(p: RegionParams) -> Report:
@@ -228,7 +226,7 @@ def check_psi_recurrence(p: RegionParams) -> Report:
     picks up q^A with A = m+a+b+c+x+y+t-1.  The scalar identity
     [A] + q^A*[z] = [A+z] is re-checked on its own; Pass needs both.
     """
-    params = astuple(p)
+    params = tuple(p)
     if not _psi_applies(p):
         return _precondition("psi_recurrence", params)
     big_a = p.m + p.a + p.b + p.c + p.x + p.y + p.t - 1
@@ -257,7 +255,7 @@ def check_prop31(
     vol = gen_function_oracle(region, WeightAssignment.WT0, max_triangles).poly
     for w, offset in ((WeightAssignment.WT1, f_exponent), (WeightAssignment.WT2, g_exponent)):
         swept = gen_function(region, w).poly
-        report = _verdict("prop31", astuple(p), swept, vol.shift(offset(p)))
+        report = _verdict("prop31", tuple(p), swept, vol.shift(offset(p)))
         if report.status is not PASS:
             break
     return report
@@ -270,7 +268,7 @@ def check_formula_vs_enumeration(
     max_states: Optional[int] = None,
 ) -> Report:
     """Closed formula against the frontier sweep for one builder/weight pair."""
-    ps = astuple(params) if isinstance(params, RegionParams) else tuple(params)
+    ps = tuple(params)
     family = FAMILIES.get(builder_id)
     if family is None:
         raise ValueError("unknown builder %r" % (builder_id,))

@@ -172,11 +172,11 @@ def test_frontier_state_budget():
 
 
 def test_shared_work_builds_counts_and_sweeps_each_region_once(monkeypatch):
-    widths = []
+    swept = []
 
-    def sweep(region, tables, width, max_states):
-        widths.append(width)
-        return _sweep(region, tables, width, max_states)
+    def sweep(region, tables, max_states):
+        swept.append(tables)
+        return _sweep(region, tables, max_states)
 
     monkeypatch.setattr("qlozenge.enumeration._sweep", sweep)
     p = RegionParams(1, 1, 1, 1, 1, 0, 0, 0)
@@ -186,11 +186,16 @@ def test_shared_work_builds_counts_and_sweeps_each_region_once(monkeypatch):
         assert build_q_region(p) is region
         wt2 = gen_function(region, W.WT2).poly
         assert gen_function(build_q_region(p), W.WT2).poly is wt2
-        assert widths[0] == 0 and len(widths) == 2  # the count, then the packed sweep
+        assert swept == [_exponent_tables(region, W.WT2)]  # one pass, no count sweep
+        assert count_tilings(region) == sum(wt2.terms.values())  # the count it found
         gen_function(region, W.WT0)  # the wt2 sweep, shifted
-        gen_function(region, W.WT1)  # reuses the count as its slot width
+        assert len(swept) == 1
+        gen_function(region, W.WT1)
+        assert swept[1:] == [_exponent_tables(region, W.WT1)]
+    with shared_work():
         assert count_tilings(region) == sum(wt2.terms.values())
-        assert len(widths) == 3 and widths[2] > 0
+        gen_function(region, W.WT2)  # a count gives no polynomial
+        assert len(swept) == 4
     assert build_q_region(p) is not region
 
 
@@ -247,6 +252,46 @@ def test_wide_slot_hexagon():
     assert gen_function(build_hexagon(6, 6, 6), W.WT2).poly == expected
 
 
+# str SHA-256 (first 32 hex digits) of mid-size sweeps: a change to how
+# the sweep packs or decodes its polynomials must leave each one as it is.
+PINNED_SWEEPS = [
+    (build_hexagon, (6, 6, 6), W.WT1, "1366202fd75f52a3655b7a08ab198e50"),
+    (build_hexagon, (6, 6, 6), W.WT2, "1366202fd75f52a3655b7a08ab198e50"),
+    (build_hexagon, (7, 7, 7), W.WT1, "4c76c78df4f436aaaab68d94adbc1cbd"),
+    (build_hexagon, (7, 7, 7), W.WT2, "4c76c78df4f436aaaab68d94adbc1cbd"),
+    (build_magnet_bar, (1, 1, 2, 4, 4, 4), W.WT3, "121c5a6f8d75e7345464173589733099"),
+    (build_k_region, (1, 1, 5, 4, 4), W.WT2, "542d2d96d49b0b4a18e48c83b2f63a3c"),
+    (
+        build_semihexagon_dented,
+        (8, 5, [1, 2, 4, 6, 8, 11, 12, 13]),
+        W.WT2,
+        "b870f8fe657fd1de7efee23d5f2450ef",
+    ),
+    (
+        lambda *p: build_q_region(RegionParams(*p)),
+        (3, 2, 3, 1, 2, 1, 0, 2),
+        W.WT1,
+        "a94d37a6f888a61af285aaedd964dde7",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, args, w, digest", PINNED_SWEEPS)
+def test_sweep_outputs_are_pinned(build, args, w, digest):
+    poly = gen_function(build(*args), w).poly
+    assert hashlib.sha256(str(poly).encode("ascii")).hexdigest()[:32] == digest
+
+
+def test_slots_widen_across_byte_boundaries():
+    # The count climbs to about 2**28, so the slots widen byte by byte from
+    # one byte to four.
+    region = build_hexagon(5, 5, 5)
+    expected = hex_M2(5, 5, 5).poly
+    assert sum(expected.terms.values()).bit_length() == 28
+    assert gen_function(region, W.WT2).poly == expected
+    assert _sweep(region, _exponent_tables(region, W.WT2), None)[2] == 4
+
+
 def test_slot_width_covers_the_largest_coefficient():
     cases = [
         (build_hexagon(4, 3, 2), W.WT1),
@@ -258,7 +303,10 @@ def test_slot_width_covers_the_largest_coefficient():
     for region, w in cases:
         poly = gen_function(region, w).poly
         widest = max(c.bit_length() for c in poly.terms.values())
-        assert _sweep(region, _exponent_tables(region, w), 0, None).bit_length() >= widest
+        count, _, size = _sweep(region, _exponent_tables(region, w), None)
+        assert count == sum(poly.terms.values())
+        assert count < 1 << (8 * size - 2)  # the bound the sweep keeps between steps
+        assert 8 * size >= widest
 
 
 def test_gen_function_digest_is_the_region_hash():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,11 @@ def test_region_json_canonical():
 def test_region_params_rejects_negative():
     with pytest.raises(ValueError):
         RegionParams(x=-1, y=0, z=0, t=0, m=0, a=0, b=0, c=0)
+
+
+def test_region_params_iterate_in_field_order():
+    p = RegionParams(x=1, y=2, z=3, t=4, m=5, a=6, b=7, c=8)
+    assert tuple(p) == astuple(p) == (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 def _small_params(top):

@@ -313,7 +313,7 @@ def test_grouping_changes_no_report(name):
 
 
 def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
-    builds, tables, counts = [], [], []
+    builds, tables, swept = [], [], []
     real_build, real_tables, real_sweep = (
         lattice._q_region,
         enumeration._exponent_tables,
@@ -325,13 +325,13 @@ def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
         return real_build(p)
 
     def exponent_tables(region, w):
-        tables.append((region, w))
-        return real_tables(region, w)
+        made = real_tables(region, w)
+        tables.append((region, w, made))  # kept alive, so ids stay unique
+        return made
 
-    def sweep(region, tables, width, max_states):
-        if width == 0:
-            counts.append(region)
-        return real_sweep(region, tables, width, max_states)
+    def sweep(region, made, max_states):
+        swept.append(id(made))
+        return real_sweep(region, made, max_states)
 
     monkeypatch.setattr(lattice, "_q_region", build)
     monkeypatch.setattr(enumeration, "_exponent_tables", exponent_tables)
@@ -340,11 +340,14 @@ def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
     # task on that region.  (Semihexagons with a = 0 are all the empty
     # region, reached from different arguments, so they are left out.)
     run_suite("formulas", 2)
-    tables = [(region, w) for region, w in tables if region.params is not None]
-    counts = [region for region in counts if region.params is not None]
+    made_for = {id(made): (region, w) for region, w, made in tables}
+    tables = [(region, w) for region, w, _ in tables if region.params is not None]
+    swept = [made_for[k] for k in swept if made_for[k][0].params is not None]
     assert builds and len(builds) == len(set(builds))
     assert tables and len(tables) == len(set(tables))
-    assert len(counts) == len(set(counts)) == len({region for region, _ in tables})
+    # one sweep per (region, weight), and none only for a count
+    assert sorted(swept, key=repr) == sorted(tables, key=repr)
+    assert all(w is not None for _, w in swept)
 
 
 def test_no_memo_outlives_run_suite():
