@@ -5,18 +5,25 @@ under a weight assignment) and deliberately share no code: the oracle
 backtracks over whole tilings, the engine sweeps the region one triangle
 at a time carrying a boundary mask.  Tests pit them against each other.
 
-Before the engine sweeps, it tabulates the right, left and vertical
-exponent of every lozenge the region holds, keyed by the (row, pos) of
-the lozenge's down triangle, and checks the frame the weight needs
-whatever lozenges the region holds.  It visits the triangles in slot
-order: with positions counted from the region's lowest and span
-positions to a row, up(r, p) sits in slot 2*(r*span + p) and down(r, p)
-in the next, so rows run bottom to top and left to right.  A state is an
-int bitmask whose bit k says the triangle k slots ahead is already
-covered; between visited triangles it shifts right by the slot gap.  An
-uncovered up triangle can only take its right partner, the next slot; an
-uncovered down triangle takes its left partner, the next slot, or its
-vertical partner, 2*span - 1 slots ahead.  A state's value is a pair:
+Once per region the engine picks the orientation whose lozenges cross
+its sweep's rows.  Every tiling uses exactly k of the n candidate
+lozenges of one orientation across a lattice line, k = |ups - downs| on
+one side, so at most C(n, k) states meet there.  The plan takes the
+least sum of C(n, k) over an orientation's lines, all three sums from
+one pass over the triangles; a tie keeps the region as built (vertical),
+and left or right turn it a sixth of a turn, swapping up and down
+triangles.
+
+In that frame, with span positions to a row, up(r, p) sits in slot
+2*(r*span + p) and down(r, p) in the next; a lozenge is a move of its
+earlier triangle, bit d - 1 for a partner d slots ahead.  The exponent
+tables list each triangle's slot, row (for budget errors) and (bit,
+exponent) moves, exponents taken in the region's own frame.  A state is
+an int bitmask whose bit k says the triangle k slots ahead is already
+covered; between visited triangles it shifts right by the slot gap.
+Every frame is a lattice image of the region, so an up triangle has at
+most one move (next slot) and a down triangle two (next slot, 2*span - 1
+ahead): their other neighbours come earlier.  A state's value is a pair:
 its tiling count, and its polynomial Kronecker-packed into one int with
 the coefficient of q^e in bytes e*B to (e+1)*B - 1, so a lozenge is a
 left shift and a merge adds both parts.  A state's coefficients are
@@ -31,12 +38,12 @@ decoded by byte slices at the end; count_tilings reads the count of the
 same sweep over all-zero tables.
 
 Inside lattice.shared_work (verify runs each group of checks on one
-region in such a block), the engine keeps each polynomial under (region,
-weight, max_states) and each count, swept for or found by a weighted
-sweep, under (region, max_states): wt0 reuses the wt2 sweep, and a
-budgeted call never reads a result computed under another budget.  The
-first request for a (region, weight) still builds its exponent tables,
-so the frame check runs.
+region in such a block), the engine plans each region once, and keeps
+each polynomial under (region, weight, max_states) and each count, swept
+for or found by a weighted sweep, under (region, max_states): wt0 reuses
+the wt2 sweep, and a budgeted call never reads a result computed under
+another budget.  The first request for a (region, weight) still builds
+its exponent tables, so the frame check runs.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from math import comb
+from typing import Iterator, NamedTuple, Optional
 
 from .lattice import (
     DOWN,
@@ -163,53 +171,97 @@ def gen_function_oracle(
 # ---------------------------------------------------------------------------
 # engine route: frontier dynamic programming
 
-# orientation -> {(row, pos) of the lozenge's down triangle: exponent}
-ExponentTables = dict[str, dict[tuple[int, int], int]]
+
+class _Plan(NamedTuple):
+    orientation: str  # the orientation whose lozenges cross the sweep's rows
+    # (slot, row in the region's own frame, [(bit, lozenge) it takes]), in slot order
+    steps: list[tuple[int, int, list[tuple[int, Lozenge]]]]
+
+
+# A triangle's (row, pos, last) in the frame whose rows each orientation
+# crosses, from its own row r, pos p and d = 1 for down; last is 1 for the
+# triangle a slot pair holds second.  Left turns the region a sixth of a
+# turn clockwise, right counterclockwise; both swap up and down triangles.
+_FRAMES = {
+    VERTICAL: lambda r, p, d: (r, p, d),
+    LEFT: lambda r, p, d: (-p, r + p + d, 1 - d),
+    RIGHT: lambda r, p, d: (r + p + d, -r, 1 - d),
+}
+
+
+def _planned(region: Region) -> _Plan:
+    """The orientation of least line cost, and the region's slots in its
+    frame, each with the lozenges its triangle shares with later ones."""
+    triangles = region.triangles
+    # band between two lines that vertical, left, right lozenges cross (of
+    # constant row, pos, row + pos) -> ups - downs in the band
+    rows, cols, diagonals = {}, {}, {}
+    # per orientation, band -> candidate lozenges across the band's top line
+    across: dict[str, dict[int, int]] = {o: {} for o in _FRAMES}
+    lozenges = []
+    for t in triangles:
+        r, p, orient = t
+        d = orient == DOWN
+        rows[r] = rows.get(r, 0) + 1 - 2 * d
+        cols[p] = cols.get(p, 0) + 1 - 2 * d
+        diagonals[r + p + d] = diagonals.get(r + p + d, 0) + 1 - 2 * d
+        if d:
+            for (cand, o), line in zip(partner_candidates(t), (r + p, p, r)):
+                if cand in triangles:
+                    lozenges.append(Lozenge(cand, t, o))
+                    across[o][line] = across[o].get(line, 0) + 1
+    cost = {}
+    for o, bands in ((VERTICAL, rows), (LEFT, cols), (RIGHT, diagonals)):
+        cost[o] = below = 0
+        for band in sorted(bands):
+            below += bands[band]
+            cost[o] += comb(across[o].get(band, 0), abs(below))
+    orientation = min(cost, key=cost.__getitem__)  # a tie keeps the built frame
+    places = {t: _FRAMES[orientation](t.row, t.pos, t.orient == DOWN) for t in triangles}
+    positions = [pos for _, pos, _ in places.values()] or [0]
+    span = max(positions) - min(positions) + 1
+    slot = {t: 2 * (row * span + pos) + last for t, (row, pos, last) in places.items()}
+    moves: dict[Triangle, list[tuple[int, Lozenge]]] = {t: [] for t in triangles}
+    for loz in lozenges:
+        a, b = slot[loz.first], slot[loz.second]
+        moves[loz.first if a < b else loz.second].append((1 << (abs(a - b) - 1), loz))
+    order = sorted(triangles, key=slot.__getitem__)
+    return _Plan(orientation, [(slot[t], t.row, moves[t]) for t in order])
+
+
+# (slot, row, [(bit, exponent) of each lozenge the triangle takes]), in slot order
+ExponentTables = list[tuple[int, int, list[tuple[int, int]]]]
 
 
 def _exponent_tables(region: Region, w: Optional[WeightAssignment]) -> ExponentTables:
-    """Right, left and vertical exponent of every lozenge the region holds;
-    w None gives the all-zero tables of plain counting."""
+    """The sweep's steps, each triangle with the bit and exponent of every
+    lozenge it takes with a later one; w None gives the all-zero exponents
+    of plain counting."""
     if w is not None:
         frame_origin(w, region)  # fails even if no lozenge would ask for the frame
-    tables: ExponentTables = {RIGHT: {}, LEFT: {}, VERTICAL: {}}
-    for t in region.triangles:
-        if t.orient != DOWN:
-            continue
-        for cand, orientation in partner_candidates(t):
-            if cand not in region.triangles:
-                continue
-            e = 0 if w is None else lozenge_exponent(w, region, Lozenge(cand, t, orientation))
+    tables: ExponentTables = []
+    for slot, row, moves in shared(("plan", region), lambda: _planned(region)).steps:
+        tables.append((slot, row, []))
+        for bit, loz in moves:
+            e = 0 if w is None else lozenge_exponent(w, region, loz)
             if e < 0:
-                raise ValueError(
-                    "%s lozenge at down triangle %r has negative exponent %d"
-                    % (orientation, (t.row, t.pos), e)
-                )
-            tables[orientation][t.row, t.pos] = e
+                where = (loz.orientation, (loz.second.row, loz.second.pos), e)
+                raise ValueError("%s lozenge at down triangle %r has negative exponent %d" % where)
+            tables[-1][2].append((bit, e))
     return tables
 
 
-def _sweep(
-    region: Region, tables: ExponentTables, max_states: Optional[int]
-) -> tuple[int, int, int]:
+def _sweep(tables: ExponentTables, max_states: Optional[int]) -> tuple[int, int, int]:
     """(tiling count, sum of 2**(8 * size * exponent) over all tilings, size):
     size is the slot width in bytes, which every coefficient fits."""
-    lowest = min((t.pos for t in region.triangles), default=0)
-    span = max((t.pos for t in region.triangles), default=0) - lowest + 1
-    above = 1 << (2 * span - 2)  # a down triangle's vertical partner, from the next slot
-    # (bit of the partner, exponent table) of each lozenge a triangle can take
-    partners = {UP: ((1, tables[RIGHT]),), DOWN: ((1, tables[LEFT]), (above, tables[VERTICAL]))}
-    slots = sorted(
-        (2 * (t.row * span + t.pos - lowest) + (t.orient == DOWN), t) for t in region.triangles
-    )
     size, top = 1, 1  # slot bytes, and the largest count merged so far
     states: dict[int, tuple[int, int]] = {0: (1, 1)}  # mask -> (count, packed)
-    at = slots[0][0] if slots else 0  # the slot of bit 0
-    for slot, (r, p, orient) in slots:
+    at = tables[0][0] if tables else 0  # the slot of bit 0
+    for slot, row, taken in tables:
         if slot > at:
             states = {mask >> (slot - at): val for mask, val in states.items()}
         at = slot + 1
-        moves = [(bit, 8 * size * e[r, p]) for bit, e in partners[orient] if (r, p) in e]
+        moves = [(bit, 8 * size * e) for bit, e in taken]
         # bit 0 is this triangle: covered, it passes through; else it takes
         # a partner.  The new masks count from the next slot.
         nxt = {mask >> 1: val for mask, val in states.items() if mask & 1}
@@ -230,7 +282,7 @@ def _sweep(
         states = nxt
         if max_states is not None and len(states) > max_states:
             raise BudgetExceeded(
-                "frontier needs %d states at row %d, budget is %d" % (len(states), r, max_states)
+                "frontier needs %d states at row %d, budget is %d" % (len(states), row, max_states)
             )
         if top >> (8 * size - 2):  # keep every count below 2**(8*size - 2)
             wider = (top.bit_length() + 9) // 8
@@ -255,7 +307,7 @@ def _frontier(region: Region, w: WeightAssignment, max_states: Optional[int]) ->
 
 
 def _unpacked(region: Region, w: WeightAssignment, max_states: Optional[int]) -> QPoly:
-    count, packed, size = _sweep(region, _exponent_tables(region, w), max_states)
+    count, packed, size = _sweep(_exponent_tables(region, w), max_states)
     shared((region, max_states), lambda: count)  # a later count_tilings reads it
     data = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
     starts = range(0, len(data), size)
@@ -265,7 +317,7 @@ def _unpacked(region: Region, w: WeightAssignment, max_states: Optional[int]) ->
 def count_tilings(region: Region, max_states: Optional[int] = None) -> int:
     """Number of tilings (0 if untileable, 1 for the empty region)."""
     return shared(
-        (region, max_states), lambda: _sweep(region, _exponent_tables(region, None), max_states)[0]
+        (region, max_states), lambda: _sweep(_exponent_tables(region, None), max_states)[0]
     )
 
 

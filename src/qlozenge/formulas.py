@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
 from typing import Callable, Mapping, Optional
 
@@ -140,14 +140,17 @@ def theorem_main(p: RegionParams) -> int:
 @lru_cache(maxsize=_PARAMS_CACHE)
 def theorem_qmain(p: RegionParams) -> FormulaResult:
     """Volume generating function over the notched region's tilings."""
-    num, den = _count_factor_lists(p)
-    # The q-hyperfactorial [0]! [1]! ... [n-1]! is prod_{j<n} [j]^(n-j).
-    exponents: Counter[int] = Counter()
-    for n in num:
-        exponents.update({j: n - j for j in range(1, n)})
-    for n in den:
-        exponents.subtract({j: n - j for j in range(1, n)})
-    return FormulaResult(resolve(exponents), 0)
+    return FormulaResult(resolve(_hyperfactorial_exponents(*_count_factor_lists(p))), 0)
+
+
+def _hyperfactorial_exponents(num: list[int], den: list[int]) -> dict[int, int]:
+    """The nonzero e_j with prod_j [j]^(e_j) = prod H(num) / prod H(den).  As
+    H(n) = [0]! ... [n-1]! = prod_{j<n} [j]^(n-j), e_j = sum_{n>j} c_n (n - j),
+    c_n being the count of n in num less that in den: c's second suffix sum."""
+    c = Counter(num)
+    c.subtract(den)
+    tops = range(max(c, default=1), 1, -1)
+    return {n - 1: e for n, e in zip(tops, accumulate(accumulate(c[n] for n in tops))) if e}
 
 
 def _qmain_times(p: RegionParams, exponent: Callable[[RegionParams], int]) -> FormulaResult:

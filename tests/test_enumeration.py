@@ -12,6 +12,7 @@ from qlozenge.enumeration import (
     BadMarks,
     BudgetExceeded,
     _exponent_tables,
+    _planned,
     _sweep,
     count_tilings,
     gen_function,
@@ -23,6 +24,9 @@ from qlozenge.enumeration import (
 )
 from qlozenge.formulas import hex_M2
 from qlozenge.lattice import (
+    LEFT,
+    RIGHT,
+    VERTICAL,
     Frames,
     Region,
     RegionParams,
@@ -171,14 +175,29 @@ def test_frontier_state_budget():
     assert count_tilings(build_hexagon(2, 2, 2), max_states=6) == 20
 
 
-def test_shared_work_builds_counts_and_sweeps_each_region_once(monkeypatch):
-    swept = []
+def test_the_budget_counts_states_in_the_chosen_frame():
+    # Swept as built, this bar needs 420 states; its right lozenges crossing
+    # the rows, it needs 35.
+    region = build_magnet_bar(2, 3, 4, 2, 0, 2)
+    assert _planned(region).orientation == RIGHT
+    assert count_tilings(region, max_states=70) == 1234800
+    with pytest.raises(BudgetExceeded, match="needs 35 states at row 3, budget is 34"):
+        count_tilings(region, max_states=34)
 
-    def sweep(region, tables, max_states):
+
+def test_shared_work_builds_counts_and_sweeps_each_region_once(monkeypatch):
+    swept, planned = [], []
+
+    def sweep(tables, max_states):
         swept.append(tables)
-        return _sweep(region, tables, max_states)
+        return _sweep(tables, max_states)
+
+    def plan(region):
+        planned.append(region)
+        return _planned(region)
 
     monkeypatch.setattr("qlozenge.enumeration._sweep", sweep)
+    monkeypatch.setattr("qlozenge.enumeration._planned", plan)
     p = RegionParams(1, 1, 1, 1, 1, 0, 0, 0)
     assert build_q_region(p) is not build_q_region(p)
     with shared_work():
@@ -192,10 +211,12 @@ def test_shared_work_builds_counts_and_sweeps_each_region_once(monkeypatch):
         assert len(swept) == 1
         gen_function(region, W.WT1)
         assert swept[1:] == [_exponent_tables(region, W.WT1)]
+        assert planned == [region]  # one plan for every weight and the count
     with shared_work():
         assert count_tilings(region) == sum(wt2.terms.values())
         gen_function(region, W.WT2)  # a count gives no polynomial
         assert len(swept) == 4
+        assert planned == [region, region]
     assert build_q_region(p) is not region
 
 
@@ -282,6 +303,50 @@ def test_sweep_outputs_are_pinned(build, args, w, digest):
     assert hashlib.sha256(str(poly).encode("ascii")).hexdigest()[:32] == digest
 
 
+def _moved(t, turns, reflect):
+    """t turned by turns sixths of a turn, (i, j) -> (-j, i + j) each, then
+    reflected by (i, j) -> (j, i) if asked, found from its corners."""
+    r, p = t.row, t.pos
+    if t.orient == "U":
+        corners = [(p, r), (p + 1, r), (p, r + 1)]
+    else:
+        corners = [(p + 1, r), (p, r + 1), (p + 1, r + 1)]
+    for _ in range(turns):
+        corners = [(-j, i + j) for i, j in corners]
+    if reflect:
+        corners = [(j, i) for i, j in corners]
+    (i, j), (_, j2), _ = sorted(corners, key=lambda c: (c[1], c[0]))
+    return up(j, i) if j2 == j else down(j, i - 1)
+
+
+@pytest.mark.parametrize("build, args, w, digest", PINNED_SWEEPS)
+def test_no_lattice_image_changes_the_count(build, args, w, digest):
+    triangles = build(*args).triangles
+    counts = [
+        count_tilings(Region(frozenset(_moved(t, turns, reflect) for t in triangles)))
+        for turns in range(6)
+        for reflect in (False, True)
+    ]
+    assert counts == [count_tilings(build(*args))] * 12
+
+
+# A shamrock notch of core m and lobes a, b, c in the hexagon whose sides
+# alternate a + b + c and m: the smaller lobe picks the orientation.  The
+# three regions are turns of one another by thirds, and each peaks at the
+# 9 states of the first in its chosen frame.
+@pytest.mark.parametrize(
+    "notch, orientation", [((1, 1, 2, 2), VERTICAL), ((1, 2, 1, 2), RIGHT), ((1, 2, 2, 1), LEFT)]
+)
+def test_each_orientation_is_swept_exactly(notch, orientation):
+    region = build_q_region(RegionParams(0, 0, 0, 0, *notch))
+    assert _planned(region).orientation == orientation
+    for w in (W.WT1, W.WT2):
+        assert gen_function(region, w).poly == gen_function_oracle(region, w).poly
+    assert count_tilings(region, max_states=9) == 54
+    with pytest.raises(BudgetExceeded, match="needs 9 states"):
+        count_tilings(region, max_states=8)
+
+
 def test_slots_widen_across_byte_boundaries():
     # The count climbs to about 2**28, so the slots widen byte by byte from
     # one byte to four.
@@ -289,7 +354,7 @@ def test_slots_widen_across_byte_boundaries():
     expected = hex_M2(5, 5, 5).poly
     assert sum(expected.terms.values()).bit_length() == 28
     assert gen_function(region, W.WT2).poly == expected
-    assert _sweep(region, _exponent_tables(region, W.WT2), None)[2] == 4
+    assert _sweep(_exponent_tables(region, W.WT2), None)[2] == 4
 
 
 def test_slot_width_covers_the_largest_coefficient():
@@ -303,7 +368,7 @@ def test_slot_width_covers_the_largest_coefficient():
     for region, w in cases:
         poly = gen_function(region, w).poly
         widest = max(c.bit_length() for c in poly.terms.values())
-        count, _, size = _sweep(region, _exponent_tables(region, w), None)
+        count, _, size = _sweep(_exponent_tables(region, w), None)
         assert count == sum(poly.terms.values())
         assert count < 1 << (8 * size - 2)  # the bound the sweep keeps between steps
         assert 8 * size >= widest

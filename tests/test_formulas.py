@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from qlozenge.enumeration import count_tilings, gen_function
 from qlozenge.formulas import (
     FormulaResult,
+    _count_factor_lists,
+    _hyperfactorial_exponents,
     hex_M1,
     hex_M2,
     k_region_M2,
@@ -27,6 +30,7 @@ from qlozenge.lattice import (
     build_semihexagon_dented,
 )
 from qlozenge.qalgebra import parse_poly
+from qlozenge.verify import _bounded_tuples
 from qlozenge.weights import WeightAssignment as W, f_exponent, g_exponent
 
 
@@ -66,6 +70,20 @@ def test_theorem_main_reduces_to_the_box_count():
 
 def test_qmain_trivial():
     assert theorem_qmain(RegionParams(0, 0, 0, 0, 0, 0, 0, 0)).poly == parse_poly("1")
+
+
+def test_qmain_exponent_map_is_the_per_argument_sum():
+    # H(n) = prod_{j<n} [j]^(n-j), summed argument by argument
+    tuples = list(_bounded_tuples(8, 7))
+    assert len(tuples) == 6435
+    for raw in tuples:
+        num, den = _count_factor_lists(RegionParams(*raw))
+        expected: Counter[int] = Counter()
+        for n in num:
+            expected.update({j: n - j for j in range(1, n)})
+        for n in den:
+            expected.subtract({j: n - j for j in range(1, n)})
+        assert _hyperfactorial_exponents(num, den) == {j: e for j, e in expected.items() if e}
 
 
 def test_qmain_reduces_to_macmahon():

@@ -313,9 +313,10 @@ def test_grouping_changes_no_report(name):
 
 
 def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
-    builds, tables, swept = [], [], []
-    real_build, real_tables, real_sweep = (
+    builds, plans, tables, swept = [], [], [], []
+    real_build, real_plan, real_tables, real_sweep = (
         lattice._q_region,
+        enumeration._planned,
         enumeration._exponent_tables,
         enumeration._sweep,
     )
@@ -324,16 +325,21 @@ def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
         builds.append(p)
         return real_build(p)
 
+    def plan(region):
+        plans.append(region)
+        return real_plan(region)
+
     def exponent_tables(region, w):
         made = real_tables(region, w)
         tables.append((region, w, made))  # kept alive, so ids stay unique
         return made
 
-    def sweep(region, made, max_states):
+    def sweep(made, max_states):
         swept.append(id(made))
-        return real_sweep(region, made, max_states)
+        return real_sweep(made, max_states)
 
     monkeypatch.setattr(lattice, "_q_region", build)
+    monkeypatch.setattr(enumeration, "_planned", plan)
     monkeypatch.setattr(enumeration, "_exponent_tables", exponent_tables)
     monkeypatch.setattr(enumeration, "_sweep", sweep)
     # A formulas task on a notched hexagon shares its group with every other
@@ -343,7 +349,11 @@ def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
     made_for = {id(made): (region, w) for region, w, made in tables}
     tables = [(region, w) for region, w, _ in tables if region.params is not None]
     swept = [made_for[k] for k in swept if made_for[k][0].params is not None]
+    plans = [region for region in plans if region.params is not None]
     assert builds and len(builds) == len(set(builds))
+    # one plan per region, shared by all its weights and its count
+    assert plans and len(plans) == len(set(plans))
+    assert set(plans) == {region for region, _ in tables}
     assert tables and len(tables) == len(set(tables))
     # one sweep per (region, weight), and none only for a count
     assert sorted(swept, key=repr) == sorted(tables, key=repr)
