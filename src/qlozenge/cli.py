@@ -47,9 +47,10 @@ from .verify import (
     run_suite,
     suite_names,
 )
-from .weights import weight_from_name
+from .weights import WeightAssignment
 
 DEFAULT_MAX_STATES = 1 << 22
+_WEIGHT_NAMES = [w.value for w in WeightAssignment]
 
 # ---------------------------------------------------------------------------
 # parameter plumbing
@@ -313,7 +314,7 @@ def cmd_count(args) -> int:
 
 def cmd_genfun(args) -> int:
     region = _build_region(args.builder, args)
-    gf = gen_function(region, weight_from_name(args.weight), args.max_states)
+    gf = gen_function(region, WeightAssignment(args.weight), args.max_states)
     if args.json:
         print(
             json.dumps(
@@ -357,7 +358,7 @@ def cmd_kuo(args) -> int:
     else:
         raise ValueError("this builder records no parameters; pass --marks")
     try:
-        report = check_kuo(region, marks, weight_from_name(args.weight), args.max_states)
+        report = check_kuo(region, marks, WeightAssignment(args.weight), args.max_states)
     except BadMarks as err:
         if args.marks is not None:
             raise
@@ -433,9 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     genfun = sub.add_parser("genfun", help="weighted generating function")
     genfun.add_argument("builder", choices=FAMILIES)
     _region_flags(genfun)
-    genfun.add_argument(
-        "--weight", choices=("wt0", "wt1", "wt2", "wt3"), default="wt2"
-    )
+    genfun.add_argument("--weight", choices=_WEIGHT_NAMES, default="wt2")
     genfun.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)
     genfun.add_argument("--json", action="store_true")
     genfun.set_defaults(func=cmd_genfun)
@@ -466,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         "canonical corner placement for parameter-tagged regions, which "
         "degenerates on some small ones (exit 2: pass --marks there)",
     )
-    kuo.add_argument("--weight", choices=("wt0", "wt1", "wt2", "wt3"), default="wt2")
+    kuo.add_argument("--weight", choices=_WEIGHT_NAMES, default="wt2")
     kuo.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)
     kuo.add_argument("--json", action="store_true")
     kuo.set_defaults(func=cmd_kuo)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, factorial
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from .lattice import (
     Region,
@@ -232,34 +232,26 @@ class Family:
     params names the builder's arguments in order.  build takes them and
     returns the region; formulas maps a weight name ("wt0" to "wt3", or
     "count" for the plain tiling count) to the closed formula over the same
-    arguments.  region_params projects them to the notched hexagon's
-    RegionParams, None for a family that is not one of its degenerations.
+    arguments.
     """
 
     params: tuple[str, ...]
     build: Callable[..., Region]
     formulas: Mapping[str, Callable]
-    region_params: Optional[Callable[..., RegionParams]] = None
 
 
 FAMILIES: dict[str, Family] = {
     "hexagon": Family(
-        ("a", "b", "c"),
-        build_hexagon,
-        {"wt0": macmahon_q, "wt1": hex_M1, "wt2": hex_M2},
-        hexagon_params,
+        ("a", "b", "c"), build_hexagon, {"wt0": macmahon_q, "wt1": hex_M1, "wt2": hex_M2}
     ),
     "semihexagon": Family(
         ("a", "b", "dents"), build_semihexagon_dented, {"wt2": semihex_dents_M2}
     ),
-    "k_region": Family(
-        ("a", "x", "y", "z", "t"), build_k_region, {"wt2": k_region_M2}, k_region_params
-    ),
+    "k_region": Family(("a", "x", "y", "z", "t"), build_k_region, {"wt2": k_region_M2}),
     "magnet_bar": Family(
         ("m", "a", "x", "y", "z", "t"),
         build_magnet_bar,
         {"wt2": magnet_M2, "wt3": magnet_M3},
-        magnet_bar_params,
     ),
     "q_region": Family(
         tuple(f.name for f in fields(RegionParams)),
@@ -270,7 +262,6 @@ FAMILIES: dict[str, Family] = {
             "wt1": lambda *ps: _qmain_times(RegionParams(*ps), f_exponent),
             "wt2": lambda *ps: _qmain_times(RegionParams(*ps), g_exponent),
         },
-        RegionParams,
     ),
 }
 

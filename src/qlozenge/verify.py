@@ -10,17 +10,19 @@ without burying them.
 Each check's precondition is one private predicate, which the check
 calls and the suites filter on, so a suite never emits a Precondition line.
 
-run_suite builds a deterministic task list per suite name.  A task is a
-check call: the check function followed by its arguments, already typed
-(RegionParams, Region, Triangle marks, WeightAssignment).  Tasks that
-build the same region form one group: the RegionParams a formula check's
-family projects to, or prop31's own, while a semihexagon is keyed by its
-arguments and every other task is a group of its own.  Each group runs
-inside one lattice.shared_work block, so the region is built, counted and
-swept under each weight once however many checks ask; nothing is kept
-from one group to the next.  Groups run in this process or, with
-jobs > 1, one per pool item, and the reports are put back in task order,
-so the output is identical however many workers ran them.
+run_suite builds a deterministic task list per suite name.  A task is
+(key, check, *args): the region the task builds, then a check call, its
+arguments already typed (RegionParams, Region, Triangle marks,
+WeightAssignment).  The suite builder writes the key where it knows the
+region: the RegionParams of a formula, prop31, kuo or magnet-reduction
+task, (a, b, dents) for a semihexagon, None for a task that builds no
+region.  Tasks with equal keys form one group, and a None task a group
+of its own.  Each group runs inside one lattice.shared_work block, so the region
+is built, split by kuo_remove, counted and swept under each weight once
+however many checks ask; nothing is kept from one group to the next.
+Groups run in this process or, with jobs > 1, one per pool item, and the
+reports are put back in task order, so the output is identical however
+many workers ran them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from multiprocessing import Pool
-from typing import Hashable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .enumeration import (
     DEFAULT_TRIANGLE_BUDGET,
@@ -45,13 +47,14 @@ from .lattice import (
     Region,
     RegionParams,
     Triangle,
-    build_magnet_bar,
     build_q_region,
     down,
     hexagon_params,
+    k_region_params,
     magnet_bar_params,
     q_region_triangle_count,
     remove_forced,
+    shared,
     shared_work,
     up,
 )
@@ -279,26 +282,34 @@ def check_formula_vs_enumeration(
     return _verdict("formula_vs_enumeration", (builder_id, ps, w), swept, formula)
 
 
-_REDUCTION_STEPS = ("uvws", "uv", "ws", "us", "vw")
+# Each deletion step's smaller bar as moves of the bar's sides, in the
+# order of kuo_remove's parts.
+_REDUCTION_MOVES = {
+    "uvws": {"y": -1, "t": -1},
+    "uv": {"y": -1},
+    "ws": {"t": -1},
+    "us": {"y": -1, "z": 1, "t": -1},
+    "vw": {"z": -1},
+}
+_REDUCTION_STEPS = tuple(_REDUCTION_MOVES)
 
 
-def _reduction_target(m, a, x, y, z, t, step):
-    """The smaller bar's (x, y, z, t) after one deletion step, and the
-    exponent of its predicted prefactor."""
-    hh = z + t + m + a
-    near, far = comb(z + m + 1, 2), (x + y + m - 2) * hh
-    return {
-        "uvws": ((x, y - 1, z, t - 1), near + far),
-        "uv": ((x, y - 1, z, t), near),
-        "ws": ((x, y, z, t - 1), far),
-        "us": ((x, y - 1, z + 1, t - 1), near),
-        "vw": ((x, y, z - 1, t), (x + y + m - 1) * hh),
-    }[step]
+def _reduction_exponent(p: RegionParams, step: str) -> int:
+    """The exponent of the smaller bar's predicted prefactor."""
+    hh = p.z + p.t + p.m + p.a
+    near, far = comb(p.z + p.m + 1, 2), (p.x + p.y + p.m - 2) * hh
+    vw = (p.x + p.y + p.m - 1) * hh
+    return {"uvws": near + far, "uv": near, "ws": far, "us": near, "vw": vw}[step]
 
 
-def _reduction_applies(m, a, x, y, z, t, step) -> bool:
-    bar, _ = _reduction_target(m, a, x, y, z, t, step)
-    return y >= 1 and t >= 1 and x + y + m >= 2 and t + a >= 2 and min(bar) >= 0
+def _reduction_applies(p: RegionParams, step: str) -> bool:
+    return (
+        p.y >= 1
+        and p.t >= 1
+        and p.x + p.y + p.m >= 2
+        and p.t + p.a >= 2
+        and _moved(p, **_REDUCTION_MOVES[step]) is not None
+    )
 
 
 def check_magnet_reduction(
@@ -310,20 +321,21 @@ def check_magnet_reduction(
     leaves a translate of a smaller bar, so the comparison is between
     wt2 generating functions: the stripped core shifted by the exponent
     remove_forced accumulated, against the smaller bar built from
-    scratch shifted by the predicted prefactor.
+    scratch shifted by the predicted prefactor.  Inside shared_work the
+    bar is built and split once for all five steps.
     """
-    if step not in _REDUCTION_STEPS:
+    if step not in _REDUCTION_MOVES:
         raise ValueError("unknown reduction step %r" % (step,))
     params = (m, a, x, y, z, t, step)
-    if not _reduction_applies(m, a, x, y, z, t, step):
-        return _precondition("magnet_reduction", params)
     p = magnet_bar_params(m, a, x, y, z, t)
-    parts = kuo_remove(build_q_region(p), four_point_marks(p))
+    if not _reduction_applies(p, step):
+        return _precondition("magnet_reduction", params)
+    parts = shared(("kuo", p), lambda: kuo_remove(build_q_region(p), four_point_marks(p)))
     core, stripped = remove_forced(parts[_REDUCTION_STEPS.index(step)], WeightAssignment.WT2)
     lhs = gen_function(core, WeightAssignment.WT2).poly.shift(stripped)
-    bar, exponent = _reduction_target(m, a, x, y, z, t, step)
-    rhs = gen_function(build_magnet_bar(m, a, *bar), WeightAssignment.WT2).poly
-    return _verdict("magnet_reduction", params, lhs, rhs.shift(exponent))
+    smaller = build_q_region(_moved(p, **_REDUCTION_MOVES[step]))
+    rhs = gen_function(smaller, WeightAssignment.WT2).poly
+    return _verdict("magnet_reduction", params, lhs, rhs.shift(_reduction_exponent(p, step)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,43 +353,48 @@ def _bounded_tuples(slots: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
+def _formula_tasks(
+    builder_id: str,
+    project: Callable[..., RegionParams],
+    slots: int,
+    max_sum: int,
+    weights: Sequence[WeightAssignment],
+) -> list[tuple]:
+    """Formula checks of one family over its bounded argument tuples, each
+    keyed by the RegionParams its arguments project to."""
+    tasks = []
+    for ps in _bounded_tuples(slots, max_sum):
+        key = project(*ps)
+        tasks += [(key, check_formula_vs_enumeration, builder_id, ps, w) for w in weights]
+    return tasks
+
+
 def _suite_qmain(max_sum: int) -> list[tuple]:
-    return [
-        (check_formula_vs_enumeration, "q_region", ps, WeightAssignment.WT2)
-        for ps in _bounded_tuples(8, max_sum)
-    ]
+    return _formula_tasks("q_region", RegionParams, 8, max_sum, (WeightAssignment.WT2,))
 
 
 def _suite_formulas(max_sum: int) -> list[tuple]:
     W = WeightAssignment
-    check = check_formula_vs_enumeration
-    tasks = [
-        (check, "hexagon", abc, w)
-        for abc in _bounded_tuples(3, max_sum)
-        for w in (W.WT0, W.WT1, W.WT2)
-    ]
+    tasks = _formula_tasks("hexagon", hexagon_params, 3, max_sum, (W.WT0, W.WT1, W.WT2))
     cap = min(max_sum, 6)
     for a in range(cap + 1):
         for b in range(cap - a + 1):
             for dents in combinations(range(1, a + b + 1), a):
-                tasks.append((check, "semihexagon", (a, b, dents), W.WT2))
-    tasks += [(check, "k_region", ps, W.WT2) for ps in _bounded_tuples(5, max_sum)]
-    for ps in _bounded_tuples(6, max_sum):
-        tasks += [(check, "magnet_bar", ps, W.WT2), (check, "magnet_bar", ps, W.WT3)]
-    tasks += [
-        (check, "q_region", ps, w)
-        for ps in _bounded_tuples(8, max_sum)
-        for w in (W.WT0, W.WT1, W.WT2)
-    ]
+                args = (a, b, dents)
+                tasks.append((args, check_formula_vs_enumeration, "semihexagon", args, W.WT2))
+    tasks += _formula_tasks("k_region", k_region_params, 5, max_sum, (W.WT2,))
+    tasks += _formula_tasks("magnet_bar", magnet_bar_params, 6, max_sum, (W.WT2, W.WT3))
+    tasks += _formula_tasks("q_region", RegionParams, 8, max_sum, (W.WT0, W.WT1, W.WT2))
     return tasks
 
 
 def _suite_kuo(max_sum: int) -> list[tuple]:
     """Fixed placement library; max_sum is ignored because nothing sweeps."""
     W = WeightAssignment
-    unit = build_q_region(hexagon_params(1, 1, 1))
+    unit = hexagon_params(1, 1, 1)
+    unit_region = build_q_region(unit)
     unit_marks = [up(0, 0), down(0, 0), up(1, 0), down(1, -1)]
-    tasks = [(check_kuo, unit, unit_marks, w) for w in W]
+    tasks = [(unit, check_kuo, unit_region, unit_marks, w) for w in W]
     bar = magnet_bar_params
     for p, weights in (
         (hexagon_params(2, 2, 2), (W.WT0, W.WT2)),
@@ -395,31 +412,27 @@ def _suite_kuo(max_sum: int) -> list[tuple]:
         (RegionParams(2, 1, 1, 2, 1, 1, 1, 1), (W.WT1, W.WT2)),
     ):
         region, marks = build_q_region(p), four_point_marks(p)
-        tasks += [(check_kuo, region, marks, w) for w in weights]
+        tasks += [(p, check_kuo, region, marks, w) for w in weights]
     return tasks
 
 
 def _suite_recurrences(max_sum: int) -> list[tuple]:
-    bars = list(_bounded_tuples(6, max_sum))
-    tasks = [
-        (check_magnet_recurrence, *ps)
-        for ps in bars
-        if _recurrence_applies(magnet_bar_params(*ps))
-    ]
+    bars = [(ps, magnet_bar_params(*ps)) for ps in _bounded_tuples(6, max_sum)]
+    tasks = [(None, check_magnet_recurrence, *ps) for ps, p in bars if _recurrence_applies(p)]
     for ps in _bounded_tuples(8, max_sum):
         p = RegionParams(*ps)
         if _recurrence_applies(p):
-            tasks.append((check_q_recurrence, p))
+            tasks.append((None, check_q_recurrence, p))
         if _psi_applies(p):
-            tasks.append((check_psi_recurrence, p))
+            tasks.append((None, check_psi_recurrence, p))
     tasks += [
-        (check_magnet_reduction, *ps, step)
-        for ps in bars
+        (p, check_magnet_reduction, *ps, step)
+        for ps, p in bars
         for step in _REDUCTION_STEPS
-        if _reduction_applies(*ps, step)
+        if _reduction_applies(p, step)
     ]
     tasks += [
-        (check_q_int_addition, a, z)
+        (None, check_q_int_addition, a, z)
         for a in range(max_sum + 1)
         for z in range(max_sum + 1)
     ]
@@ -428,7 +441,7 @@ def _suite_recurrences(max_sum: int) -> list[tuple]:
 
 def _suite_prop31(max_sum: int) -> list[tuple]:
     return [
-        (check_prop31, p)
+        (p, check_prop31, p)
         for p in (RegionParams(*ps) for ps in _bounded_tuples(8, max_sum))
         if q_region_triangle_count(p) <= DEFAULT_TRIANGLE_BUDGET
     ]
@@ -457,23 +470,9 @@ def suite_tasks(name: str, max_sum: int = 4) -> list[tuple]:
     return _SUITES[name](max_sum)
 
 
-def _group_key(task: tuple) -> Optional[Hashable]:
-    """The region a task builds, when other tasks may build it too: the
-    family's RegionParams for a formula check (the builder's arguments for
-    a family with no projection), p for prop31; None for any other task."""
-    check, *args = task
-    if check is check_prop31:
-        return args[0]
-    if check is check_formula_vs_enumeration:
-        builder_id, ps = args[0], args[1]
-        project = FAMILIES[builder_id].region_params
-        return (builder_id, ps) if project is None else project(*ps)
-    return None
-
-
 def _run_group(tasks: list[tuple]) -> list[Report]:
     with shared_work():
-        return [task[0](*task[1:]) for task in tasks]
+        return [task[1](*task[2:]) for task in tasks]
 
 
 def run_suite(name: str, max_sum: int = 4, jobs: int = 1) -> list[Report]:
@@ -482,8 +481,7 @@ def run_suite(name: str, max_sum: int = 4, jobs: int = 1) -> list[Report]:
     tasks = suite_tasks(name, max_sum)
     groups: dict = {}
     for i, task in enumerate(tasks):
-        key = _group_key(task)
-        groups.setdefault(i if key is None else key, []).append(i)
+        groups.setdefault(i if task[0] is None else task[0], []).append(i)
     batches = ([tasks[i] for i in group] for group in groups.values())
     if jobs > 1:
         with Pool(jobs) as pool:

@@ -41,13 +41,6 @@ class WeightAssignment(Enum):
     WT3 = "wt3"
 
 
-def weight_from_name(name: str) -> WeightAssignment:
-    try:
-        return WeightAssignment(name.lower())
-    except ValueError:
-        raise ValueError("unknown weight %r (expected wt0..wt3)" % name) from None
-
-
 Tiling = frozenset
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["--suite", "all", "--max-sum", "5", "--jobs", "1"],
+            "9836ca21f8b0fcccfaeeebcaccd046c6ccf529545a8ce39ce8f190905c5e4780",
+        ),
+        (
+            ["--suite", "all", "--max-sum", "5", "--jobs", "2"],
+            "9836ca21f8b0fcccfaeeebcaccd046c6ccf529545a8ce39ce8f190905c5e4780",
+        ),
+        (
+            ["--suite", "recurrences", "--max-sum", "6", "--json"],
+            "e32a5be9e3f595b24b7ef72678e7041f182ded82a62af5847696627a1dc05ff0",
+        ),
+    ],
+    ids=["all-jobs1", "all-jobs2", "recurrences-json"],
+)
+def test_verify_suite_output_frozen(capsys, argv, sha256):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_formula_macmahon_example(capsys):

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qlozenge import enumeration, lattice
+from qlozenge import enumeration, lattice, verify
 from qlozenge.enumeration import BadMarks, BudgetExceeded, _outer_walks, kuo_remove
 from qlozenge.lattice import (
     RegionParams,
@@ -307,9 +307,27 @@ def test_all_suites_cross_the_pool_unchanged():
 
 @pytest.mark.parametrize("name", suite_names())
 def test_grouping_changes_no_report(name):
-    reference = [report_json(t[0](*t[1:])) for t in suite_tasks(name, 2)]
+    reference = [report_json(t[1](*t[2:])) for t in suite_tasks(name, 2)]
     for jobs in (1, 2):
         assert [report_json(r) for r in run_suite(name, 2, jobs)] == reference
+
+
+def test_each_magnet_bar_is_split_once(monkeypatch):
+    tasks = suite_tasks("recurrences", 4)
+    bars = {t[0] for t in tasks if t[1] is check_magnet_reduction}
+    reference = [report_json(t[1](*t[2:])) for t in tasks]
+    split = []
+    real_kuo_remove = verify.kuo_remove
+
+    def spy(region, marks):
+        split.append(region.params)
+        return real_kuo_remove(region, marks)
+
+    monkeypatch.setattr(verify, "kuo_remove", spy)
+    assert [report_json(r) for r in run_suite("recurrences", 4, 1)] == reference
+    steps = sum(t[1] is check_magnet_reduction for t in tasks)
+    assert steps > len(bars) > 1
+    assert sorted(split, key=tuple) == sorted(bars, key=tuple)
 
 
 def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):

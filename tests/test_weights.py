@@ -24,7 +24,6 @@ from qlozenge.weights import (
     lozenge_exponent,
     tiling_exponent,
     tiling_volume,
-    weight_from_name,
 )
 
 
@@ -37,13 +36,6 @@ def _mac_q(a, b, c):
             for j in range(1, n):
                 exponents[j] = exponents.get(j, 0) + sign * (n - j)
     return resolve(exponents)
-
-
-def test_weight_names():
-    assert weight_from_name("WT2") is W.WT2
-    assert weight_from_name("wt0") is W.WT0
-    with pytest.raises(ValueError):
-        weight_from_name("wt9")
 
 
 def test_left_lozenges_are_free():
