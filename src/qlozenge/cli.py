@@ -314,21 +314,21 @@ def cmd_count(args) -> int:
 
 def cmd_genfun(args) -> int:
     region = _build_region(args.builder, args)
-    gf = gen_function(region, WeightAssignment(args.weight), args.max_states)
+    poly = gen_function(region, WeightAssignment(args.weight), args.max_states)
     if args.json:
         print(
             json.dumps(
                 {
                     "builder": args.builder,
-                    "digest": gf.region_digest,
-                    "poly": str(gf.poly),
+                    "digest": region_digest(region),
+                    "poly": str(poly),
                     "weight": args.weight,
                 },
                 sort_keys=True,
             )
         )
     else:
-        print(gf.poly)
+        print(poly)
     return 0
 
 

@@ -1,9 +1,13 @@
-"""Tiling enumeration: a naive exhaustive oracle and a frontier engine.
+"""Tiling enumeration: a naive exhaustive oracle and a frontier engine,
+plus the region surgery of the removal identities (kuo_remove,
+remove_forced).
 
 The two routes share one contract (the generating function of a region
-under a weight assignment) and deliberately share no code: the oracle
-backtracks over whole tilings, the engine sweeps the region one triangle
-at a time carrying a boundary mask.  Tests pit them against each other.
+under a weight assignment, a plain QPoly) and deliberately share no
+code: the oracle backtracks over whole tilings, the engine sweeps the
+region one triangle at a time carrying a boundary mask.  Tests pit them
+against each other.  Both resolve the weight through
+weights.lozenge_weight: the engine once per region, the oracle per tiling.
 
 Once per region the engine picks the orientation whose lozenges cross
 its sweep's rows.  Every tiling uses exactly k of the n candidate
@@ -43,14 +47,13 @@ each polynomial under (region, weight, max_states) and each count, swept
 for or found by a weighted sweep, under (region, max_states): wt0 reuses
 the wt2 sweep, and a budgeted call never reads a result computed under
 another budget.  The first request for a (region, weight) still builds
-its exponent tables, so the frame check runs.
+its exponent tables, so the weight is resolved and its frame checked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
@@ -72,9 +75,8 @@ from .qalgebra import QPoly
 from .weights import (
     MissingFrame,
     WeightAssignment,
-    frame_origin,
     g_exponent,
-    lozenge_exponent,
+    lozenge_weight,
     tiling_exponent,
     tiling_volume,
 )
@@ -90,16 +92,8 @@ class BadMarks(ValueError):
     """Marked triangles violate the four-point boundary precondition."""
 
 
-@dataclass(frozen=True)
-class GenFunction:
-    poly: QPoly
-    assignment: WeightAssignment
-    region: Region
-
-    @property
-    def region_digest(self) -> str:
-        """SHA-256 of the region's canonical JSON, computed when read."""
-        return region_digest(self.region)
+class Untileable(ValueError):
+    """Forced-lozenge propagation exposed a triangle with no cover."""
 
 
 def region_digest(region: Region) -> str:
@@ -156,7 +150,7 @@ def gen_function_oracle(
     region: Region,
     w: WeightAssignment,
     max_triangles: int = DEFAULT_TRIANGLE_BUDGET,
-) -> GenFunction:
+) -> QPoly:
     """Generating function by brute force, one tiling at a time."""
     terms: dict[int, int] = {}
     for tiling in iter_tilings(region, max_triangles=max_triangles):
@@ -165,7 +159,7 @@ def gen_function_oracle(
         else:
             e = tiling_exponent(w, region, tiling)
         terms[e] = terms.get(e, 0) + 1
-    return GenFunction(QPoly(terms), w, region)
+    return QPoly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +231,12 @@ def _exponent_tables(region: Region, w: Optional[WeightAssignment]) -> ExponentT
     """The sweep's steps, each triangle with the bit and exponent of every
     lozenge it takes with a later one; w None gives the all-zero exponents
     of plain counting."""
-    if w is not None:
-        frame_origin(w, region)  # fails even if no lozenge would ask for the frame
+    weight = None if w is None else lozenge_weight(w, region)
     tables: ExponentTables = []
     for slot, row, moves in shared(("plan", region), lambda: _planned(region)).steps:
         tables.append((slot, row, []))
         for bit, loz in moves:
-            e = 0 if w is None else lozenge_exponent(w, region, loz)
+            e = 0 if weight is None else weight(loz)
             if e < 0:
                 where = (loz.orientation, (loz.second.row, loz.second.pos), e)
                 raise ValueError("%s lozenge at down triangle %r has negative exponent %d" % where)
@@ -325,7 +318,7 @@ def gen_function(
     region: Region,
     w: WeightAssignment,
     max_states: Optional[int] = None,
-) -> GenFunction:
+) -> QPoly:
     """Generating function via the frontier sweep; exact, never sampled.
 
     wt0 is computed through the wt2 route shifted down by the empty-pile
@@ -334,15 +327,12 @@ def gen_function(
     if w is WeightAssignment.WT0:
         if region.params is None:
             raise MissingFrame("wt0 needs a parameter-tagged region")
-        base = _frontier(region, WeightAssignment.WT2, max_states)
-        poly = base.shift(-g_exponent(region.params))
-    else:
-        poly = _frontier(region, w, max_states)
-    return GenFunction(poly, w, region)
+        return _frontier(region, WeightAssignment.WT2, max_states).shift(-g_exponent(region.params))
+    return _frontier(region, w, max_states)
 
 
 # ---------------------------------------------------------------------------
-# four-point boundary removal
+# region surgery: four-point boundary removal and forced lozenges
 
 def _centroid3(t: Triangle) -> tuple[int, int]:
     """Triangle centroid scaled by 3, in the skew coordinates."""
@@ -353,36 +343,24 @@ def _centroid3(t: Triangle) -> tuple[int, int]:
 
 def _outer_walks(triangles: frozenset[Triangle]) -> list[list[Triangle]]:
     """Triangles along the outer face of each connected component of the
-    adjacency graph that has an edge, in walk order, components in order
-    of their smallest such triangle.
+    adjacency graph that has an edge, in walk order.
 
     Faces of the adjacency graph are orbits of the next-half-edge map of
-    its planar embedding; a component's outer face is its orbit with the
-    least signed area (0 for a tree-like strip, whose only orbit it is).
-    Tracing faces rather than boundary edges matters: a triangle whose
-    three neighbors all exist still sits on the outer face when it touches
-    the region's boundary in a single point, and holes pinched to the
-    boundary merge into the outer face the same way.  The four-point
-    recurrences mark exactly such triangles.
+    its planar embedding.  A bounded face winds counterclockwise, so its
+    signed area is positive; a component's outer face winds the other way,
+    area <= 0 (0 for a tree-like strip, whose only orbit it is).  Tracing
+    faces rather than boundary edges matters: a triangle whose three
+    neighbors all exist still sits on the outer face when it touches the
+    region's boundary in a single point, and holes pinched to the boundary
+    merge into the outer face the same way.  The four-point recurrences
+    mark exactly such triangles.
     """
     ring = {  # neighbours in counterclockwise order
         t: [n for n, _ in partner_candidates(t) if n in triangles] for t in triangles
     }
-    component: dict[Triangle, Triangle] = {}  # triangle -> a triangle of its component
-    for root in triangles:
-        if root in component:
-            continue
-        component[root] = root
-        todo = [root]
-        while todo:
-            for n in ring[todo.pop()]:
-                if n not in component:
-                    component[n] = root
-                    todo.append(n)
-    best: dict[Triangle, tuple[int, list[Triangle]]] = {}
+    walks = []
     seen = set()
-    half_edges = sorted((t, n) for t, nbs in ring.items() for n in nbs)
-    for start in half_edges:  # an area tie goes to the smallest half-edge's orbit
+    for start in sorted((t, n) for t, nbs in ring.items() for n in nbs):
         if start in seen:
             continue
         orbit = []
@@ -397,10 +375,9 @@ def _outer_walks(triangles: frozenset[Triangle]) -> list[list[Triangle]]:
         for a, b in orbit:
             ca, cb = _centroid3(a), _centroid3(b)
             area += ca[0] * cb[1] - cb[0] * ca[1]
-        root = component[start[0]]
-        if root not in best or area < best[root][0]:
-            best[root] = (area, [t for t, _ in orbit])
-    return [walk for _, walk in best.values()]
+        if area <= 0:
+            walks.append([t for t, _ in orbit])
+    return walks
 
 
 def _cyclically_ordered(length: int, pu: int, pv: int, pw: int, ps: int) -> bool:
@@ -452,3 +429,32 @@ def kuo_remove(region: Region, marked: list[Triangle]) -> list[Region]:
     return [
         Region(region.triangles - frozenset(gone), None, region.frames) for gone in removals
     ]
+
+
+def remove_forced(region: Region, w: WeightAssignment) -> tuple[Region, int]:
+    """Strip lozenges that every tiling must contain.
+
+    Takes triangles off a worklist that starts with every triangle: one
+    with exactly one in-region partner is removed with that partner, the
+    q-exponent of the removed lozenge under the weight assignment w is
+    accumulated, and the pair's remaining neighbours go back on the list.
+    Raises Untileable if some triangle ends up with no partner at all, and
+    MissingFrame as weights.lozenge_weight does, forced lozenges or not.
+    """
+    weight = lozenge_weight(w, region)
+    remaining = set(region.triangles)
+    acc = 0
+    todo = sorted(remaining, reverse=True)  # popped smallest first
+    while todo:
+        t = todo.pop()
+        if t not in remaining:
+            continue
+        options = [cand for cand, _ in partner_candidates(t) if cand in remaining]
+        if not options:
+            raise Untileable("triangle %r has no possible cover" % (t,))
+        if len(options) == 1:
+            (cand,) = options
+            acc += weight(make_lozenge(t, cand))
+            remaining -= {t, cand}
+            todo += [n for s in (t, cand) for n, _ in partner_candidates(s) if n in remaining]
+    return Region(frozenset(remaining), None, region.frames), acc

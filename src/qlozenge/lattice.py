@@ -21,7 +21,9 @@ the notch's lobes and core, and the dented trapezoid, have zero sides.
 Every builder anchors its region with the base side on row 0 and the
 southwest corner of the base at (0, 0); the Frames record carries the
 reference lines that the weight assignments measure distances from.
-Regions are immutable; builders and queries are pure functions.
+Regions are immutable; builders and queries are pure functions.  This
+module imports no other of the package; surgery that needs a weight
+(remove_forced) lives in enumeration.
 
 Inside a shared_work block, build_q_region and the frontier engine hand
 back what they already computed for an equal request (see shared); the
@@ -51,10 +53,6 @@ class BadDents(ValueError):
 
 class Unbalanced(ValueError):
     """A builder produced (or would produce) a geometrically broken region."""
-
-
-class Untileable(ValueError):
-    """Forced-lozenge propagation exposed a triangle with no cover."""
 
 
 class Triangle(NamedTuple):
@@ -327,36 +325,3 @@ def build_semihexagon_dented(a: int, b: int, dents: Iterable[int]) -> Region:
     dents = validate_dents(a, b, dents)
     tris = _hexagon_triangles(a, b, a, 0, a + b, 0) - {up(0, s - 1) for s in dents}
     return Region(frozenset(tris), None, Frames(base_row=0, se_i=None, sw_level=None))
-
-
-# ---------------------------------------------------------------------------
-# region surgery
-
-
-def remove_forced(region: Region, w) -> tuple[Region, int]:
-    """Strip lozenges that every tiling must contain.
-
-    Takes triangles off a worklist that starts with every triangle: one
-    with exactly one in-region partner is removed with that partner, the
-    q-exponent of the removed lozenge under the weight assignment w is
-    accumulated, and the pair's remaining neighbours go back on the list.
-    Raises Untileable if some triangle ends up with no partner at all.
-    """
-    from .weights import lozenge_exponent
-
-    remaining = set(region.triangles)
-    acc = 0
-    todo = sorted(remaining, reverse=True)  # popped smallest first
-    while todo:
-        t = todo.pop()
-        if t not in remaining:
-            continue
-        options = [cand for cand, _ in partner_candidates(t) if cand in remaining]
-        if not options:
-            raise Untileable("triangle %r has no possible cover" % (t,))
-        if len(options) == 1:
-            (cand,) = options
-            acc += lozenge_exponent(w, region, make_lozenge(t, cand))
-            remaining -= {t, cand}
-            todo += [n for s in (t, cand) for n, _ in partner_candidates(s) if n in remaining]
-    return Region(frozenset(remaining), None, region.frames), acc

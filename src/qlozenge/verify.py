@@ -28,7 +28,7 @@ many workers ran them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from multiprocessing import Pool
@@ -41,6 +41,7 @@ from .enumeration import (
     gen_function_oracle,
     kuo_remove,
     region_digest,
+    remove_forced,
 )
 from .formulas import FAMILIES, theorem_qmain
 from .lattice import (
@@ -53,7 +54,6 @@ from .lattice import (
     k_region_params,
     magnet_bar_params,
     q_region_triangle_count,
-    remove_forced,
     shared,
     shared_work,
     up,
@@ -156,8 +156,8 @@ def check_kuo(
         whole = QPoly(count_tilings(region, max_states))
         removed, uv, ws, us, vw = (QPoly(count_tilings(r, max_states)) for r in parts)
     else:
-        whole = gen_function(region, w, max_states).poly
-        removed, uv, ws, us, vw = (gen_function(r, w, max_states).poly for r in parts)
+        whole = gen_function(region, w, max_states)
+        removed, uv, ws, us, vw = (gen_function(r, w, max_states) for r in parts)
     return _verdict("kuo", params, whole * removed, uv * ws + us * vw)
 
 
@@ -177,8 +177,8 @@ def four_point_marks(p: RegionParams) -> list[Triangle]:
 
 def _moved(p: RegionParams, **steps: int) -> Optional[RegionParams]:
     """p with each named side moved by its step, or None once one is negative."""
-    moved = {name: getattr(p, name) + step for name, step in steps.items()}
-    return None if min(moved.values(), default=0) < 0 else replace(p, **moved)
+    moved = [v + steps.get(name, 0) for name, v in zip(RegionParams.__match_args__, p)]
+    return None if min(moved) < 0 else RegionParams(*moved)
 
 
 def _weighted_or_zero(p: RegionParams, **steps: int) -> QPoly:
@@ -255,9 +255,9 @@ def check_prop31(
     the report carries the wt2 comparison.
     """
     region = build_q_region(p)
-    vol = gen_function_oracle(region, WeightAssignment.WT0, max_triangles).poly
+    vol = gen_function_oracle(region, WeightAssignment.WT0, max_triangles)
     for w, offset in ((WeightAssignment.WT1, f_exponent), (WeightAssignment.WT2, g_exponent)):
-        swept = gen_function(region, w).poly
+        swept = gen_function(region, w)
         report = _verdict("prop31", tuple(p), swept, vol.shift(offset(p)))
         if report.status is not PASS:
             break
@@ -265,10 +265,7 @@ def check_prop31(
 
 
 def check_formula_vs_enumeration(
-    builder_id: str,
-    params: "RegionParams | Sequence",
-    w: WeightAssignment,
-    max_states: Optional[int] = None,
+    builder_id: str, params: "RegionParams | Sequence", w: WeightAssignment
 ) -> Report:
     """Closed formula against the frontier sweep for one builder/weight pair."""
     ps = tuple(params)
@@ -278,7 +275,7 @@ def check_formula_vs_enumeration(
     if w.value not in family.formulas:
         raise ValueError("no closed formula for %r under %s" % (builder_id, w.value))
     formula = family.formulas[w.value](*ps).poly
-    swept = gen_function(family.build(*ps), w, max_states).poly
+    swept = gen_function(family.build(*ps), w)
     return _verdict("formula_vs_enumeration", (builder_id, ps, w), swept, formula)
 
 
@@ -332,9 +329,9 @@ def check_magnet_reduction(
         return _precondition("magnet_reduction", params)
     parts = shared(("kuo", p), lambda: kuo_remove(build_q_region(p), four_point_marks(p)))
     core, stripped = remove_forced(parts[_REDUCTION_STEPS.index(step)], WeightAssignment.WT2)
-    lhs = gen_function(core, WeightAssignment.WT2).poly.shift(stripped)
+    lhs = gen_function(core, WeightAssignment.WT2).shift(stripped)
     smaller = build_q_region(_moved(p, **_REDUCTION_MOVES[step]))
-    rhs = gen_function(smaller, WeightAssignment.WT2).poly
+    rhs = gen_function(smaller, WeightAssignment.WT2)
     return _verdict("magnet_reduction", params, lhs, rhs.shift(_reduction_exponent(p, step)))
 
 

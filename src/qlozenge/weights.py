@@ -7,6 +7,10 @@ other orientations carry weight 1 (exponent 0).  The offset conventions
 below are pinned by the unit-hexagon calibration tests and by matching
 the closed product formulas; do not adjust one without the other.
 
+lozenge_weight resolves an assignment on a region once: it fails if the
+region's frame lacks the line the assignment measures from, whatever
+lozenges the region holds, and returns the exponent of each lozenge.
+
 wt0 weights a tiling by the number of unit cubes in the pile the tiling
 depicts.  That exponent is a property of the whole pile, not of any one
 lozenge (the same right lozenge can cap columns of different heights in
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import comb
+from typing import Callable
 
 from .lattice import RIGHT, VERTICAL, Lozenge, Region, RegionParams
 
@@ -44,13 +49,10 @@ class WeightAssignment(Enum):
 Tiling = frozenset
 
 
-def frame_origin(w: WeightAssignment, region: Region) -> int:
-    """The reference coordinate assignment w measures distances from.
-
-    Raises MissingFrame when the region lacks that reference line, whatever
-    lozenges the region holds, and WeightUndefined for wt0 (see module
-    docstring).
-    """
+def lozenge_weight(w: WeightAssignment, region: Region) -> Callable[[Lozenge], int]:
+    """The q-exponent assignment w gives each lozenge of the region, 0 for
+    the orientations it ignores.  Raises MissingFrame when the region lacks
+    the line w measures from, and WeightUndefined for wt0."""
     if w is WeightAssignment.WT0:
         raise WeightUndefined("wt0 is defined per tiling, not per lozenge")
     frames = region.frames
@@ -58,34 +60,23 @@ def frame_origin(w: WeightAssignment, region: Region) -> int:
         raise MissingFrame("region carries no frame data")
     if w is WeightAssignment.WT1:
         origin, need = frames.se_i, "wt1 needs the southeast side position"
+        exponent = lambda loz: origin - loz.first.pos if loz.orientation == RIGHT else 0
     elif w is WeightAssignment.WT2:
         origin, need = frames.base_row, "wt2 needs the base row"
+        exponent = lambda loz: loz.first.row - origin + 1 if loz.orientation == RIGHT else 0
     else:
         origin, need = frames.sw_level, "wt3 needs the southwest corner level"
+        exponent = lambda loz: (
+            loz.second.pos + loz.second.row + 2 - origin if loz.orientation == VERTICAL else 0
+        )
     if origin is None:
         raise MissingFrame(need)
-    return origin
-
-
-def lozenge_exponent(w: WeightAssignment, region: Region, loz: Lozenge) -> int:
-    """Exponent of q carried by one lozenge under assignment w.
-
-    Orientations the assignment ignores give 0, but the region must still
-    carry the assignment's frame (see frame_origin).
-    """
-    origin = frame_origin(w, region)
-    if w is WeightAssignment.WT1:
-        return origin - loz.first.pos if loz.orientation == RIGHT else 0
-    if w is WeightAssignment.WT2:
-        return loz.first.row - origin + 1 if loz.orientation == RIGHT else 0
-    if loz.orientation != VERTICAL:
-        return 0
-    return loz.second.pos + loz.second.row + 2 - origin
+    return exponent
 
 
 def tiling_exponent(w: WeightAssignment, region: Region, tiling: Tiling) -> int:
     """Total q-exponent of a tiling: the sum over its lozenges."""
-    return sum(lozenge_exponent(w, region, loz) for loz in tiling)
+    return sum(map(lozenge_weight(w, region), tiling))
 
 
 def f_exponent(p: RegionParams) -> int:

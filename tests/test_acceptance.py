@@ -71,7 +71,7 @@ def _notched_sweep():
 def test_c1_hexagon_box_polynomial_and_counts():
     checked = 0
     for a, b, c in itertools.product(range(4), repeat=3):
-        swept = gen_function(build_hexagon(a, b, c), W.WT2).poly
+        swept = gen_function(build_hexagon(a, b, c), W.WT2)
         boxed = macmahon_q(a, b, c).poly.shift(b * a * (a + 1) // 2)
         assert swept == boxed, (a, b, c)
         checked += 1
@@ -89,7 +89,7 @@ def test_c2_notched_region_formula_matches_enumeration():
         region = build_q_region(p)
         assert len(region.triangles) <= DEFAULT_TRIANGLE_BUDGET, tup
         want = theorem_qmain(p).poly.shift(g_exponent(p))
-        assert gen_function(region, W.WT2).poly == want, tup
+        assert gen_function(region, W.WT2) == want, tup
         assert count_tilings(region) == theorem_main(p), tup
     print("acceptance 2: pass (%d notched regions)" % (len(base) + len(extras)))
 
@@ -125,8 +125,8 @@ def test_c4_bar_hole_formulas_and_single_hole_degeneration():
     assert len(extras) >= 30
     for tup in base + extras:
         region = build_magnet_bar(*tup)
-        assert gen_function(region, W.WT2).poly == magnet_M2(*tup).poly, tup
-        assert gen_function(region, W.WT3).poly == magnet_M3(*tup).poly, tup
+        assert gen_function(region, W.WT2) == magnet_M2(*tup).poly, tup
+        assert gen_function(region, W.WT3) == magnet_M3(*tup).poly, tup
     for a, x, y, z, t in itertools.product(range(3), repeat=5):
         assert magnet_M2(0, a, x, y, z, t).poly == k_region_M2(a, x, y, z, t).poly
     print(
@@ -141,7 +141,7 @@ def test_c5_dented_trapezoid_formula():
         for a in range(width + 1):
             b = width - a
             for dents in itertools.combinations(range(1, width + 1), a):
-                got = gen_function(build_semihexagon_dented(a, b, dents), W.WT2).poly
+                got = gen_function(build_semihexagon_dented(a, b, dents), W.WT2)
                 assert got == semihex_dents_M2(a, b, dents).poly, (a, b, dents)
                 regions += 1
     assert regions == 127
@@ -189,8 +189,8 @@ def test_c7_sweep_matches_brute_force_oracle():
         keep = frozenset(pool) - frozenset(rng.sample(pool, drop))
         region = Region(keep, None, hexagon.frames)
         w = cycle[trial % 3]
-        fast = str(gen_function(region, w).poly)
-        slow = str(gen_function_oracle(region, w).poly)
+        fast = str(gen_function(region, w))
+        slow = str(gen_function_oracle(region, w))
         assert fast == slow, (trial, drop, w)
         if fast != "0":
             nonzero += 1

@@ -98,10 +98,8 @@ def test_genfun_round_trips_and_matches_formula(capsys):
     )
     assert code2 == 0
     assert out == out2
-    region = gen_function(
-        build_q_region(RegionParams(1, 1, 1, 1, 1, 1, 0, 0)), W.WT3
-    )
-    assert parse_poly(out.strip()) == region.poly
+    poly = gen_function(build_q_region(RegionParams(1, 1, 1, 1, 1, 1, 0, 0)), W.WT3)
+    assert parse_poly(out.strip()) == poly
 
 
 def test_genfun_json(capsys):
@@ -111,7 +109,7 @@ def test_genfun_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["weight"] == "wt2"
-    assert parse_poly(payload["poly"]) == gen_function(build_hexagon(2, 2, 2), W.WT2).poly
+    assert parse_poly(payload["poly"]) == gen_function(build_hexagon(2, 2, 2), W.WT2)
 
 
 def test_tilings_lines(capsys):

@@ -103,15 +103,15 @@ def test_qmain_matches_count_and_q1_on_the_unit_cube_sweep():
 def test_qmain_is_the_volume_generating_function_when_all_ones():
     p = RegionParams(1, 1, 1, 1, 1, 1, 1, 1)
     region = build_q_region(p)
-    assert gen_function(region, W.WT0).poly == theorem_qmain(p).poly
+    assert gen_function(region, W.WT0) == theorem_qmain(p).poly
 
 
 def test_qmain_weight_relations_all_ones():
     p = RegionParams(1, 1, 1, 1, 1, 1, 1, 1)
     region = build_q_region(p)
     qm = theorem_qmain(p).poly
-    assert gen_function(region, W.WT1).poly == qm.shift(f_exponent(p))
-    assert gen_function(region, W.WT2).poly == qm.shift(g_exponent(p))
+    assert gen_function(region, W.WT1) == qm.shift(f_exponent(p))
+    assert gen_function(region, W.WT2) == qm.shift(g_exponent(p))
 
 
 def test_hexagon_formulas():
@@ -121,8 +121,8 @@ def test_hexagon_formulas():
         assert hex_M1(a, 0, c).poly == parse_poly("1")
     for a, b, c in itertools.product(range(3), repeat=3):
         region = build_hexagon(a, b, c)
-        assert hex_M1(a, b, c).poly == gen_function(region, W.WT1).poly, (a, b, c)
-        assert hex_M2(a, b, c).poly == gen_function(region, W.WT2).poly, (a, b, c)
+        assert hex_M1(a, b, c).poly == gen_function(region, W.WT1), (a, b, c)
+        assert hex_M2(a, b, c).poly == gen_function(region, W.WT2), (a, b, c)
         if a == b:
             assert hex_M1(a, b, c) == hex_M2(a, b, c)
 
@@ -140,7 +140,7 @@ def test_semihex_matches_the_region_for_every_dent_set():
         for dents in itertools.combinations(range(1, a + b + 1), a):
             region = build_semihexagon_dented(a, b, list(dents))
             got = semihex_dents_M2(a, b, list(dents)).poly
-            assert got == gen_function(region, W.WT2).poly, (a, b, dents)
+            assert got == gen_function(region, W.WT2), (a, b, dents)
 
 
 def test_semihex_dent_order_does_not_matter():
@@ -160,7 +160,7 @@ def test_k_region_formula():
     assert k_region_M2(0, 0, 0, 0, 0).poly == parse_poly("1")
     for raw in itertools.product(range(2), repeat=5):
         region = build_k_region(*raw)
-        assert k_region_M2(*raw).poly == gen_function(region, W.WT2).poly, raw
+        assert k_region_M2(*raw).poly == gen_function(region, W.WT2), raw
 
 
 def test_k_region_without_a_lobe_is_the_hexagon_formula():
@@ -173,8 +173,8 @@ def test_bar_formulas_match_the_region():
     assert magnet_M3(0, 0, 0, 0, 0, 0).poly == parse_poly("1")
     for raw in itertools.product(range(2), repeat=6):
         region = build_magnet_bar(*raw)
-        assert magnet_M2(*raw).poly == gen_function(region, W.WT2).poly, raw
-        assert magnet_M3(*raw).poly == gen_function(region, W.WT3).poly, raw
+        assert magnet_M2(*raw).poly == gen_function(region, W.WT2), raw
+        assert magnet_M3(*raw).poly == gen_function(region, W.WT3), raw
 
 
 def test_bar_formula_without_a_core_is_the_one_lobe_formula():

@@ -1,18 +1,20 @@
+import ast
 import hashlib
+import inspect
 import itertools
 from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlozenge.enumeration import gen_function_oracle, iter_tilings
+from qlozenge import lattice
+from qlozenge.enumeration import Untileable, gen_function_oracle, iter_tilings, remove_forced
 from qlozenge.lattice import (
     BadDents,
     Region,
     RegionParams,
     Triangle,
     Unbalanced,
-    Untileable,
     build_hexagon,
     build_k_region,
     build_magnet_bar,
@@ -24,7 +26,6 @@ from qlozenge.lattice import (
     make_lozenge,
     q_region_triangle_count,
     region_json,
-    remove_forced,
     up,
 )
 from qlozenge.weights import WeightAssignment as W
@@ -193,6 +194,15 @@ def test_remove_forced_untileable():
         remove_forced(region, W.WT2)
 
 
+def test_lattice_imports_no_other_package_module():
+    # The weights and the region surgery read the geometry; it reads neither.
+    for node in ast.walk(ast.parse(inspect.getsource(lattice))):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("qlozenge"), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("qlozenge") for a in node.names), ast.dump(node)
+
+
 def test_split_factors_bar_with_pendant():
     for m, a, x, y, t in [(1, 1, 1, 1, 1), (2, 1, 1, 2, 1), (1, 2, 2, 1, 1)]:
         whole = build_magnet_bar(m, a, x, y, 0, t)
@@ -200,8 +210,8 @@ def test_split_factors_bar_with_pendant():
         assert part <= whole.triangles
         S = Region(part, None, whole.frames)
         rest = Region(whole.triangles - part, None, whole.frames)
-        product = gen_function_oracle(S, W.WT2).poly * gen_function_oracle(rest, W.WT2).poly
-        assert product == gen_function_oracle(whole, W.WT2).poly
+        product = gen_function_oracle(S, W.WT2) * gen_function_oracle(rest, W.WT2)
+        assert product == gen_function_oracle(whole, W.WT2)
 
 
 def test_region_json_canonical():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qlozenge import enumeration, lattice, verify
-from qlozenge.enumeration import BadMarks, BudgetExceeded, _outer_walks, kuo_remove
+from qlozenge.enumeration import BadMarks, BudgetExceeded, _outer_walks, kuo_remove, remove_forced
 from qlozenge.lattice import (
     RegionParams,
     Triangle,
@@ -14,7 +14,6 @@ from qlozenge.lattice import (
     build_q_region,
     down,
     q_region_triangle_count,
-    remove_forced,
     up,
 )
 from qlozenge.qalgebra import QPoly, parse_poly

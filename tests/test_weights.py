@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qlozenge.enumeration import gen_function_oracle, iter_tilings
+from qlozenge.enumeration import gen_function_oracle, iter_tilings, remove_forced
 from qlozenge.lattice import (
     Region,
     RegionParams,
@@ -21,7 +21,7 @@ from qlozenge.weights import (
     WeightUndefined,
     f_exponent,
     g_exponent,
-    lozenge_exponent,
+    lozenge_weight,
     tiling_exponent,
     tiling_volume,
 )
@@ -41,50 +41,54 @@ def _mac_q(a, b, c):
 def test_left_lozenges_are_free():
     region = build_hexagon(1, 1, 1)
     left = make_lozenge(up(0, 0), down(0, -1))
-    assert lozenge_exponent(W.WT1, region, left) == 0
-    assert lozenge_exponent(W.WT2, region, left) == 0
-    assert lozenge_exponent(W.WT3, region, left) == 0
+    assert lozenge_weight(W.WT1, region)(left) == 0
+    assert lozenge_weight(W.WT2, region)(left) == 0
+    assert lozenge_weight(W.WT3, region)(left) == 0
 
 
 def test_unit_hexagon_right_lozenge_exponents():
     region = build_hexagon(1, 1, 1)
     low = make_lozenge(up(0, 0), down(0, 0))
     high = make_lozenge(up(1, -1), down(1, -1))
-    assert {lozenge_exponent(W.WT2, region, low), lozenge_exponent(W.WT2, region, high)} == {1, 2}
-    assert {lozenge_exponent(W.WT1, region, low), lozenge_exponent(W.WT1, region, high)} == {1, 2}
+    for w in (W.WT1, W.WT2):
+        exponent = lozenge_weight(w, region)
+        assert {exponent(low), exponent(high)} == {1, 2}
 
 
 def test_unit_hexagon_vertical_exponents():
     region = build_hexagon(1, 1, 1)
     west = make_lozenge(down(0, -1), up(1, -1))
     east = make_lozenge(down(0, 0), up(1, 0))
-    assert lozenge_exponent(W.WT3, region, west) == 1
-    assert lozenge_exponent(W.WT3, region, east) == 2
+    assert lozenge_weight(W.WT3, region)(west) == 1
+    assert lozenge_weight(W.WT3, region)(east) == 2
 
 
 def test_wt0_has_no_per_lozenge_value():
-    region = build_hexagon(1, 1, 1)
-    loz = make_lozenge(up(0, 0), down(0, 0))
     with pytest.raises(WeightUndefined):
-        lozenge_exponent(W.WT0, region, loz)
+        lozenge_weight(W.WT0, build_hexagon(1, 1, 1))
 
 
 def test_missing_frames():
     sh = build_semihexagon_dented(2, 1, [1, 3])
     loz = make_lozenge(up(0, 1), down(0, 1))
-    assert lozenge_exponent(W.WT2, sh, loz) == 1  # row 0, one step above the base
+    assert lozenge_weight(W.WT2, sh)(loz) == 1  # row 0, one step above the base
     with pytest.raises(MissingFrame):
-        lozenge_exponent(W.WT1, sh, loz)
-    vert = make_lozenge(down(0, 1), up(1, 1))
+        lozenge_weight(W.WT1, sh)
     with pytest.raises(MissingFrame):
-        lozenge_exponent(W.WT3, sh, vert)
-    bushy = build_q_region(RegionParams(1, 1, 1, 1, 1, 1, 1, 1))
-    anyvert = make_lozenge(down(0, -1), up(1, -1))
+        lozenge_weight(W.WT3, sh)
     with pytest.raises(MissingFrame):
-        lozenge_exponent(W.WT3, bushy, anyvert)
-    bare = Region(frozenset([up(0, 0), down(0, 0)]))
+        lozenge_weight(W.WT3, build_q_region(RegionParams(1, 1, 1, 1, 1, 1, 1, 1)))
     with pytest.raises(MissingFrame):
-        lozenge_exponent(W.WT2, bare, loz)
+        lozenge_weight(W.WT2, Region(frozenset([up(0, 0), down(0, 0)])))
+
+
+def test_a_missing_frame_fails_whatever_the_lozenges():
+    # No frames and no forced lozenge, so no lozenge ever asks for the frame.
+    region = Region(build_hexagon(1, 1, 1).triangles)
+    with pytest.raises(MissingFrame):
+        remove_forced(region, W.WT2)
+    with pytest.raises(MissingFrame):
+        tiling_exponent(W.WT2, region, frozenset())
 
 
 def test_tiling_exponent_trivial():
@@ -179,8 +183,8 @@ def test_hexagon_generating_functions_match_product():
     for a, b, c in itertools.product(range(4), repeat=3):
         region = build_hexagon(a, b, c)
         mac = _mac_q(a, b, c)
-        assert gen_function_oracle(region, W.WT1).poly == mac.shift(a * b * (b + 1) // 2)
-        assert gen_function_oracle(region, W.WT2).poly == mac.shift(b * a * (a + 1) // 2)
+        assert gen_function_oracle(region, W.WT1) == mac.shift(a * b * (b + 1) // 2)
+        assert gen_function_oracle(region, W.WT2) == mac.shift(b * a * (a + 1) // 2)
 
 
 def test_volume_changes_by_one_under_hexagon_flip():
