@@ -4,10 +4,11 @@ remove_forced).
 
 The two routes share one contract (the generating function of a region
 under a weight assignment, a plain QPoly) and deliberately share no
-code: the oracle backtracks over whole tilings, the engine sweeps the
-region one triangle at a time carrying a boundary mask.  Tests pit them
-against each other.  Both resolve the weight through
-weights.lozenge_weight: the engine once per region, the oracle per tiling.
+enumeration code: the oracle backtracks over whole tilings, the engine
+sweeps the region one triangle at a time carrying a boundary mask.  Tests
+pit them against each other.  Both resolve the weight once per region,
+through weights.lozenge_weight (wt0: the region's parameter tag), before
+they enumerate anything.
 
 Once per region the engine picks the orientation whose lozenges cross
 its sweep's rows.  Every tiling uses exactly k of the n candidate
@@ -65,6 +66,7 @@ from .lattice import (
     VERTICAL,
     Lozenge,
     Region,
+    RegionParams,
     Triangle,
     make_lozenge,
     partner_candidates,
@@ -77,7 +79,6 @@ from .weights import (
     WeightAssignment,
     g_exponent,
     lozenge_weight,
-    tiling_exponent,
     tiling_volume,
 )
 
@@ -146,18 +147,30 @@ def iter_tilings(
     return rec(region.triangles)
 
 
+def _wt0_params(region: Region) -> RegionParams:
+    """The parameters a wt0 pile is measured against, checked up front."""
+    if region.params is None:
+        raise MissingFrame("wt0 needs a parameter-tagged region")
+    return region.params
+
+
 def gen_function_oracle(
     region: Region,
     w: WeightAssignment,
     max_triangles: int = DEFAULT_TRIANGLE_BUDGET,
 ) -> QPoly:
-    """Generating function by brute force, one tiling at a time."""
+    """Generating function by brute force, one tiling at a time.  The
+    weight is resolved before any tiling is drawn, so a region it cannot
+    weigh fails whether it has tilings or not."""
+    if w is WeightAssignment.WT0:
+        _wt0_params(region)
+        exponent = lambda tiling: tiling_volume(region, tiling)
+    else:
+        weight = lozenge_weight(w, region)
+        exponent = lambda tiling: sum(map(weight, tiling))
     terms: dict[int, int] = {}
     for tiling in iter_tilings(region, max_triangles=max_triangles):
-        if w is WeightAssignment.WT0:
-            e = tiling_volume(region, tiling)
-        else:
-            e = tiling_exponent(w, region, tiling)
+        e = exponent(tiling)
         terms[e] = terms.get(e, 0) + 1
     return QPoly(terms)
 
@@ -325,9 +338,8 @@ def gen_function(
     exponent, which is the only way wt0 exists (see the weights module).
     """
     if w is WeightAssignment.WT0:
-        if region.params is None:
-            raise MissingFrame("wt0 needs a parameter-tagged region")
-        return _frontier(region, WeightAssignment.WT2, max_states).shift(-g_exponent(region.params))
+        offset = g_exponent(_wt0_params(region))
+        return _frontier(region, WeightAssignment.WT2, max_states).shift(-offset)
     return _frontier(region, w, max_states)
 
 

@@ -6,7 +6,8 @@ building blocks of q-factorials and q-hyperfactorials) is written as an
 exponent map {j: e} for prod_j [j]^e, and resolve takes that map, because
 product formulas cancel most factors before expansion is worthwhile.
 resolve cancels them in the cyclotomic basis, where no division is
-left, and multiplies the survivors as Kronecker-packed integers.
+left, and multiplies the survivors as Kronecker-packed integers, shortest
+first, each product packed at the width its own coefficients need.
 
 All values are immutable after construction; operations return new
 objects and are safe to call from worker processes.
@@ -15,6 +16,7 @@ objects and are safe to call from worker processes.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from functools import lru_cache
 from math import isqrt
 from typing import Mapping, Sequence
@@ -220,26 +222,21 @@ def _digits(value: int, size: int, slots: int) -> list[int]:
     return [int.from_bytes(raw[i * size : (i + 1) * size], "little") - half for i in range(slots)]
 
 
-def _expand(factors: list[tuple[int, int]]) -> list[int]:
-    """Coefficients, lowest first, of the product of Phi_d^e over (d, e).
+def _power(d: int, e: int) -> list[int]:
+    """Coefficients, lowest first, of Phi_d^e.  No coefficient of a product
+    exceeds the product of its factors' coefficient-magnitude sums, so the
+    slot width is that bound's bit length plus a sign bit, in whole bytes."""
+    phi = _cyclotomic(d)
+    size = (sum(map(abs, phi)) ** e).bit_length() // 8 + 1
+    return _digits(pow(_packed(phi, size), e), size, (len(phi) - 1) * e + 1)
 
-    No coefficient of a product exceeds the product of its factors'
-    coefficient-magnitude sums, so W is that bound's bit length plus a
-    sign bit, in whole bytes.  The powers are multiplied in a balanced tree.
-    """
-    bound, degree = 1, 0
-    for d, e in factors:
-        phi = _cyclotomic(d)
-        bound *= sum(map(abs, phi)) ** e
-        degree += (len(phi) - 1) * e
-    size = bound.bit_length() // 8 + 1
-    packed = [1] + [pow(_packed(_cyclotomic(d), size), e) for d, e in factors]
-    while len(packed) > 1:
-        packed = [
-            packed[i] * packed[i + 1] if i + 1 < len(packed) else packed[i]
-            for i in range(0, len(packed), 2)
-        ]
-    return _digits(packed[0], size, degree + 1)
+
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of a*b.  By Cauchy-Schwarz no coefficient exceeds
+    |a|_2 |b|_2, computed exactly from the two factors, so the slot width
+    is that bound's bit length plus a sign bit, in whole bytes."""
+    size = isqrt(sum(c * c for c in a) * sum(c * c for c in b)).bit_length() // 8 + 1
+    return _digits(_packed(a, size) * _packed(b, size), size, len(a) + len(b) - 1)
 
 
 def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
@@ -253,12 +250,13 @@ def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
     NonExactDivision is raised before anything is multiplied.
 
     Polynomials are multiplied as integers, evaluated at q = 2^W
-    (Kronecker substitution), with W wide enough for every coefficient of
-    the product.  The factors split into two halves, each expanded under
-    the coefficient-sum bound of _expand.  That bound is about twice as
-    many bits as the true one once factors cancel, so the final product
-    takes its W from Cauchy-Schwarz instead: no coefficient of left*right
-    exceeds |left|_2 |right|_2, computed exactly from the two halves.
+    (Kronecker substitution), and every product takes its own W from the
+    coefficients it is about to produce.  Each surviving power Phi_d^e is
+    one integer power under the coefficient-sum bound of _power; then the
+    two shortest polynomials are multiplied, again and again, until one is
+    left, each product under the Cauchy-Schwarz bound of _product.  A
+    width shared by a whole group of products would be set by its widest
+    one and pad every other product with zeros.
 
     >>> str(resolve({6: 1, 3: -1, 2: -1}))
     '1 - q + q^2'
@@ -280,10 +278,13 @@ def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
             raise NonExactDivision(
                 "cyclotomic factor Phi_%d has exponent %d: not a polynomial" % (d, e)
             )
-    half = len(factors) // 2
-    left, right = _expand(factors[:half]), _expand(factors[half:])
-    square = sum(c * c for c in left) * sum(c * c for c in right)
-    size = isqrt(square).bit_length() // 8 + 1
-    product = _packed(left, size) * _packed(right, size)
-    coeffs = _digits(product, size, len(left) + len(right) - 1)
-    return QPoly(dict(enumerate(coeffs))).shift(prefactor)
+    polys = [[1]] + [_power(d, e) for d, e in factors]  # [1]: the empty product
+    # (length, tie-breaker, coefficients), shortest first.  Rebinding polys
+    # leaves no second reference, so each factor is freed once multiplied.
+    polys = sorted((len(p), i, p) for i, p in enumerate(polys))
+    while len(polys) > 1:
+        (_, _, a), (_, i, b) = polys[:2]
+        del polys[:2]
+        c = _product(a, b)
+        insort(polys, (len(c), i, c))
+    return QPoly(dict(enumerate(polys[0][2]))).shift(prefactor)

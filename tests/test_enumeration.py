@@ -258,6 +258,17 @@ def test_missing_frame_fails_before_the_sweep():
     assert count_tilings(bare) == 1
 
 
+@pytest.mark.parametrize("route", [gen_function, gen_function_oracle])
+@pytest.mark.parametrize("w", list(W), ids=lambda w: w.name)
+def test_both_routes_fail_an_untileable_frameless_region(route, w):
+    # No tiling ever reaches the weight, so only a check made before
+    # enumerating can see that the frame and the parameter tag are missing.
+    region = Region(frozenset({up(0, 0), down(5, 5)}))
+    assert count_tilings(region) == 0
+    with pytest.raises(MissingFrame):
+        route(region, w)
+
+
 def test_negative_exponent_is_refused():
     hexagon = build_hexagon(2, 2, 2)
     shifted = Region(hexagon.triangles, None, Frames(base_row=3, se_i=-1, sw_level=5))

@@ -220,6 +220,23 @@ def test_qmain_expands_exactly_and_counts_at_q1(raw):
         assert hashlib.sha256(str(result.poly).encode()).hexdigest() == _PINNED_QMAIN[raw]
 
 
+# SHA-256 of str(poly) for products whose widest coefficients have 106, 247
+# and 270 bits, so resolve's slots span several bytes.  The MacMahon digests
+# were recorded while resolve still packed a whole group of products at
+# one shared width.
+@pytest.mark.parametrize(
+    "formula, args, digest",
+    [
+        (macmahon_q, (10, 10, 10), "6d3ab79ceb434e638529b8c171c0f83738e222ec645d1c479d16cfdfa0ef170d"),
+        (macmahon_q, (15, 15, 15), "61c5e27ceb3f69deb70ff7aa5bac74ef277a7f8b90858f6cc30c38bd2b1b66bf"),
+        (theorem_qmain, (RegionParams(6, 4, 6, 7, 4, 5, 5, 5),), _PINNED_QMAIN[(6, 4, 6, 7, 4, 5, 5, 5)]),
+    ],
+    ids=["macmahon-10", "macmahon-15", "qmain-wide"],
+)
+def test_wide_products_match_their_pins(formula, args, digest):
+    assert hashlib.sha256(str(formula(*args).poly).encode()).hexdigest() == digest
+
+
 # SHA-256 over "<args> <poly> <prefactor_exponent>" lines, args in
 # itertools.product order, recorded from the separate hyperfactorial
 # products each formula had before it became theorem_qmain times a q-power.

@@ -73,6 +73,36 @@ def test_resolve_decodes_signed_coefficients():
     assert resolve({4: 1, 2: -1}) == QPoly({0: 1, 2: 1})
 
 
+def test_resolve_of_the_empty_product():
+    # [1] has no cyclotomic factor, so [1]^-2 leaves nothing to multiply.
+    assert resolve({}) == 1
+    assert resolve({1: -2}) == 1
+    assert resolve({}, 3) == QPoly({3: 1})
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("bits", [7, 15, 63, 255, 1023])
+def test_product_matches_schoolbook_where_cauchy_schwarz_is_tight(k, bits):
+    # Two rows of k coefficients +-M: the middle coefficient of the product
+    # is +-k M^2 = |a|_2 |b|_2, the bound the slot width is taken from.
+    # k M^2 fills `bits` = 8n - 1 bits, the most an n-byte signed slot
+    # holds, at M = top, and spills into one more byte at M = top + 1.
+    top = math.isqrt(((1 << bits) - 1) // k)
+    assert (k * top**2).bit_length() <= bits < (k * (top + 1) ** 2).bit_length()
+    for m in (top - 1, top, top + 1):
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            a, b = [sa * m] * k, [sb * m] * k
+            assert qalgebra._product(a, b) == _schoolbook(a, b), (m, sa, sb)
+
+
 def test_resolve_rejects_a_negative_cyclotomic_exponent():
     # [6] / [4] has a numerator of higher degree, yet Phi_4 divides only [4].
     with pytest.raises(NonExactDivision):
