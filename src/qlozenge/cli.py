@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from .enumeration import (
@@ -411,6 +412,9 @@ def _region_flags(sub) -> None:
     )
 
 
+# Built once per process: a build costs about 25 times what parsing one argv
+# does, and parsing leaves the parser as it was.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlozenge",

@@ -11,15 +11,16 @@ Each check's precondition is one private predicate, which the check
 calls and the suites filter on, so a suite never emits a Precondition line.
 
 run_suite builds a deterministic task list per suite name.  A task is
-(key, check, *args): the region the task builds, then a check call, its
+(key, check, *args): the region the task reads, then a check call, its
 arguments already typed (RegionParams, Region, Triangle marks,
-WeightAssignment).  The suite builder writes the key where it knows the
-region: the RegionParams of a formula, prop31, kuo or magnet-reduction
-task, (a, b, dents) for a semihexagon, None for a task that builds no
-region.  Tasks with equal keys form one group, and a None task a group
-of its own.  Each group runs inside one lattice.shared_work block, so the region
-is built, split by kuo_remove, counted and swept under each weight once
-however many checks ask; nothing is kept from one group to the next.
+WeightAssignment).  The key is a semihexagon's (a, b, dents), None for
+q_int_addition, and the RegionParams for every other task.  Tasks with
+equal keys form one group, a None task a group of its own, and each
+group runs inside one lattice.shared_work block: the region is built,
+split by kuo_remove, counted and swept under each weight once, and its
+Kuo products multiplied once, however many checks ask; nothing is kept
+from one group to the next.  One table, _KUO_MOVES, gives Kuo's five
+removals as moves of the sides, for the recurrences and reductions alike.
 Groups run in this process or, with jobs > 1, one per pool item, and the
 reports are put back in task order, so the output is identical however
 many workers ran them.
@@ -31,7 +32,6 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from multiprocessing import Pool
 from typing import Callable, Iterator, Optional, Sequence
 
 from .enumeration import (
@@ -85,7 +85,8 @@ class Report:
 
 def _verdict(name: str, params: tuple, lhs: QPoly, rhs: QPoly) -> Report:
     if lhs == rhs:
-        return Report(name, params, PASS, lhs, rhs)
+        # One object for both sides, which a pool then pickles once.
+        return Report(name, params, PASS, lhs, lhs)
     return Report(name, params, FAIL, lhs, rhs, lhs - rhs)
 
 
@@ -152,12 +153,13 @@ def check_kuo(
     parts = kuo_remove(region, list(marks))
     mark_key = tuple((t.row, t.pos, t.orient) for t in marks)
     params = (region_digest(region)[:12], mark_key, w)
-    if w is WeightAssignment.WT0:
-        whole = QPoly(count_tilings(region, max_states))
-        removed, uv, ws, us, vw = (QPoly(count_tilings(r, max_states)) for r in parts)
-    else:
-        whole = gen_function(region, w, max_states)
-        removed, uv, ws, us, vw = (gen_function(r, w, max_states) for r in parts)
+
+    def value(r: Region) -> QPoly:
+        if w is WeightAssignment.WT0:
+            return QPoly(count_tilings(r, max_states))
+        return gen_function(r, w, max_states)
+
+    whole, removed, uv, ws, us, vw = map(value, [region, *parts])
     return _verdict("kuo", params, whole * removed, uv * ws + us * vw)
 
 
@@ -175,15 +177,35 @@ def four_point_marks(p: RegionParams) -> list[Triangle]:
     ]
 
 
+# Kuo's five mark removals, in kuo_remove's order, each as the moves of the
+# region's sides that give the smaller region the removal leaves.
+_KUO_MOVES = {
+    "uvws": {"y": -1, "t": -1},
+    "uv": {"y": -1},
+    "ws": {"t": -1},
+    "us": {"y": -1, "z": 1, "t": -1},
+    "vw": {"z": -1},
+}
+
+
 def _moved(p: RegionParams, **steps: int) -> Optional[RegionParams]:
     """p with each named side moved by its step, or None once one is negative."""
     moved = [v + steps.get(name, 0) for name, v in zip(RegionParams.__match_args__, p)]
     return None if min(moved) < 0 else RegionParams(*moved)
 
 
-def _weighted_or_zero(p: RegionParams, **steps: int) -> QPoly:
-    n = _moved(p, **steps)
-    return QPoly(0) if n is None else theorem_qmain(n).poly.shift(g_exponent(n))
+def _kuo_products(p: RegionParams) -> list[tuple[QPoly, int]]:
+    """Kuo's products whole*uvws, uv*ws, us*vw of theorem_qmain at p and its five
+    moves (0 where a side goes negative), each with its factors' g_exponent sum."""
+
+    def compute() -> list[tuple[QPoly, int]]:
+        whole, uvws, uv, ws, us, vw = [
+            (QPoly(0), 0) if n is None else (theorem_qmain(n).poly, g_exponent(n))
+            for n in (_moved(p, **steps) for steps in ({}, *_KUO_MOVES.values()))
+        ]
+        return [(f * h, gf + gh) for (f, gf), (h, gh) in ((whole, uvws), (uv, ws), (us, vw))]
+
+    return shared(("kuo_products", p), compute)
 
 
 def _recurrence_applies(p: RegionParams) -> bool:
@@ -195,19 +217,13 @@ def _psi_applies(p: RegionParams) -> bool:
 
 
 def _wt2_recurrence(name: str, params: tuple, p: RegionParams) -> Report:
-    """Three-term product recurrence for the region's wt2 value, with each
-    factor taken from the closed formula (prefactor included).
-
-    A side parameter driven to -1 contributes an empty factor, so that
-    term drops out; this is how z = 0 tuples stay inside the sweep.
-    """
+    """Kuo's three-term product recurrence for the region's wt2 value, each
+    factor taken from the closed formula times q^g_exponent."""
     if not _recurrence_applies(p):
         return _precondition(name, params)
-    lhs = _weighted_or_zero(p) * _weighted_or_zero(p, y=-1, t=-1)
-    rhs = _weighted_or_zero(p, y=-1) * _weighted_or_zero(p, t=-1) + (
-        _weighted_or_zero(p, y=-1, z=1, t=-1) * _weighted_or_zero(p, z=-1)
-    ).shift(p.z + p.t + p.m + p.a + p.b + p.c)
-    return _verdict(name, params, lhs, rhs)
+    (whole_uvws, g1), (uv_ws, g2), (us_vw, g3) = _kuo_products(p)
+    rhs = uv_ws.shift(g2) + us_vw.shift(g3 + p.z + p.t + p.m + p.a + p.b + p.c)
+    return _verdict(name, params, whole_uvws.shift(g1), rhs)
 
 
 def check_magnet_recurrence(m: int, a: int, x: int, y: int, z: int, t: int) -> Report:
@@ -233,29 +249,23 @@ def check_psi_recurrence(p: RegionParams) -> Report:
     if not _psi_applies(p):
         return _precondition("psi_recurrence", params)
     big_a = p.m + p.a + p.b + p.c + p.x + p.y + p.t - 1
-
-    def phi(**steps: int) -> QPoly:
-        return theorem_qmain(_moved(p, **steps)).poly
-
-    lhs = phi(y=-1) * phi(t=-1) + (phi(z=-1) * phi(y=-1, z=1, t=-1)).shift(big_a)
-    rhs = phi() * phi(y=-1, t=-1)
-    report = _verdict("psi_recurrence", params, lhs, rhs)
+    (whole_uvws, _), (uv_ws, _), (us_vw, _) = _kuo_products(p)
+    lhs = uv_ws + us_vw.shift(big_a)
+    report = _verdict("psi_recurrence", params, lhs, whole_uvws)
     scalar = check_q_int_addition(big_a, p.z)
     if report.status is PASS and scalar.status is not PASS:
-        return Report("psi_recurrence", params, FAIL, lhs, rhs, scalar.witness)
+        return Report("psi_recurrence", params, FAIL, lhs, whole_uvws, scalar.witness)
     return report
 
 
-def check_prop31(
-    p: RegionParams, max_triangles: int = DEFAULT_TRIANGLE_BUDGET
-) -> Report:
+def check_prop31(p: RegionParams) -> Report:
     """Both distance weights against the volume sum, by full enumeration.
 
     The wt1 comparison runs first and is reported if it fails; otherwise
     the report carries the wt2 comparison.
     """
     region = build_q_region(p)
-    vol = gen_function_oracle(region, WeightAssignment.WT0, max_triangles)
+    vol = gen_function_oracle(region, WeightAssignment.WT0)
     for w, offset in ((WeightAssignment.WT1, f_exponent), (WeightAssignment.WT2, g_exponent)):
         swept = gen_function(region, w)
         report = _verdict("prop31", tuple(p), swept, vol.shift(offset(p)))
@@ -279,18 +289,6 @@ def check_formula_vs_enumeration(
     return _verdict("formula_vs_enumeration", (builder_id, ps, w), swept, formula)
 
 
-# Each deletion step's smaller bar as moves of the bar's sides, in the
-# order of kuo_remove's parts.
-_REDUCTION_MOVES = {
-    "uvws": {"y": -1, "t": -1},
-    "uv": {"y": -1},
-    "ws": {"t": -1},
-    "us": {"y": -1, "z": 1, "t": -1},
-    "vw": {"z": -1},
-}
-_REDUCTION_STEPS = tuple(_REDUCTION_MOVES)
-
-
 def _reduction_exponent(p: RegionParams, step: str) -> int:
     """The exponent of the smaller bar's predicted prefactor."""
     hh = p.z + p.t + p.m + p.a
@@ -301,11 +299,10 @@ def _reduction_exponent(p: RegionParams, step: str) -> int:
 
 def _reduction_applies(p: RegionParams, step: str) -> bool:
     return (
-        p.y >= 1
-        and p.t >= 1
+        _recurrence_applies(p)
         and p.x + p.y + p.m >= 2
         and p.t + p.a >= 2
-        and _moved(p, **_REDUCTION_MOVES[step]) is not None
+        and _moved(p, **_KUO_MOVES[step]) is not None
     )
 
 
@@ -321,16 +318,16 @@ def check_magnet_reduction(
     scratch shifted by the predicted prefactor.  Inside shared_work the
     bar is built and split once for all five steps.
     """
-    if step not in _REDUCTION_MOVES:
+    if step not in _KUO_MOVES:
         raise ValueError("unknown reduction step %r" % (step,))
     params = (m, a, x, y, z, t, step)
     p = magnet_bar_params(m, a, x, y, z, t)
     if not _reduction_applies(p, step):
         return _precondition("magnet_reduction", params)
     parts = shared(("kuo", p), lambda: kuo_remove(build_q_region(p), four_point_marks(p)))
-    core, stripped = remove_forced(parts[_REDUCTION_STEPS.index(step)], WeightAssignment.WT2)
+    core, stripped = remove_forced(dict(zip(_KUO_MOVES, parts))[step], WeightAssignment.WT2)
     lhs = gen_function(core, WeightAssignment.WT2).shift(stripped)
-    smaller = build_q_region(_moved(p, **_REDUCTION_MOVES[step]))
+    smaller = build_q_region(_moved(p, **_KUO_MOVES[step]))
     rhs = gen_function(smaller, WeightAssignment.WT2)
     return _verdict("magnet_reduction", params, lhs, rhs.shift(_reduction_exponent(p, step)))
 
@@ -415,17 +412,17 @@ def _suite_kuo(max_sum: int) -> list[tuple]:
 
 def _suite_recurrences(max_sum: int) -> list[tuple]:
     bars = [(ps, magnet_bar_params(*ps)) for ps in _bounded_tuples(6, max_sum)]
-    tasks = [(None, check_magnet_recurrence, *ps) for ps, p in bars if _recurrence_applies(p)]
+    tasks = [(p, check_magnet_recurrence, *ps) for ps, p in bars if _recurrence_applies(p)]
     for ps in _bounded_tuples(8, max_sum):
         p = RegionParams(*ps)
         if _recurrence_applies(p):
-            tasks.append((None, check_q_recurrence, p))
+            tasks.append((p, check_q_recurrence, p))
         if _psi_applies(p):
-            tasks.append((None, check_psi_recurrence, p))
+            tasks.append((p, check_psi_recurrence, p))
     tasks += [
         (p, check_magnet_reduction, *ps, step)
         for ps, p in bars
-        for step in _REDUCTION_STEPS
+        for step in _KUO_MOVES
         if _reduction_applies(p, step)
     ]
     tasks += [
@@ -481,6 +478,10 @@ def run_suite(name: str, max_sum: int = 4, jobs: int = 1) -> list[Report]:
         groups.setdefault(i if task[0] is None else task[0], []).append(i)
     batches = ([tasks[i] for i in group] for group in groups.values())
     if jobs > 1:
+        # Imported here, as only a pooled run needs it: the import holds
+        # about 0.8 MB of RSS that every other run would carry.
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             done = pool.map(_run_group, batches)
     else:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qlozenge.cli import main, render_svg
+from qlozenge.cli import build_parser, main, render_svg
 from qlozenge.enumeration import gen_function, iter_tilings
 from qlozenge.formulas import semihex_dents_M2
 from qlozenge.lattice import (
@@ -207,6 +207,19 @@ def test_usage_errors(capsys):
     assert run(capsys, "formula", "main")[0] == 2
     assert run(capsys, "formula", "qmain", "--params", "1,1,1")[0] == 2
     assert run(capsys, "count", "q_region", "--params", "1,1,x,1,1,1,1,1")[0] == 2
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_built(capsys):
+    argv = ["genfun", "hexagon", "--a", "1", "--b", "2", "--c", "1"]
+    build_parser.cache_clear()
+    fresh = run(capsys, *argv)
+    for bad in (["genfun", "hexagon", "--a", "x"], ["verify", "--suite", "nonesuch"]):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+        capsys.readouterr()
+    assert run(capsys, *argv) == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 def test_render_empty_region(capsys):

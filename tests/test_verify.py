@@ -13,6 +13,7 @@ from qlozenge.lattice import (
     build_magnet_bar,
     build_q_region,
     down,
+    magnet_bar_params,
     q_region_triangle_count,
     up,
 )
@@ -155,6 +156,36 @@ def test_q_and_psi_recurrences_hold(ps):
         assert check_q_recurrence(p).status == PASS
         if p.z >= 1:
             assert check_psi_recurrence(p).status == PASS
+
+
+def test_a_tuples_recurrences_share_its_kuo_products(monkeypatch):
+    calls = []
+    real = verify.theorem_qmain
+
+    def spy(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(verify, "theorem_qmain", spy)
+    bar = (1, 1, 1, 1, 1, 1)
+    p = magnet_bar_params(*bar)
+    with lattice.shared_work():
+        reports = [check_magnet_recurrence(*bar), check_q_recurrence(p), check_psi_recurrence(p)]
+    assert [r.status for r in reports] == [PASS] * 3
+    # the whole region and its five Kuo moves, once for all three checks
+    assert len(calls) <= 6
+
+
+def test_a_wrong_g_exponent_fails_the_wt2_recurrences_only(monkeypatch):
+    # Off by one at a single tuple: an error linear in the parameters would
+    # cancel across Kuo's three products.
+    bar = (1, 1, 1, 1, 1, 1)
+    p = magnet_bar_params(*bar)
+    real = verify.g_exponent
+    monkeypatch.setattr(verify, "g_exponent", lambda n: real(n) + (1 if n == p else 0))
+    assert check_magnet_recurrence(*bar).status == FAIL
+    assert check_q_recurrence(p).status == FAIL
+    assert check_psi_recurrence(p).status == PASS
 
 
 def test_q_int_addition():
