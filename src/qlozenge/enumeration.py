@@ -53,7 +53,6 @@ its exponent tables, so the weight is resolved and its frame checked.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from math import comb
 from typing import Iterator, NamedTuple, Optional
@@ -98,6 +97,10 @@ class Untileable(ValueError):
 
 
 def region_digest(region: Region) -> str:
+    # Imported here, as only a digest needs it: genfun and count print
+    # none without --json.
+    import hashlib
+
     return hashlib.sha256(region_json(region).encode("ascii")).hexdigest()
 
 

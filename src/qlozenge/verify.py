@@ -22,14 +22,16 @@ Kuo products multiplied once, however many checks ask; nothing is kept
 from one group to the next.  One table, _KUO_MOVES, gives Kuo's five
 removals as moves of the sides, for the recurrences and reductions alike.
 Groups run in this process or, with jobs > 1, one per pool item, and the
-reports are put back in task order, so the output is identical however
-many workers ran them.
+results are put back in task order, so the output is identical however
+many workers ran them.  Library callers get Reports.  The CLI passes a
+renderer, so workers return (passed, line) and no Report crosses the pool.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
@@ -100,6 +102,11 @@ def _plain(value):
     if isinstance(value, (tuple, list, RegionParams)):
         return [_plain(v) for v in value]
     return value
+
+
+# A module-level Report -> str function (report_line or report_json), so a
+# pool pickles it by reference.
+Render = Optional[Callable[[Report], str]]
 
 
 def report_json(report: Report) -> str:
@@ -464,14 +471,17 @@ def suite_tasks(name: str, max_sum: int = 4) -> list[tuple]:
     return _SUITES[name](max_sum)
 
 
-def _run_group(tasks: list[tuple]) -> list[Report]:
+def _run_group(tasks: list[tuple], render: Render = None) -> list:
     with shared_work():
-        return [task[1](*task[2:]) for task in tasks]
+        reports = [task[1](*task[2:]) for task in tasks]
+    return [(r.status == PASS, render(r)) for r in reports] if render else reports
 
 
-def run_suite(name: str, max_sum: int = 4, jobs: int = 1) -> list[Report]:
-    """Run one suite a group at a time (see the module docstring); reports
-    come back in task order regardless of jobs."""
+def run_suite(name: str, max_sum: int = 4, jobs: int = 1, render: Render = None) -> list:
+    """Run one suite a group at a time (see the module docstring); results
+    come back in task order regardless of jobs: Reports, or with render the
+    pairs (status is Pass, render(report)), made in the workers."""
+    run = partial(_run_group, render=render)
     tasks = suite_tasks(name, max_sum)
     groups: dict = {}
     for i, task in enumerate(tasks):
@@ -483,11 +493,11 @@ def run_suite(name: str, max_sum: int = 4, jobs: int = 1) -> list[Report]:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            done = pool.map(_run_group, batches)
+            done = pool.map(run, batches)
     else:
-        done = map(_run_group, batches)
-    reports: list = [None] * len(tasks)
+        done = map(run, batches)
+    results: list = [None] * len(tasks)
     for group, ran in zip(groups.values(), done):
-        for i, report in zip(group, ran):
-            reports[i] = report
-    return reports
+        for i, result in zip(group, ran):
+            results[i] = result
+    return results

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import multiprocessing
 
 import pytest
 
+from qlozenge import verify
 from qlozenge.cli import build_parser, main, render_svg
 from qlozenge.enumeration import gen_function, iter_tilings
 from qlozenge.formulas import semihex_dents_M2
@@ -14,6 +16,7 @@ from qlozenge.lattice import (
     build_semihexagon_dented,
 )
 from qlozenge.qalgebra import parse_poly
+from qlozenge.verify import suite_tasks
 from qlozenge.weights import WeightAssignment as W
 
 
@@ -334,17 +337,54 @@ def test_jobs_is_capped_at_the_core_count(capsys, monkeypatch):
     # The recorder stands in for the pool, so no worker is ever started.
     calls = []
 
-    def record(suite, max_sum, jobs):
+    def record(suite, max_sum, jobs, render):
         calls.append(jobs)
         return []
 
     monkeypatch.setattr("qlozenge.cli.run_suite", record)
+    monkeypatch.delattr("qlozenge.cli.os.sched_getaffinity", raising=False)
     monkeypatch.setattr("qlozenge.cli.os.cpu_count", lambda: 4)
     assert main(["verify", "--suite", "qmain", "--jobs", "1000000"]) == 0
     assert main(["verify", "--suite", "qmain", "--jobs", "3"]) == 0
     monkeypatch.setattr("qlozenge.cli.os.cpu_count", lambda: None)
     assert main(["verify", "--suite", "qmain", "--jobs", "1000000"]) == 0
     assert calls == [4, 3, 1]
+    # Under `taskset -c 0` on two cores the affinity mask, not the core
+    # count, bounds the workers.
+    monkeypatch.setattr("qlozenge.cli.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("qlozenge.cli.os.sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["verify", "--suite", "qmain", "--jobs", "2"]) == 0
+    assert calls == [4, 3, 1, 1]
+
+
+def test_a_failing_check_exits_1_at_every_jobs_value(capsys, monkeypatch):
+    # g_exponent off by one at one tuple fails its magnet and q recurrences.
+    # Only forked pool workers see the patch; two usable CPUs are claimed
+    # so that --jobs 2 really starts a pool.
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers would not inherit the patched g_exponent")
+    p = RegionParams(0, 1, 1, 1, 0, 0, 0, 0)
+    real = verify.g_exponent
+    monkeypatch.setattr(verify, "g_exponent", lambda n: real(n) + (1 if n == p else 0))
+    monkeypatch.setattr("qlozenge.cli.os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for fmt in ([], ["--json"]):
+        outs = set()
+        for jobs in ("1", "2"):
+            argv = ["verify", "--suite", "recurrences", "--max-sum", "3", "--jobs", jobs]
+            code, out, _ = run(capsys, *argv, *fmt)
+            assert code == 1
+            outs.add(out)
+        (out,) = outs
+        assert len(out.splitlines()) == len(suite_tasks("recurrences", 3))
+        fails = [line for line in out.splitlines() if "Fail" in line]
+        assert len(fails) == 2
+
+
+def test_tilings_json_flag_changes_nothing(capsys):
+    argv = ["tilings", "hexagon", "--a", "1", "--b", "2", "--c", "1"]
+    plain = run(capsys, *argv)
+    assert plain[0] == 0 and plain[1]
+    assert run(capsys, *argv, "--json") == plain
 
 
 @pytest.mark.parametrize(

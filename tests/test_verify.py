@@ -34,6 +34,7 @@ from qlozenge.verify import (
     check_q_recurrence,
     four_point_marks,
     report_json,
+    report_line,
     run_suite,
     suite_names,
     suite_tasks,
@@ -333,6 +334,13 @@ def test_all_suites_cross_the_pool_unchanged():
     parallel = [report_json(r) for r in run_suite("all", 1, jobs=2)]
     assert sequential == parallel
     assert len(sequential) == len(suite_tasks("all", 1))
+
+
+@pytest.mark.parametrize("render", [report_line, report_json])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rendered_results_are_the_reports_rendered(render, jobs):
+    expected = [(r.status == PASS, render(r)) for r in run_suite("all", 1, jobs)]
+    assert run_suite("all", 1, jobs, render=render) == expected
 
 
 @pytest.mark.parametrize("name", suite_names())
