@@ -4,11 +4,16 @@ remove_forced).
 
 The two routes share one contract (the generating function of a region
 under a weight assignment, a plain QPoly) and deliberately share no
-enumeration code: the oracle backtracks over whole tilings, the engine
-sweeps the region one triangle at a time carrying a boundary mask.  Tests
-pit them against each other.  Both resolve the weight once per region,
-through weights.lozenge_weight (wt0: the region's parameter tag), before
-they enumerate anything.
+enumeration code; tests pit them against each other.  Both, and the
+surgery, find neighbours on lattice.encode's integer codes, from the one
+move table that a test checks against the triangles' corners.  The
+oracle numbers the triangles in sorted order, lists each one's lozenges
+with later ones once as (pair bitmask, Lozenge), and backtracks on one
+int: its lowest set bit is the triangle to cover, and ^ takes a pair
+off.  The engine sweeps the region one triangle at a time carrying a
+boundary mask.  Both resolve the weight once per region, through the
+weights module (wt0: the region's parameter tag), before they enumerate
+anything.
 
 Once per region the engine picks the orientation whose lozenges cross
 its sweep's rows.  Every tiling uses exactly k of the n candidate
@@ -23,12 +28,14 @@ In that frame, with span positions to a row, up(r, p) sits in slot
 2*(r*span + p) and down(r, p) in the next; a lozenge is a move of its
 earlier triangle, bit d - 1 for a partner d slots ahead.  The exponent
 tables list each triangle's slot, row (for budget errors) and (bit,
-exponent) moves, exponents taken in the region's own frame.  A state is
-an int bitmask whose bit k says the triangle k slots ahead is already
-covered; between visited triangles it shifts right by the slot gap.
-Every frame is a lattice image of the region, so an up triangle has at
-most one move (next slot) and a down triangle two (next slot, 2*span - 1
-ahead): their other neighbours come earlier.  A state's value is a pair:
+exponent) moves, exponents taken in the region's own frame by
+weights.down_weight from the plan's (orientation, down row, down pos) of
+each lozenge, so no Lozenge is built.  A state is an int bitmask whose
+bit k says the triangle k slots ahead is already covered; between
+visited triangles it shifts right by the slot gap.  Every frame is a
+lattice image of the region, so an up triangle has at most one move
+(next slot) and a down triangle two (next slot, 2*span - 1 ahead): their
+other neighbours come earlier.  A state's value is a pair:
 its tiling count, and its polynomial Kronecker-packed into one int with
 the coefficient of q^e in bytes e*B to (e+1)*B - 1, so a lozenge is a
 left shift and a merge adds both parts.  A state's coefficients are
@@ -58,17 +65,14 @@ from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from .lattice import (
-    DOWN,
     LEFT,
     RIGHT,
-    UP,
     VERTICAL,
     Lozenge,
     Region,
     RegionParams,
     Triangle,
-    make_lozenge,
-    partner_candidates,
+    encode,
     region_json,
     shared,
 )
@@ -76,6 +80,7 @@ from .qalgebra import QPoly
 from .weights import (
     MissingFrame,
     WeightAssignment,
+    down_weight,
     g_exponent,
     lozenge_weight,
     tiling_volume,
@@ -134,20 +139,29 @@ def iter_tilings(
             "%d triangles exceed the enumeration budget of %d"
             % (len(region.triangles), max_triangles)
         )
+    codes, moves = encode(region.triangles)
+    index = {c: k for k, c in enumerate(sorted(codes))}
+    options: list[list[tuple[int, Lozenge]]] = []
+    for c, k in index.items():
+        options.append([])
+        for offset, o in moves[c & 1]:
+            n = c + offset
+            if index.get(n, -1) > k:
+                loz = Lozenge(codes[c], codes[n], o) if c & 1 else Lozenge(codes[n], codes[c], o)
+                options[k].append((1 << k | 1 << index[n], loz))
     acc: list[Lozenge] = []
 
-    def rec(remaining: frozenset[Triangle]) -> Iterator[frozenset[Lozenge]]:
-        if not remaining:
+    def rec(uncovered: int) -> Iterator[frozenset[Lozenge]]:
+        if not uncovered:
             yield frozenset(acc)
             return
-        t = min(remaining)
-        for cand, _ in partner_candidates(t):
-            if cand in remaining:
-                acc.append(make_lozenge(t, cand))
-                yield from rec(remaining - {t, cand})
+        for pair, loz in options[(uncovered & -uncovered).bit_length() - 1]:
+            if uncovered & pair == pair:
+                acc.append(loz)
+                yield from rec(uncovered ^ pair)
                 acc.pop()
 
-    return rec(region.triangles)
+    return rec((1 << len(index)) - 1)
 
 
 def _wt0_params(region: Region) -> RegionParams:
@@ -184,42 +198,47 @@ def gen_function_oracle(
 
 class _Plan(NamedTuple):
     orientation: str  # the orientation whose lozenges cross the sweep's rows
-    # (slot, row in the region's own frame, [(bit, lozenge) it takes]), in slot order
-    steps: list[tuple[int, int, list[tuple[int, Lozenge]]]]
+    # (slot, row in the region's own frame, [(bit, orientation, down row, down
+    # pos) of each lozenge it takes]), in slot order
+    steps: list[tuple[int, int, list[tuple[int, str, int, int]]]]
 
 
-# A triangle's (row, pos, last) in the frame whose rows each orientation
-# crosses, from its own row r, pos p and d = 1 for down; last is 1 for the
-# triangle a slot pair holds second.  Left turns the region a sixth of a
-# turn clockwise, right counterclockwise; both swap up and down triangles.
+# A triangle's slot in the frame whose rows each orientation crosses, from
+# its own row r, pos p, d = 1 for down and the frame's positions to a row:
+# 2*(row*span + pos) + last, last 1 for the triangle a slot pair holds
+# second.  Left turns the region a sixth of a turn clockwise, to row -p and
+# pos r + p + d, right counterclockwise, to row r + p + d and pos -r; both
+# swap up and down triangles.
 _FRAMES = {
-    VERTICAL: lambda r, p, d: (r, p, d),
-    LEFT: lambda r, p, d: (-p, r + p + d, 1 - d),
-    RIGHT: lambda r, p, d: (r + p + d, -r, 1 - d),
+    VERTICAL: lambda r, p, d, span: 2 * (r * span + p) + d,
+    LEFT: lambda r, p, d, span: 2 * (r + p + d - p * span) + 1 - d,
+    RIGHT: lambda r, p, d, span: 2 * ((r + p + d) * span - r) + 1 - d,
 }
 
 
 def _planned(region: Region) -> _Plan:
     """The orientation of least line cost, and the region's slots in its
     frame, each with the lozenges its triangle shares with later ones."""
-    triangles = region.triangles
+    codes, moves = encode(region.triangles)
     # band between two lines that vertical, left, right lozenges cross (of
     # constant row, pos, row + pos) -> ups - downs in the band
     rows, cols, diagonals = {}, {}, {}
     # per orientation, band -> candidate lozenges across the band's top line
     across: dict[str, dict[int, int]] = {o: {} for o in _FRAMES}
-    lozenges = []
-    for t in triangles:
-        r, p, orient = t
-        d = orient == DOWN
-        rows[r] = rows.get(r, 0) + 1 - 2 * d
-        cols[p] = cols.get(p, 0) + 1 - 2 * d
-        diagonals[r + p + d] = diagonals.get(r + p + d, 0) + 1 - 2 * d
-        if d:
-            for (cand, o), line in zip(partner_candidates(t), (r + p, p, r)):
-                if cand in triangles:
-                    lozenges.append(Lozenge(cand, t, o))
-                    across[o][line] = across[o].get(line, 0) + 1
+    lozenges = []  # (up code, down code, orientation, down row, down pos)
+    for c, (r, p, _) in codes.items():
+        if c & 1:
+            rows[r] = rows.get(r, 0) + 1
+            cols[p] = cols.get(p, 0) + 1
+            diagonals[r + p] = diagonals.get(r + p, 0) + 1
+            continue
+        rows[r] = rows.get(r, 0) - 1
+        cols[p] = cols.get(p, 0) - 1
+        diagonals[r + p + 1] = diagonals.get(r + p + 1, 0) - 1
+        for (offset, o), line in zip(moves[0], (r + p, p, r)):
+            if c + offset in codes:
+                lozenges.append((c + offset, c, o, r, p))
+                across[o][line] = across[o].get(line, 0) + 1
     cost = {}
     for o, bands in ((VERTICAL, rows), (LEFT, cols), (RIGHT, diagonals)):
         cost[o] = below = 0
@@ -227,16 +246,15 @@ def _planned(region: Region) -> _Plan:
             below += bands[band]
             cost[o] += comb(across[o].get(band, 0), abs(below))
     orientation = min(cost, key=cost.__getitem__)  # a tie keeps the built frame
-    places = {t: _FRAMES[orientation](t.row, t.pos, t.orient == DOWN) for t in triangles}
-    positions = [pos for _, pos, _ in places.values()] or [0]
-    span = max(positions) - min(positions) + 1
-    slot = {t: 2 * (row * span + pos) + last for t, (row, pos, last) in places.items()}
-    moves: dict[Triangle, list[tuple[int, Lozenge]]] = {t: [] for t in triangles}
-    for loz in lozenges:
-        a, b = slot[loz.first], slot[loz.second]
-        moves[loz.first if a < b else loz.second].append((1 << (abs(a - b) - 1), loz))
-    order = sorted(triangles, key=slot.__getitem__)
-    return _Plan(orientation, [(slot[t], t.row, moves[t]) for t in order])
+    positions = {VERTICAL: cols, LEFT: diagonals, RIGHT: rows}[orientation]  # p, r + p + d, -r
+    span = max(positions, default=0) - min(positions, default=0) + 1
+    frame = _FRAMES[orientation]
+    slot = {c: frame(r, p, 1 - (c & 1), span) for c, (r, p, _) in codes.items()}
+    taken: dict[int, list[tuple[int, str, int, int]]] = {c: [] for c in codes}
+    for up, down, o, r, p in lozenges:
+        a, b = slot[up], slot[down]
+        taken[up if a < b else down].append((1 << (abs(a - b) - 1), o, r, p))
+    return _Plan(orientation, sorted((slot[c], t.row, taken[c]) for c, t in codes.items()))
 
 
 # (slot, row, [(bit, exponent) of each lozenge the triangle takes]), in slot order
@@ -247,16 +265,17 @@ def _exponent_tables(region: Region, w: Optional[WeightAssignment]) -> ExponentT
     """The sweep's steps, each triangle with the bit and exponent of every
     lozenge it takes with a later one; w None gives the all-zero exponents
     of plain counting."""
-    weight = None if w is None else lozenge_weight(w, region)
+    exponent = None if w is None else down_weight(w, region)
     tables: ExponentTables = []
     for slot, row, moves in shared(("plan", region), lambda: _planned(region)).steps:
-        tables.append((slot, row, []))
-        for bit, loz in moves:
-            e = 0 if weight is None else weight(loz)
+        taken: list[tuple[int, int]] = []
+        tables.append((slot, row, taken))
+        for bit, o, r, p in moves:
+            e = 0 if exponent is None else exponent(o, r, p)
             if e < 0:
-                where = (loz.orientation, (loz.second.row, loz.second.pos), e)
+                where = (o, (r, p), e)
                 raise ValueError("%s lozenge at down triangle %r has negative exponent %d" % where)
-            tables[-1][2].append((bit, e))
+            taken.append((bit, e))
     return tables
 
 
@@ -349,13 +368,6 @@ def gen_function(
 # ---------------------------------------------------------------------------
 # region surgery: four-point boundary removal and forced lozenges
 
-def _centroid3(t: Triangle) -> tuple[int, int]:
-    """Triangle centroid scaled by 3, in the skew coordinates."""
-    if t.orient == UP:
-        return (3 * t.pos + 1, 3 * t.row + 1)
-    return (3 * t.pos + 2, 3 * t.row + 2)
-
-
 def _outer_walks(triangles: frozenset[Triangle]) -> list[list[Triangle]]:
     """Triangles along the outer face of each connected component of the
     adjacency graph that has an edge, in walk order.
@@ -370,28 +382,27 @@ def _outer_walks(triangles: frozenset[Triangle]) -> list[list[Triangle]]:
     merge into the outer face the same way.  The four-point recurrences
     mark exactly such triangles.
     """
+    codes, moves = encode(triangles)
     ring = {  # neighbours in counterclockwise order
-        t: [n for n, _ in partner_candidates(t) if n in triangles] for t in triangles
+        c: [c + offset for offset, _ in moves[c & 1] if c + offset in codes] for c in codes
     }
     walks = []
     seen = set()
-    for start in sorted((t, n) for t, nbs in ring.items() for n in nbs):
+    for start in sorted((c, n) for c, nbs in ring.items() for n in nbs):
         if start in seen:
             continue
         orbit = []
         edge = start
         while edge not in seen:
             seen.add(edge)
-            orbit.append(edge)
-            t, n = edge
+            orbit.append(edge[0])
+            c, n = edge
             around = ring[n]
-            edge = (n, around[(around.index(t) - 1) % len(around)])
-        area = 0
-        for a, b in orbit:
-            ca, cb = _centroid3(a), _centroid3(b)
-            area += ca[0] * cb[1] - cb[0] * ca[1]
-        if area <= 0:
-            walks.append([t for t, _ in orbit])
+            edge = (n, around[around.index(c) - 1])
+        # centroids scaled by 3, in the skew coordinates: up +1, down +2
+        at = [(3 * codes[c].pos + 2 - (c & 1), 3 * codes[c].row + 2 - (c & 1)) for c in orbit]
+        if sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(at, at[1:] + at[:1])) <= 0:
+            walks.append([codes[c] for c in orbit])
     return walks
 
 
@@ -454,22 +465,24 @@ def remove_forced(region: Region, w: WeightAssignment) -> tuple[Region, int]:
     q-exponent of the removed lozenge under the weight assignment w is
     accumulated, and the pair's remaining neighbours go back on the list.
     Raises Untileable if some triangle ends up with no partner at all, and
-    MissingFrame as weights.lozenge_weight does, forced lozenges or not.
+    MissingFrame as weights.down_weight does, forced lozenges or not.
     """
-    weight = lozenge_weight(w, region)
-    remaining = set(region.triangles)
+    exponent = down_weight(w, region)
+    codes, moves = encode(region.triangles)
+    remaining = set(codes)
     acc = 0
     todo = sorted(remaining, reverse=True)  # popped smallest first
     while todo:
-        t = todo.pop()
-        if t not in remaining:
+        c = todo.pop()
+        if c not in remaining:
             continue
-        options = [cand for cand, _ in partner_candidates(t) if cand in remaining]
+        options = [(c + off, o) for off, o in moves[c & 1] if c + off in remaining]
         if not options:
-            raise Untileable("triangle %r has no possible cover" % (t,))
+            raise Untileable("triangle %r has no possible cover" % (codes[c],))
         if len(options) == 1:
-            (cand,) = options
-            acc += weight(make_lozenge(t, cand))
-            remaining -= {t, cand}
-            todo += [n for s in (t, cand) for n, _ in partner_candidates(s) if n in remaining]
-    return Region(frozenset(remaining), None, region.frames), acc
+            ((n, o),) = options
+            down = codes[n if c & 1 else c]
+            acc += exponent(o, down.row, down.pos)
+            remaining -= {c, n}
+            todo += [s + off for s in (c, n) for off, _ in moves[s & 1] if s + off in remaining]
+    return Region(frozenset(codes[c] for c in remaining), None, region.frames), acc

@@ -15,6 +15,15 @@ orientations:
     left     up(r, p) + down(r, p-1)
     vertical up(r+1, p) + down(r, p)
 
+One move table, _MOVES, gives each triangle's three partners as (drow,
+dpos, lozenge orientation), counterclockwise.  enumeration runs on the
+codes that encode makes once per region, 2*((row - row0)*R + pos - pos0)
++ (1 if up else 0), with row0 the lowest row, pos0 one left of the
+leftmost position and R the position span plus 2: pos +- 1 never wraps,
+and code order is Triangle order ("D" < "U").  A partner's code is
+2*(drow*R + dpos) + 1 after a down triangle's (+1 right, +3 left, +2R+1
+vertical), and as far before an up triangle's.
+
 Every region and notch leaf comes from one primitive, the hexagon with
 given sides read off as one range of positions per row and orientation;
 the notch's lobes and core, and the dented trapezoid, have zero sides.
@@ -75,13 +84,18 @@ class Lozenge(NamedTuple):
     orientation: str
 
 
+# The outer-face walk relies on the counterclockwise order.
+_MOVES = {
+    UP: ((0, 0, RIGHT), (0, -1, LEFT), (-1, 0, VERTICAL)),
+    DOWN: ((0, 0, RIGHT), (0, 1, LEFT), (1, 0, VERTICAL)),
+}
+
+
 def partner_candidates(t: Triangle) -> list[tuple[Triangle, str]]:
     """The three triangles that could pair with t, with lozenge orientation,
-    in counterclockwise order around t (the outer-face walk relies on it)."""
-    r, p = t.row, t.pos
-    if t.orient == UP:
-        return [(down(r, p), RIGHT), (down(r, p - 1), LEFT), (down(r - 1, p), VERTICAL)]
-    return [(up(r, p), RIGHT), (up(r, p + 1), LEFT), (up(r + 1, p), VERTICAL)]
+    in the move table's counterclockwise order around t."""
+    other = DOWN if t.orient == UP else UP
+    return [(Triangle(t.row + dr, t.pos + dp, other), o) for dr, dp, o in _MOVES[t.orient]]
 
 
 def make_lozenge(t1: Triangle, t2: Triangle) -> Lozenge:
@@ -94,6 +108,23 @@ def make_lozenge(t1: Triangle, t2: Triangle) -> Lozenge:
         if cand == t2:
             return Lozenge(t1, t2, orientation)
     raise ValueError("triangles %r and %r do not share an edge" % (t1, t2))
+
+
+# Per last code bit (0 down, 1 up): (code offset, lozenge orientation) moves.
+Moves = tuple[tuple[tuple[int, str], ...], ...]
+
+
+def encode(triangles: frozenset[Triangle]) -> tuple[dict[int, Triangle], Moves]:
+    """Each triangle under its code, and per last code bit its partners' moves."""
+    rows, positions, orients = zip(*(triangles or [up(0, 0)]))
+    row0, pos0 = min(rows), min(positions) - 1
+    stride = max(positions) - pos0 + 2
+    codes = {
+        2 * ((r - row0) * stride + p - pos0) + (o == UP): t
+        for r, p, o, t in zip(rows, positions, orients, triangles)
+    }
+    down = tuple((2 * (dr * stride + dp) + 1, o) for dr, dp, o in _MOVES[DOWN])
+    return codes, (down, tuple((-offset, o) for offset, o in down))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ left, and multiplies the survivors as Kronecker-packed integers, shortest
 first, each product packed at the width its own coefficients need.
 
 All values are immutable after construction; operations return new
-objects and are safe to call from worker processes.
+objects and are safe to call from worker processes.  QPoly arithmetic,
+shift and resolve build their results unchecked (QPoly._trusted).
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ class QPoly:
                 clean[e] = c
         self._terms = clean
 
+    @classmethod
+    def _trusted(cls, terms: Mapping[int, int]) -> "QPoly":
+        """QPoly(terms) without the checks, for terms computed in this module."""
+        poly = object.__new__(cls)
+        poly._terms = {e: c for e, c in terms.items() if c}
+        return poly
+
     @property
     def terms(self) -> dict[int, int]:
         """A copy of the sparse {exponent: coefficient} map."""
@@ -77,12 +85,12 @@ class QPoly:
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
-        return QPoly(out)
+        return QPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly({e: -c for e, c in self._terms.items()})
+        return QPoly._trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "QPoly | int") -> "QPoly":
         return self + (-other if isinstance(other, QPoly) else QPoly(-other))
@@ -95,7 +103,7 @@ class QPoly:
             for e2, c2 in other._terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return QPoly(out)
+        return QPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -105,7 +113,7 @@ class QPoly:
             return self
         if k < 0 and min(self._terms) + k < 0:
             raise NonExactDivision("shift by q^%d leaves negative exponents" % k)
-        return QPoly({e + k: c for e, c in self._terms.items()})
+        return QPoly._trusted({e + k: c for e, c in self._terms.items()})
 
     def degree(self) -> int:
         if not self._terms:
@@ -287,4 +295,4 @@ def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
         del polys[:2]
         c = _product(a, b)
         insort(polys, (len(c), i, c))
-    return QPoly(dict(enumerate(polys[0][2]))).shift(prefactor)
+    return QPoly._trusted(dict(enumerate(polys[0][2], prefactor)))

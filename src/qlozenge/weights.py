@@ -7,9 +7,10 @@ other orientations carry weight 1 (exponent 0).  The offset conventions
 below are pinned by the unit-hexagon calibration tests and by matching
 the closed product formulas; do not adjust one without the other.
 
-lozenge_weight resolves an assignment on a region once: it fails if the
+down_weight resolves an assignment on a region once: it fails if the
 region's frame lacks the line the assignment measures from, whatever
-lozenges the region holds, and returns the exponent of each lozenge.
+lozenges the region holds, and returns each lozenge's exponent from its
+orientation and its down triangle; lozenge_weight reads it off a Lozenge.
 
 wt0 weights a tiling by the number of unit cubes in the pile the tiling
 depicts.  That exponent is a property of the whole pile, not of any one
@@ -49,29 +50,35 @@ class WeightAssignment(Enum):
 Tiling = frozenset
 
 
-def lozenge_weight(w: WeightAssignment, region: Region) -> Callable[[Lozenge], int]:
-    """The q-exponent assignment w gives each lozenge of the region, 0 for
-    the orientations it ignores.  Raises MissingFrame when the region lacks
-    the line w measures from, and WeightUndefined for wt0."""
+def down_weight(w: WeightAssignment, region: Region) -> Callable[[str, int, int], int]:
+    """The q-exponent assignment w gives the lozenge of orientation o on the
+    region's down triangle (row, pos), as exponent(o, row, pos); 0 for the
+    orientations w ignores.  Raises MissingFrame when the region lacks the
+    line w measures from, and WeightUndefined for wt0."""
     if w is WeightAssignment.WT0:
         raise WeightUndefined("wt0 is defined per tiling, not per lozenge")
     frames = region.frames
     if frames is None:
         raise MissingFrame("region carries no frame data")
+    # A right lozenge's up triangle shares its down triangle's row and pos.
     if w is WeightAssignment.WT1:
         origin, need = frames.se_i, "wt1 needs the southeast side position"
-        exponent = lambda loz: origin - loz.first.pos if loz.orientation == RIGHT else 0
+        exponent = lambda o, row, pos: origin - pos if o == RIGHT else 0
     elif w is WeightAssignment.WT2:
         origin, need = frames.base_row, "wt2 needs the base row"
-        exponent = lambda loz: loz.first.row - origin + 1 if loz.orientation == RIGHT else 0
+        exponent = lambda o, row, pos: row - origin + 1 if o == RIGHT else 0
     else:
         origin, need = frames.sw_level, "wt3 needs the southwest corner level"
-        exponent = lambda loz: (
-            loz.second.pos + loz.second.row + 2 - origin if loz.orientation == VERTICAL else 0
-        )
+        exponent = lambda o, row, pos: pos + row + 2 - origin if o == VERTICAL else 0
     if origin is None:
         raise MissingFrame(need)
     return exponent
+
+
+def lozenge_weight(w: WeightAssignment, region: Region) -> Callable[[Lozenge], int]:
+    """down_weight(w, region) of a Lozenge, whose second triangle is down."""
+    exponent = down_weight(w, region)
+    return lambda loz: exponent(loz.orientation, loz.second.row, loz.second.pos)
 
 
 def tiling_exponent(w: WeightAssignment, region: Region, tiling: Tiling) -> int:

@@ -36,12 +36,15 @@ from qlozenge.lattice import (
     build_q_region,
     build_semihexagon_dented,
     down,
+    hexagon_params,
+    magnet_bar_params,
     partner_candidates,
     region_json,
     shared_work,
     up,
 )
 from qlozenge.qalgebra import QPoly, parse_poly
+from qlozenge.verify import four_point_marks
 from qlozenge.weights import MissingFrame, WeightAssignment as W
 
 
@@ -548,6 +551,47 @@ def test_kuo_weighted_identity_on_a_bar_region():
 def test_frontier_count_matches_oracle_on_bars(m, a, x, y, z, t):
     region = build_magnet_bar(m, a, x, y, z, t)
     assert count_tilings(region) == len(list(iter_tilings(region)))
+
+
+_TRANSLATED = [
+    hexagon_params(2, 2, 2),
+    hexagon_params(1, 2, 3),
+    magnet_bar_params(1, 1, 1, 1, 1, 1),
+    magnet_bar_params(1, 0, 1, 2, 1, 1),
+    RegionParams(1, 1, 1, 1, 1, 1, 1, 1),
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(drow=st.integers(-30, 30), dpos=st.integers(-30, 30))
+@pytest.mark.parametrize("p", _TRANSLATED, ids=str)
+def test_a_translate_has_the_same_polynomials(p, drow, dpos):
+    # Moving a region and its frame alike moves no lozenge's exponent, so
+    # every route must give back the untranslated values, whatever the
+    # signs of the coordinates it then runs on.
+    region = build_q_region(p)
+
+    def moved(triangles):
+        return [t._replace(row=t.row + drow, pos=t.pos + dpos) for t in triangles]
+
+    f = region.frames
+    frames = Frames(
+        f.base_row + drow,
+        f.se_i + dpos,
+        None if f.sw_level is None else f.sw_level + drow + dpos,
+    )
+    translate = Region(frozenset(moved(region.triangles)), None, frames)
+    assert count_tilings(translate) == count_tilings(region)
+    for w in (W.WT1, W.WT2, W.WT3):
+        if f.sw_level is None and w is W.WT3:
+            continue
+        expected = gen_function(region, w)
+        assert gen_function(translate, w) == expected
+        assert gen_function_oracle(translate, w) == expected
+    parts = kuo_remove(translate, moved(four_point_marks(p)))
+    assert [r.triangles for r in parts] == [
+        frozenset(moved(r.triangles)) for r in kuo_remove(region, four_point_marks(p))
+    ]
 
 
 def test_region_digest_changes_with_the_region():

@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 from qlozenge import lattice
 from qlozenge.enumeration import Untileable, gen_function_oracle, iter_tilings, remove_forced
 from qlozenge.lattice import (
+    LEFT,
+    RIGHT,
+    VERTICAL,
     BadDents,
     Region,
     RegionParams,
@@ -22,6 +25,7 @@ from qlozenge.lattice import (
     build_semihexagon_dented,
     build_shamrock,
     down,
+    encode,
     is_balanced,
     make_lozenge,
     q_region_triangle_count,
@@ -287,3 +291,54 @@ def test_builders_on_the_recorded_grid(builder):
     for args, region in regions():
         digest.update(("%r %s\n" % (args, region_json(region))).encode())
     assert digest.hexdigest() == expected
+
+
+def _corners(t):
+    """The corners of t by the formulas of the lattice module docstring."""
+    r, p = t.row, t.pos
+    if t.orient == "U":
+        return {(p, r), (p + 1, r), (p, r + 1)}
+    return {(p + 1, r), (p, r + 1), (p + 1, r + 1)}
+
+
+def _shared_edge_orientation(t, n):
+    """The orientation of the lozenge t and n form, from their shared edge:
+    horizontal for vertical lozenges, along e2 for left ones, else right."""
+    (i1, j1), (i2, j2) = _corners(t) & _corners(n)
+    return VERTICAL if j1 == j2 else LEFT if i1 == i2 else RIGHT
+
+
+_PATCH = st.lists(
+    st.builds(Triangle, st.integers(-5, 5), st.integers(-5, 5), st.sampled_from("UD")),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near=_PATCH, far=_PATCH, drow=st.integers(-40, 40), dpos=st.sampled_from([-37, 23, 41]))
+def test_codes_agree_with_the_corner_geometry(near, far, drow, dpos):
+    # Two patches at negative and positive coordinates, the second far off:
+    # the engine, the oracle and the surgery all read these codes and
+    # offsets, so they are checked here against the corners alone.
+    triangles = frozenset(near) | _translate(far, drow, dpos)
+    codes, moves = encode(triangles)
+    # the code of the module docstring, and its decoding
+    row0 = min(t.row for t in triangles)
+    pos0 = min(t.pos for t in triangles) - 1
+    stride = max(t.pos for t in triangles) - pos0 + 2
+    assert codes == {
+        2 * ((t.row - row0) * stride + t.pos - pos0) + (t.orient == "U"): t for t in triangles
+    }
+    for c, t in codes.items():
+        row, pos = divmod(c >> 1, stride)
+        assert Triangle(row0 + row, pos0 + pos, "U" if c & 1 else "D") == t
+    assert [codes[c] for c in sorted(codes)] == sorted(triangles)
+    for c, t in codes.items():
+        by_code = {codes[c + offset]: o for offset, o in moves[c & 1] if c + offset in codes}
+        by_corners = {
+            n: _shared_edge_orientation(t, n)
+            for n in triangles
+            if len(_corners(t) & _corners(n)) == 2
+        }
+        assert by_code == by_corners

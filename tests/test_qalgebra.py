@@ -199,3 +199,28 @@ def test_rejects_bad_construction():
         QPoly({-1: 2})
     with pytest.raises(ValueError):
         QPoly({0: "x"})  # type: ignore[dict-item]
+    for terms in ({0: True}, {-1: 1}, {0: 1.0}):
+        with pytest.raises(ValueError):
+            QPoly(terms)  # type: ignore[arg-type]
+
+
+@given(
+    small_polys,
+    small_polys,
+    st.integers(-3, 6),
+    st.dictionaries(st.integers(1, 9), st.integers(-2, 3), max_size=4),
+    st.integers(0, 4),
+)
+def test_computed_results_are_what_the_checked_constructor_builds(p, r, k, exponents, prefactor):
+    # Arithmetic, shift and resolve build their results unchecked: each must
+    # still be a valid polynomial with no zero coefficient.
+    results = [p + r, p - r, p * r, -p, p + 3, p * 0]
+    if not p or min(p.terms) + k >= 0:
+        results.append(p.shift(k))
+    try:
+        results.append(resolve(exponents, prefactor))
+    except NonExactDivision:
+        pass
+    for result in results:
+        assert result == QPoly(result.terms)
+        assert all(result.terms.values())
