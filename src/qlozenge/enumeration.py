@@ -79,11 +79,11 @@ from .lattice import (
 from .qalgebra import QPoly
 from .weights import (
     MissingFrame,
+    NegativeVolume,
     WeightAssignment,
     down_weight,
     g_exponent,
     lozenge_weight,
-    tiling_volume,
 )
 
 DEFAULT_TRIANGLE_BUDGET = 120
@@ -179,16 +179,16 @@ def gen_function_oracle(
     """Generating function by brute force, one tiling at a time.  The
     weight is resolved before any tiling is drawn, so a region it cannot
     weigh fails whether it has tilings or not."""
-    if w is WeightAssignment.WT0:
-        _wt0_params(region)
-        exponent = lambda tiling: tiling_volume(region, tiling)
-    else:
-        weight = lozenge_weight(w, region)
-        exponent = lambda tiling: sum(map(weight, tiling))
+    wt0 = w is WeightAssignment.WT0
+    # A pile's volume is its tiling's wt2 exponent less the empty pile's.
+    empty = g_exponent(_wt0_params(region)) if wt0 else 0
+    weight = lozenge_weight(WeightAssignment.WT2 if wt0 else w, region)
     terms: dict[int, int] = {}
     for tiling in iter_tilings(region, max_triangles=max_triangles):
-        e = exponent(tiling)
+        e = sum(map(weight, tiling)) - empty
         terms[e] = terms.get(e, 0) + 1
+    if wt0 and min(terms, default=0) < 0:
+        raise NegativeVolume("volume %d < 0; weight conventions are broken" % min(terms))
     return QPoly(terms)
 
 

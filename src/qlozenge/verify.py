@@ -12,19 +12,21 @@ calls and the suites filter on, so a suite never emits a Precondition line.
 
 run_suite builds a deterministic task list per suite name.  A task is
 (key, check, *args): the region the task reads, then a check call, its
-arguments already typed (RegionParams, Region, Triangle marks,
-WeightAssignment).  The key is a semihexagon's (a, b, dents), None for
-q_int_addition, and the RegionParams for every other task.  Tasks with
-equal keys form one group, a None task a group of its own, and each
-group runs inside one lattice.shared_work block: the region is built,
-split by kuo_remove, counted and swept under each weight once, and its
-Kuo products multiplied once, however many checks ask; nothing is kept
-from one group to the next.  One table, _KUO_MOVES, gives Kuo's five
-removals as moves of the sides, for the recurrences and reductions alike.
-Groups run in this process or, with jobs > 1, one per pool item, and the
-results are put back in task order, so the output is identical however
-many workers ran them.  Library callers get Reports.  The CLI passes a
-renderer, so workers return (passed, line) and no Report crosses the pool.
+arguments already typed and hashable (RegionParams, Region, a tuple of
+Triangle marks, WeightAssignment).  The key is a semihexagon's
+(a, b, dents), None for q_int_addition, and the RegionParams for every
+other task.  Tasks with equal keys form one group, a None task a group of
+its own, and each group runs inside one lattice.shared_work block: the
+region is built, split by kuo_remove, counted and swept under each weight
+once, and its Kuo products multiplied once, however many checks ask; a
+repeated task (each qmain task is a formulas task too) is checked once.
+Nothing is kept from one group to the next.  One table, _KUO_MOVES, gives
+Kuo's five removals as moves of the sides, for the recurrences and
+reductions alike.  Groups run in this process or, with jobs > 1, one per
+pool item, and results go back in task order, so the output is identical
+however many workers ran them.  Only group numbers go to the pool (a forked
+worker reads the task list, a spawn or forkserver worker builds it once);
+back come Reports, or with the CLI's renderer (passed, line) pairs.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .enumeration import (
     DEFAULT_TRIANGLE_BUDGET,
@@ -96,12 +98,14 @@ def _precondition(name: str, params: tuple) -> Report:
     return Report(name, params, PRECONDITION)
 
 
-def _plain(value):
-    if isinstance(value, WeightAssignment):
-        return value.value
-    if isinstance(value, (tuple, list, RegionParams)):
-        return [_plain(v) for v in value]
-    return value
+def _json_value(value):
+    """json's hook for Report params: a WeightAssignment's value, else a list."""
+    return value.value if isinstance(value, WeightAssignment) else list(value)
+
+
+# json.dumps's separators, through the C encoder.
+_encode_params = json.JSONEncoder(default=_json_value).encode
+_encode_report = json.JSONEncoder(sort_keys=True, default=_json_value).encode
 
 
 # A module-level Report -> str function (report_line or report_json), so a
@@ -113,13 +117,13 @@ def report_json(report: Report) -> str:
     """One-line JSON rendering, polynomials in their canonical text form."""
     payload = {
         "check": report.check_name,
-        "params": _plain(report.params),
+        "params": report.params,
         "status": report.status,
         "lhs": None if report.lhs is None else str(report.lhs),
         "rhs": None if report.rhs is None else str(report.rhs),
         "witness": None if report.witness is None else str(report.witness),
     }
-    return json.dumps(payload, sort_keys=True)
+    return _encode_report(payload)
 
 
 def report_line(report: Report) -> str:
@@ -127,7 +131,7 @@ def report_line(report: Report) -> str:
     return "%s %s %s" % (
         report.status,
         report.check_name,
-        json.dumps(_plain(report.params)),
+        _encode_params(report.params),
     )
 
 
@@ -343,15 +347,12 @@ def check_magnet_reduction(
 # suites
 
 
-def _bounded_tuples(slots: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer tuples of the given length with sum <= total,
-    in lexicographic order."""
-    if slots == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for rest in _bounded_tuples(slots - 1, total - head):
-            yield (head,) + rest
+def _bounded_tuples(slots: int, total: int) -> list[tuple[int, ...]]:
+    """All tuples of `slots` nonnegative ints summing to <= total, in lexicographic order."""
+    tuples: list[tuple[int, ...]] = [()]
+    for _ in range(slots):
+        tuples = [t + (h,) for t in tuples for h in range(total - sum(t) + 1)]
+    return tuples
 
 
 def _formula_tasks(
@@ -394,7 +395,7 @@ def _suite_kuo(max_sum: int) -> list[tuple]:
     W = WeightAssignment
     unit = hexagon_params(1, 1, 1)
     unit_region = build_q_region(unit)
-    unit_marks = [up(0, 0), down(0, 0), up(1, 0), down(1, -1)]
+    unit_marks = (up(0, 0), down(0, 0), up(1, 0), down(1, -1))
     tasks = [(unit, check_kuo, unit_region, unit_marks, w) for w in W]
     bar = magnet_bar_params
     for p, weights in (
@@ -412,7 +413,7 @@ def _suite_kuo(max_sum: int) -> list[tuple]:
         (RegionParams(1, 1, 1, 1, 1, 1, 1, 1), (W.WT1, W.WT2)),
         (RegionParams(2, 1, 1, 2, 1, 1, 1, 1), (W.WT1, W.WT2)),
     ):
-        region, marks = build_q_region(p), four_point_marks(p)
+        region, marks = build_q_region(p), tuple(four_point_marks(p))
         tasks += [(p, check_kuo, region, marks, w) for w in weights]
     return tasks
 
@@ -471,33 +472,49 @@ def suite_tasks(name: str, max_sum: int = 4) -> list[tuple]:
     return _SUITES[name](max_sum)
 
 
-def _run_group(tasks: list[tuple], render: Render = None) -> list:
+# The tasks and groups of each suite run_suite is running, by (name, max_sum).
+_held: dict = {}
+
+
+def _suite_groups(name: str, max_sum: int) -> tuple[list[tuple], list[list[int]]]:
+    """The suite's tasks, and the indices of each group's tasks."""
+    held = _held.get((name, max_sum))
+    if held is None:
+        tasks, groups = suite_tasks(name, max_sum), {}
+        for i, task in enumerate(tasks):
+            groups.setdefault(i if task[0] is None else task[0], []).append(i)
+        held = _held[name, max_sum] = (tasks, list(groups.values()))
+    return held
+
+
+def _run_group(number: int, name: str, max_sum: int, render: Render = None) -> list:
+    tasks, groups = _suite_groups(name, max_sum)
+    batch = [tasks[i] for i in groups[number]]
     with shared_work():
-        reports = [task[1](*task[2:]) for task in tasks]
-    return [(r.status == PASS, render(r)) for r in reports] if render else reports
+        done = {task: task[1](*task[2:]) for task in dict.fromkeys(batch)}
+    out = {t: (r.status == PASS, render(r)) for t, r in done.items()} if render else done
+    return [out[task] for task in batch]
 
 
 def run_suite(name: str, max_sum: int = 4, jobs: int = 1, render: Render = None) -> list:
-    """Run one suite a group at a time (see the module docstring); results
-    come back in task order regardless of jobs: Reports, or with render the
-    pairs (status is Pass, render(report)), made in the workers."""
-    run = partial(_run_group, render=render)
-    tasks = suite_tasks(name, max_sum)
-    groups: dict = {}
-    for i, task in enumerate(tasks):
-        groups.setdefault(i if task[0] is None else task[0], []).append(i)
-    batches = ([tasks[i] for i in group] for group in groups.values())
-    if jobs > 1:
-        # Imported here, as only a pooled run needs it: the import holds
-        # about 0.8 MB of RSS that every other run would carry.
-        from multiprocessing import Pool
+    """Run one suite a group at a time (see the module docstring), each
+    distinct task of a group once.  The pool gets group numbers: a forked
+    worker reads the task list held here, a spawn or forkserver worker builds
+    it once.  Back come, in task order at any jobs, Reports, or with render
+    the pairs (status is Pass, render(report)), made in the workers."""
+    try:
+        tasks, groups = _suite_groups(name, max_sum)
+        run = partial(_run_group, name=name, max_sum=max_sum, render=render)
+        if jobs > 1:
+            # Imported here, as only a pooled run needs it: the import holds
+            # about 0.8 MB of RSS that every other run would carry.
+            from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
-            done = pool.map(run, batches)
-    else:
-        done = map(run, batches)
-    results: list = [None] * len(tasks)
-    for group, ran in zip(groups.values(), done):
-        for i, result in zip(group, ran):
-            results[i] = result
-    return results
+            with Pool(jobs) as pool:
+                done = pool.map(run, range(len(groups)))
+        else:
+            done = map(run, range(len(groups)))
+        placed = dict(zip(chain.from_iterable(groups), chain.from_iterable(done)))
+        return [placed[i] for i in range(len(tasks))]
+    finally:
+        _held.pop((name, max_sum), None)

@@ -416,15 +416,109 @@ def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
     assert all(w is not None for _, w in swept)
 
 
-def test_no_memo_outlives_run_suite():
+def test_no_memo_outlives_run_suite(monkeypatch):
     for jobs in (1, 2):
         run_suite("prop31", 1, jobs)
         assert lattice._memo.get() is None
+        assert verify._held == {}
     with pytest.raises(ZeroDivisionError):
         with lattice.shared_work():
             build_q_region(RegionParams(1, 1, 1, 1, 0, 0, 0, 0))
             1 / 0
     assert lattice._memo.get() is None
+    # A check that raises partway through leaves no task list behind either.
+    real, checked = verify.check_prop31, []
+
+    def check_until_third(p):
+        checked.append(p)
+        if len(checked) == 3:
+            raise ZeroDivisionError(p)
+        return real(p)
+
+    monkeypatch.setattr(verify, "check_prop31", check_until_third)
+    with pytest.raises(ZeroDivisionError):
+        run_suite("prop31", 1)
+    assert len(checked) == 3 < len(suite_tasks("prop31", 1))
+    assert lattice._memo.get() is None
+    assert verify._held == {}
+
+
+@pytest.mark.parametrize("render", [None, report_line, report_json])
+def test_a_worker_with_an_empty_holder_builds_the_task_list_once(monkeypatch, render):
+    # What a spawn or forkserver worker sees: nothing inherited, so the
+    # first group it runs builds the list, and every later one reads it.
+    monkeypatch.setattr(verify, "_held", {})
+    built = []
+    monkeypatch.setattr(verify, "suite_tasks", lambda *args: built.append(args) or suite_tasks(*args))
+    ran = [verify._run_group(0, "all", 1, render)]
+    groups = verify._held["all", 1][1]
+    ran += [verify._run_group(n, "all", 1, render) for n in range(1, len(groups))]
+    assert built == [("all", 1)]
+    placed = dict(zip(itertools.chain(*groups), itertools.chain(*ran)))
+    results = [placed[i] for i in range(len(placed))]
+    expected = run_suite("all", 1, 1, render)
+    if render is None:
+        results, expected = [report_json(r) for r in results], [report_json(r) for r in expected]
+    assert results == expected
+
+
+def test_a_repeated_task_is_checked_once(monkeypatch):
+    # Every qmain task is also a formulas task in the same group.
+    tasks = suite_tasks("all", 2)
+    assert len(set(tasks)) == len(tasks) - len(suite_tasks("qmain", 2))
+    real, calls = verify.check_formula_vs_enumeration, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "check_formula_vs_enumeration", counted)
+    reports = run_suite("all", 2)
+    assert len(calls) == len(set(calls)) == sum(t[1] is counted for t in set(suite_tasks("all", 2)))
+    assert len(reports) == len(tasks)
+
+
+@pytest.mark.parametrize("slots", range(7))
+def test_bounded_tuples_are_the_product_filtered(slots):
+    for total in range(6):
+        product = itertools.product(range(total + 1), repeat=slots)
+        assert verify._bounded_tuples(slots, total) == [t for t in product if sum(t) <= total]
+
+
+def _reference_plain(value):
+    # Report params flattened to plain JSON values by recursion: the
+    # reference the renderers' encoder hook is held to.
+    if isinstance(value, W):
+        return value.value
+    if isinstance(value, (tuple, list, RegionParams)):
+        return [_reference_plain(v) for v in value]
+    return value
+
+
+def test_rendered_bytes_match_the_reference_flattening(monkeypatch):
+    reports = [task[1](*task[2:]) for task in suite_tasks("all", 2)]
+    reports.append(check_magnet_recurrence(1, 1, 1, 0, 1, 1))
+    p = RegionParams(0, 1, 1, 1, 0, 0, 0, 0)
+    real = verify.g_exponent
+    monkeypatch.setattr(verify, "g_exponent", lambda n: real(n) + (1 if n == p else 0))
+    reports.append(check_q_recurrence(p))
+    # The checks flatten RegionParams themselves; a caller's Report may not.
+    reports.append(Report("q_recurrence", (p, W.WT2), PRECONDITION))
+    assert {r.status for r in reports} == {PASS, FAIL, PRECONDITION}
+    assert {RegionParams, W, tuple, str, int} <= {type(v) for r in reports for v in r.params}
+    assert any(isinstance(r.params[1], tuple) and r.params[0] == "semihexagon" for r in reports)
+    for r in reports:
+        plain = _reference_plain(r.params)
+        assert report_line(r) == "%s %s %s" % (r.status, r.check_name, json.dumps(plain))
+        payload = {
+            "check": r.check_name,
+            "params": plain,
+            "status": r.status,
+            "lhs": None if r.lhs is None else str(r.lhs),
+            "rhs": None if r.rhs is None else str(r.rhs),
+            "witness": None if r.witness is None else str(r.witness),
+        }
+        assert report_json(r) == json.dumps(payload, sort_keys=True)
 
 
 def test_suite_task_counts_frozen():

@@ -1,19 +1,22 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from qlozenge import enumeration
 from qlozenge.enumeration import gen_function_oracle, iter_tilings, remove_forced
 from qlozenge.lattice import (
     Region,
     RegionParams,
     build_hexagon,
+    build_magnet_bar,
     build_q_region,
     build_semihexagon_dented,
     down,
     make_lozenge,
     up,
 )
-from qlozenge.qalgebra import resolve
+from qlozenge.qalgebra import QPoly, resolve
 from qlozenge.weights import (
     MissingFrame,
     NegativeVolume,
@@ -177,6 +180,22 @@ def test_negative_volume_is_loud():
     T = next(iter_tilings(region))
     with pytest.raises(NegativeVolume):
         tiling_volume(lying, T)
+
+
+def test_wt0_oracle_resolves_its_weight_once_per_region(monkeypatch):
+    region = build_magnet_bar(1, 1, 2, 2, 1, 1)
+    volumes = Counter(tiling_volume(region, T) for T in iter_tilings(region))
+    calls = []
+    for name in ("g_exponent", "lozenge_weight"):
+        real = getattr(enumeration, name)
+        counted = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        monkeypatch.setattr(enumeration, name, counted)
+    assert gen_function_oracle(region, W.WT0) == QPoly(dict(volumes))
+    assert sorted(calls) == ["g_exponent", "lozenge_weight"]
+    hexagon = build_hexagon(1, 1, 1)
+    lying = Region(hexagon.triangles, RegionParams(2, 2, 2, 2, 2, 2, 2, 2), hexagon.frames)
+    with pytest.raises(NegativeVolume):
+        gen_function_oracle(lying, W.WT0)
 
 
 def test_hexagon_generating_functions_match_product():
