@@ -37,7 +37,7 @@ from .lattice import (
     Lozenge,
     Region,
     Triangle,
-    build_shamrock,
+    q_region_notch,
 )
 from .verify import (
     PASS,
@@ -203,13 +203,6 @@ def _path_attr(segments) -> str:
     return " ".join(pieces)
 
 
-def _recorded_hole(region: Region) -> set:
-    if region.params is None:
-        return set()
-    p = region.params
-    return build_shamrock(p.m, p.a, p.b, p.c, (p.x + p.c, 0))
-
-
 def render_svg(region: Region, tiling: "Optional[frozenset[Lozenge]]" = None) -> str:
     """Static picture of a region, or of one of its tilings.
 
@@ -218,7 +211,7 @@ def render_svg(region: Region, tiling: "Optional[frozenset[Lozenge]]" = None) ->
     stroked on top, and the notch is shaded and outlined whenever the
     region's recorded parameters describe one.
     """
-    hole = _recorded_hole(region)
+    hole = set() if region.params is None else q_region_notch(region.params)
     corners = [c for t in sorted(region.triangles) for c in _triangle_corners(t)]
     corners.extend(c for t in sorted(hole) for c in _triangle_corners(t))
     xs = [_point(i, j)[0] for i, j in corners] or [0.0, 1.0]
@@ -294,43 +287,27 @@ def cmd_formula(args) -> int:
     return 0
 
 
-def cmd_count(args) -> int:
-    region = _build_region(args.builder, args)
-    value = count_tilings(region, args.max_states)
+def _print_region_value(args, region: Region, value, **fields) -> int:
+    """value, or with --json one record of the builder, the region's digest
+    and the given fields."""
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "builder": args.builder,
-                    "count": value,
-                    "digest": region_digest(region),
-                },
-                sort_keys=True,
-            )
-        )
+        record = {"builder": args.builder, "digest": region_digest(region), **fields}
+        print(json.dumps(record, sort_keys=True))
     else:
         print(value)
     return 0
 
 
+def cmd_count(args) -> int:
+    region = _build_region(args.builder, args)
+    value = count_tilings(region, args.max_states)
+    return _print_region_value(args, region, value, count=value)
+
+
 def cmd_genfun(args) -> int:
     region = _build_region(args.builder, args)
     poly = gen_function(region, WeightAssignment(args.weight), args.max_states)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "builder": args.builder,
-                    "digest": region_digest(region),
-                    "poly": str(poly),
-                    "weight": args.weight,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(poly)
-    return 0
+    return _print_region_value(args, region, poly, poly=str(poly), weight=args.weight)
 
 
 def cmd_tilings(args) -> int:
@@ -397,100 +374,71 @@ def cmd_render(args) -> int:
 # parser
 
 
-def _region_flags(sub) -> None:
-    sub.add_argument("--a", type=int, default=None, help="first side parameter")
-    sub.add_argument("--b", type=int, default=None, help="second side parameter")
-    sub.add_argument("--c", type=int, default=None, help="third side parameter")
-    sub.add_argument(
-        "--params",
-        default=None,
-        help="comma-separated parameters; arity depends on the builder/formula",
-    )
-    sub.add_argument(
-        "--dents",
-        default=None,
-        help="comma-separated dent positions (semihexagon only)",
-    )
-
-
 # Built once per process: a build costs about 25 times what parsing one argv
 # does, and parsing leaves the parser as it was.
 @cache
 def build_parser() -> argparse.ArgumentParser:
+    # Each flag several subcommands take is declared once, on a parent parser.
+    builder = argparse.ArgumentParser(add_help=False)
+    builder.add_argument("builder", choices=FAMILIES)
+    region = argparse.ArgumentParser(add_help=False)
+    region.add_argument("--a", type=int, help="first side parameter")
+    region.add_argument("--b", type=int, help="second side parameter")
+    region.add_argument("--c", type=int, help="third side parameter")
+    region.add_argument(
+        "--params", help="comma-separated parameters; arity depends on the builder/formula"
+    )
+    region.add_argument("--dents", help="comma-separated dent positions (semihexagon only)")
+    weight = argparse.ArgumentParser(add_help=False)
+    weight.add_argument("--weight", choices=_WEIGHT_NAMES, default="wt2")
+    states = argparse.ArgumentParser(add_help=False)
+    states.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)
+    triangles = argparse.ArgumentParser(add_help=False)
+    triangles.add_argument("--max-triangles", type=_at_least(0), default=DEFAULT_TRIANGLE_BUDGET)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+
     parser = argparse.ArgumentParser(
         prog="qlozenge",
         description="exact lozenge-tiling counts, weights and identity checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    engine = [builder, region, weight, states, as_json]
+    listing = [builder, region, triangles]
+    commands = {}
+    for name, summary, parents, handler in (
+        ("formula", "print one closed-form value", [region, as_json], cmd_formula),
+        ("count", "count tilings of a region", [builder, region, states, as_json], cmd_count),
+        ("genfun", "weighted generating function", engine, cmd_genfun),
+        ("tilings", "list every tiling, one JSON line each", listing, cmd_tilings),
+        ("verify", "run an identity suite", [as_json], cmd_verify),
+        ("kuo", "four-point removal identity on one region", engine, cmd_kuo),
+        ("render", "draw a region or tiling as SVG", listing, cmd_render),
+    ):
+        commands[name] = sub.add_parser(name, help=summary, parents=parents)
+        commands[name].set_defaults(func=handler)
 
-    formula = sub.add_parser("formula", help="print one closed-form value")
-    formula.add_argument("name", choices=FORMULA_NAMES)
-    _region_flags(formula)
-    formula.add_argument("--json", action="store_true")
-    formula.set_defaults(func=cmd_formula)
-
-    count = sub.add_parser("count", help="count tilings of a region")
-    count.add_argument("builder", choices=FAMILIES)
-    _region_flags(count)
-    count.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)
-    count.add_argument("--json", action="store_true")
-    count.set_defaults(func=cmd_count)
-
-    genfun = sub.add_parser("genfun", help="weighted generating function")
-    genfun.add_argument("builder", choices=FAMILIES)
-    _region_flags(genfun)
-    genfun.add_argument("--weight", choices=_WEIGHT_NAMES, default="wt2")
-    genfun.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)
-    genfun.add_argument("--json", action="store_true")
-    genfun.set_defaults(func=cmd_genfun)
-
-    tilings = sub.add_parser("tilings", help="list every tiling, one JSON line each")
-    tilings.add_argument("builder", choices=FAMILIES)
-    _region_flags(tilings)
-    tilings.add_argument(
-        "--max-triangles", type=_at_least(0), default=DEFAULT_TRIANGLE_BUDGET
+    commands["formula"].add_argument("name", choices=FORMULA_NAMES)
+    commands["tilings"].add_argument(
+        "--json", action="store_true", help="changes nothing: tilings always prints JSON lines"
     )
-    no_effect = "changes nothing: tilings always prints JSON lines"
-    tilings.add_argument("--json", action="store_true", help=no_effect)
-    tilings.set_defaults(func=cmd_tilings)
-
-    verify = sub.add_parser("verify", help="run an identity suite")
+    verify = commands["verify"]
     verify.add_argument("--suite", required=True, choices=suite_names())
     verify.add_argument("--max-sum", type=_at_least(0), default=4)
     verify.add_argument("--jobs", type=_at_least(1), default=1)
-    verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=cmd_verify)
-
-    kuo = sub.add_parser("kuo", help="four-point removal identity on one region")
-    kuo.add_argument("builder", choices=FAMILIES)
-    _region_flags(kuo)
-    kuo.add_argument(
+    commands["kuo"].add_argument(
         "--marks",
-        default=None,
         help="four marks as row,pos,U/D joined by semicolons; defaults to the "
         "canonical corner placement for parameter-tagged regions, which "
         "degenerates on some small ones (exit 2: pass --marks there)",
     )
-    kuo.add_argument("--weight", choices=_WEIGHT_NAMES, default="wt2")
-    kuo.add_argument("--max-states", type=_at_least(0), default=DEFAULT_MAX_STATES)
-    kuo.add_argument("--json", action="store_true")
-    kuo.set_defaults(func=cmd_kuo)
-
-    render = sub.add_parser("render", help="draw a region or tiling as SVG")
-    render.add_argument("builder", choices=FAMILIES)
-    _region_flags(render)
+    render = commands["render"]
     render.add_argument(
         "--tiling-index",
         type=_at_least(0),
-        default=None,
         help="render the n-th tiling in enumeration order instead of the bare region",
     )
-    render.add_argument(
-        "--max-triangles", type=_at_least(0), default=DEFAULT_TRIANGLE_BUDGET
-    )
-    render.add_argument("--svg", default=None, help="write to this file instead of stdout")
-    render.set_defaults(func=cmd_render)
-
+    render.add_argument("--svg", help="write to this file instead of stdout")
     return parser
 
 

@@ -70,7 +70,6 @@ from .lattice import (
     VERTICAL,
     Lozenge,
     Region,
-    RegionParams,
     Triangle,
     encode,
     region_json,
@@ -78,12 +77,12 @@ from .lattice import (
 )
 from .qalgebra import QPoly
 from .weights import (
-    MissingFrame,
     NegativeVolume,
     WeightAssignment,
     down_weight,
     g_exponent,
     lozenge_weight,
+    wt0_params,
 )
 
 DEFAULT_TRIANGLE_BUDGET = 120
@@ -164,13 +163,6 @@ def iter_tilings(
     return rec((1 << len(index)) - 1)
 
 
-def _wt0_params(region: Region) -> RegionParams:
-    """The parameters a wt0 pile is measured against, checked up front."""
-    if region.params is None:
-        raise MissingFrame("wt0 needs a parameter-tagged region")
-    return region.params
-
-
 def gen_function_oracle(
     region: Region,
     w: WeightAssignment,
@@ -181,7 +173,7 @@ def gen_function_oracle(
     weigh fails whether it has tilings or not."""
     wt0 = w is WeightAssignment.WT0
     # A pile's volume is its tiling's wt2 exponent less the empty pile's.
-    empty = g_exponent(_wt0_params(region)) if wt0 else 0
+    empty = g_exponent(wt0_params(region)) if wt0 else 0
     weight = lozenge_weight(WeightAssignment.WT2 if wt0 else w, region)
     terms: dict[int, int] = {}
     for tiling in iter_tilings(region, max_triangles=max_triangles):
@@ -360,7 +352,7 @@ def gen_function(
     exponent, which is the only way wt0 exists (see the weights module).
     """
     if w is WeightAssignment.WT0:
-        offset = g_exponent(_wt0_params(region))
+        offset = g_exponent(wt0_params(region))
         return _frontier(region, WeightAssignment.WT2, max_states).shift(-offset)
     return _frontier(region, w, max_states)
 

@@ -15,8 +15,9 @@ orientations:
     left     up(r, p) + down(r, p-1)
     vertical up(r+1, p) + down(r, p)
 
-One move table, _MOVES, gives each triangle's three partners as (drow,
-dpos, lozenge orientation), counterclockwise.  enumeration runs on the
+One move table, _DOWN_MOVES, gives a down triangle's three partners as
+(drow, dpos, lozenge orientation), counterclockwise; an up triangle's are
+the same steps negated.  encode reads it, and enumeration runs on the
 codes that encode makes once per region, 2*((row - row0)*R + pos - pos0)
 + (1 if up else 0), with row0 the lowest row, pos0 one left of the
 leftmost position and R the position span plus 2: pos +- 1 never wraps,
@@ -85,29 +86,7 @@ class Lozenge(NamedTuple):
 
 
 # The outer-face walk relies on the counterclockwise order.
-_MOVES = {
-    UP: ((0, 0, RIGHT), (0, -1, LEFT), (-1, 0, VERTICAL)),
-    DOWN: ((0, 0, RIGHT), (0, 1, LEFT), (1, 0, VERTICAL)),
-}
-
-
-def partner_candidates(t: Triangle) -> list[tuple[Triangle, str]]:
-    """The three triangles that could pair with t, with lozenge orientation,
-    in the move table's counterclockwise order around t."""
-    other = DOWN if t.orient == UP else UP
-    return [(Triangle(t.row + dr, t.pos + dp, other), o) for dr, dp, o in _MOVES[t.orient]]
-
-
-def make_lozenge(t1: Triangle, t2: Triangle) -> Lozenge:
-    """Build the lozenge covering two adjacent triangles (order-insensitive)."""
-    if t1.orient == DOWN:
-        t1, t2 = t2, t1
-    if t1.orient != UP or t2.orient != DOWN:
-        raise ValueError("a lozenge needs one up and one down triangle")
-    for cand, orientation in partner_candidates(t1):
-        if cand == t2:
-            return Lozenge(t1, t2, orientation)
-    raise ValueError("triangles %r and %r do not share an edge" % (t1, t2))
+_DOWN_MOVES = ((0, 0, RIGHT), (0, 1, LEFT), (1, 0, VERTICAL))
 
 
 # Per last code bit (0 down, 1 up): (code offset, lozenge orientation) moves.
@@ -123,7 +102,7 @@ def encode(triangles: frozenset[Triangle]) -> tuple[dict[int, Triangle], Moves]:
         2 * ((r - row0) * stride + p - pos0) + (o == UP): t
         for r, p, o, t in zip(rows, positions, orients, triangles)
     }
-    down = tuple((2 * (dr * stride + dp) + 1, o) for dr, dp, o in _MOVES[DOWN])
+    down = tuple((2 * (dr * stride + dp) + 1, o) for dr, dp, o in _DOWN_MOVES)
     return codes, (down, tuple((-offset, o) for offset, o in down))
 
 
@@ -258,6 +237,12 @@ def build_shamrock(m: int, a: int, b: int, c: int, anchor: tuple[int, int]) -> s
     )
 
 
+def q_region_notch(p: RegionParams) -> set[Triangle]:
+    """The notch build_q_region cuts from its hexagon: the shamrock with the
+    a-lobe's lower-left corner x+c units right of the hexagon's."""
+    return build_shamrock(p.m, p.a, p.b, p.c, (p.x + p.c, 0))
+
+
 def build_q_region(p: RegionParams) -> Region:
     """Hexagon with a shamrock-shaped notch on its base.
 
@@ -278,7 +263,7 @@ def _q_region(p: RegionParams) -> Region:
         p.x + p.y + p.a + p.b + p.c,
         p.t + p.m,
     )
-    hole = build_shamrock(p.m, p.a, p.b, p.c, (p.x + p.c, 0))
+    hole = q_region_notch(p)
     if not hole <= hexa:
         raise Unbalanced("notch sticks out of the hexagon for %r" % (p,))
     tris = hexa - hole

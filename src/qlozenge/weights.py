@@ -115,6 +115,14 @@ def g_exponent(p: RegionParams) -> int:
     )
 
 
+def wt0_params(region: Region) -> RegionParams:
+    """The parameters a wt0 pile is measured against, or MissingFrame when
+    the region records none, whatever tilings it has."""
+    if region.params is None:
+        raise MissingFrame("wt0 needs a parameter-tagged region")
+    return region.params
+
+
 def tiling_volume(region: Region, tiling: Tiling) -> int:
     """Number of unit cubes in the pile this tiling depicts.
 
@@ -122,9 +130,8 @@ def tiling_volume(region: Region, tiling: Tiling) -> int:
     empty pile by exactly the pile's volume.  The wt1/f route must agree;
     the tests hold both routes to that.
     """
-    if region.params is None:
-        raise MissingFrame("tiling_volume needs a parameter-tagged region")
-    vol = tiling_exponent(WeightAssignment.WT2, region, tiling) - g_exponent(region.params)
+    empty = g_exponent(wt0_params(region))
+    vol = tiling_exponent(WeightAssignment.WT2, region, tiling) - empty
     if vol < 0:
         raise NegativeVolume("volume %d < 0; weight conventions are broken" % vol)
     return vol

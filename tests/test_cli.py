@@ -225,6 +225,25 @@ def test_a_usage_error_leaves_the_shared_parser_as_built(capsys):
     assert build_parser.cache_info().misses == 1
 
 
+def test_each_subcommand_parses_a_minimal_argv_to_its_defaults():
+    sides = {"a": None, "b": None, "c": None, "params": None, "dents": None}
+    region = {"builder": "hexagon", **sides}
+    states = {"max_states": 4194304}
+    expected = {
+        ("formula", "macmahon"): {"name": "macmahon", **sides, "json": False},
+        ("count", "hexagon"): {**region, **states, "json": False},
+        ("genfun", "hexagon"): {**region, "weight": "wt2", **states, "json": False},
+        ("tilings", "hexagon"): {**region, "max_triangles": 120, "json": False},
+        ("verify", "--suite", "qmain"): {"suite": "qmain", "max_sum": 4, "jobs": 1, "json": False},
+        ("kuo", "hexagon"): {**region, "marks": None, "weight": "wt2", **states, "json": False},
+        ("render", "hexagon"): {**region, "tiling_index": None, "max_triangles": 120, "svg": None},
+    }
+    for argv, defaults in expected.items():
+        parsed = vars(build_parser().parse_args(argv))
+        assert parsed.pop("func").__name__ == "cmd_" + argv[0]
+        assert parsed == {"command": argv[0], **defaults}
+
+
 def test_render_empty_region(capsys):
     code, out, _ = run(capsys, "render", "q_region", "--params", "0,0,0,0,0,0,0,0")
     assert code == 0
@@ -311,6 +330,8 @@ def test_budget_message_names_row_and_state_count(capsys):
     "argv",
     [
         ["count", "hexagon", "--params", "2,2,2", "--max-states", "-1"],
+        ["genfun", "hexagon", "--params", "2,2,2", "--max-states", "-1"],
+        ["kuo", "hexagon", "--params", "2,2,2", "--max-states", "-1"],
         ["verify", "--suite", "qmain", "--max-sum", "-3"],
         ["verify", "--suite", "qmain", "--max-sum", "2", "--jobs", "0"],
         ["tilings", "hexagon", "--a", "1", "--b", "1", "--c", "1", "--max-triangles", "-1"],
@@ -319,6 +340,8 @@ def test_budget_message_names_row_and_state_count(capsys):
     ],
     ids=[
         "negative-max-states",
+        "genfun-negative-max-states",
+        "kuo-negative-max-states",
         "negative-max-sum",
         "zero-jobs",
         "tilings-negative-max-triangles",

@@ -36,9 +36,9 @@ from qlozenge.lattice import (
     build_q_region,
     build_semihexagon_dented,
     down,
+    encode,
     hexagon_params,
     magnet_bar_params,
-    partner_candidates,
     region_json,
     shared_work,
     up,
@@ -419,7 +419,9 @@ def test_outer_walk_skips_an_interior_hole():
     triangles = build_hexagon(3, 3, 3).triangles - hole
     (walk,) = _outer_walks(triangles)
     assert len(walk) == 30
-    rim = {n for t in hole for n, _ in partner_candidates(t) if n in triangles}
+    codes, moves = encode(build_hexagon(3, 3, 3).triangles)
+    rim = {codes.get(k + step) for k, t in codes.items() if t in hole for step, _ in moves[k & 1]}
+    rim &= triangles
     assert rim and not rim & set(walk)
 
 

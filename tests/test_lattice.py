@@ -27,7 +27,6 @@ from qlozenge.lattice import (
     down,
     encode,
     is_balanced,
-    make_lozenge,
     q_region_triangle_count,
     region_json,
     up,
@@ -77,13 +76,6 @@ def test_hexagon_222_count():
     region = build_hexagon(2, 2, 2)
     assert len(region.triangles) == 24
     assert len(list(iter_tilings(region))) == 20
-
-
-def test_make_lozenge_rejects_non_adjacent():
-    with pytest.raises(ValueError):
-        make_lozenge(up(0, 0), down(5, 5))
-    with pytest.raises(ValueError):
-        make_lozenge(up(0, 0), up(0, 1))
 
 
 def test_shamrock_shapes():

@@ -6,6 +6,10 @@ import pytest
 from qlozenge import enumeration
 from qlozenge.enumeration import gen_function_oracle, iter_tilings, remove_forced
 from qlozenge.lattice import (
+    LEFT,
+    RIGHT,
+    VERTICAL,
+    Lozenge,
     Region,
     RegionParams,
     build_hexagon,
@@ -13,7 +17,6 @@ from qlozenge.lattice import (
     build_q_region,
     build_semihexagon_dented,
     down,
-    make_lozenge,
     up,
 )
 from qlozenge.qalgebra import QPoly, resolve
@@ -43,7 +46,7 @@ def _mac_q(a, b, c):
 
 def test_left_lozenges_are_free():
     region = build_hexagon(1, 1, 1)
-    left = make_lozenge(up(0, 0), down(0, -1))
+    left = Lozenge(up(0, 0), down(0, -1), LEFT)
     assert lozenge_weight(W.WT1, region)(left) == 0
     assert lozenge_weight(W.WT2, region)(left) == 0
     assert lozenge_weight(W.WT3, region)(left) == 0
@@ -51,8 +54,8 @@ def test_left_lozenges_are_free():
 
 def test_unit_hexagon_right_lozenge_exponents():
     region = build_hexagon(1, 1, 1)
-    low = make_lozenge(up(0, 0), down(0, 0))
-    high = make_lozenge(up(1, -1), down(1, -1))
+    low = Lozenge(up(0, 0), down(0, 0), RIGHT)
+    high = Lozenge(up(1, -1), down(1, -1), RIGHT)
     for w in (W.WT1, W.WT2):
         exponent = lozenge_weight(w, region)
         assert {exponent(low), exponent(high)} == {1, 2}
@@ -60,8 +63,8 @@ def test_unit_hexagon_right_lozenge_exponents():
 
 def test_unit_hexagon_vertical_exponents():
     region = build_hexagon(1, 1, 1)
-    west = make_lozenge(down(0, -1), up(1, -1))
-    east = make_lozenge(down(0, 0), up(1, 0))
+    west = Lozenge(up(1, -1), down(0, -1), VERTICAL)
+    east = Lozenge(up(1, 0), down(0, 0), VERTICAL)
     assert lozenge_weight(W.WT3, region)(west) == 1
     assert lozenge_weight(W.WT3, region)(east) == 2
 
@@ -73,7 +76,7 @@ def test_wt0_has_no_per_lozenge_value():
 
 def test_missing_frames():
     sh = build_semihexagon_dented(2, 1, [1, 3])
-    loz = make_lozenge(up(0, 1), down(0, 1))
+    loz = Lozenge(up(0, 1), down(0, 1), RIGHT)
     assert lozenge_weight(W.WT2, sh)(loz) == 1  # row 0, one step above the base
     with pytest.raises(MissingFrame):
         lozenge_weight(W.WT1, sh)
