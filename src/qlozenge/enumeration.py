@@ -6,14 +6,17 @@ The two routes share one contract (the generating function of a region
 under a weight assignment, a plain QPoly) and deliberately share no
 enumeration code; tests pit them against each other.  Both, and the
 surgery, find neighbours on lattice.encode's integer codes, from the one
-move table that a test checks against the triangles' corners.  The
-oracle numbers the triangles in sorted order, lists each one's lozenges
-with later ones once as (pair bitmask, Lozenge), and backtracks on one
-int: its lowest set bit is the triangle to cover, and ^ takes a pair
-off.  The engine sweeps the region one triangle at a time carrying a
-boundary mask.  Both resolve the weight once per region, through the
-weights module (wt0: the region's parameter tag), before they enumerate
-anything.
+move table that a test checks against the triangles' corners.  One
+backtracker serves iter_tilings and the oracle: it numbers the triangles
+in sorted order, lists each one's lozenges with later ones once as (pair
+bitmask, label), and backtracks on one int: its lowest set bit is the
+triangle to cover, and ^ takes a pair off.  A label is computed once per
+region: a Lozenge for iter_tilings, the lozenge's down_weight exponent
+for the oracle, which sums a tiling's labels.  The engine sweeps the
+region one triangle at a time carrying a boundary mask.  Both routes
+resolve the weight once per region before they enumerate anything, and
+take wt0 from the weights module's one rule: enumerate wt2, then
+less_offset.
 
 Once per region the engine picks the orientation whose lozenges cross
 its sweep's rows.  Every tiling uses exactly k of the n candidate
@@ -61,8 +64,9 @@ its exponent tables, so the weight is resolved and its frame checked.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from math import comb
-from typing import Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from .lattice import (
     LEFT,
@@ -76,14 +80,7 @@ from .lattice import (
     shared,
 )
 from .qalgebra import QPoly
-from .weights import (
-    NegativeVolume,
-    WeightAssignment,
-    down_weight,
-    g_exponent,
-    lozenge_weight,
-    wt0_params,
-)
+from .weights import WeightAssignment, down_weight, enumeration_weight, less_offset
 
 DEFAULT_TRIANGLE_BUDGET = 120
 
@@ -125,10 +122,11 @@ def tiling_json(tiling: "frozenset[Lozenge]") -> str:
 # oracle route: plain backtracking
 
 
-def iter_tilings(
-    region: Region, max_triangles: int = DEFAULT_TRIANGLE_BUDGET
-) -> Iterator[frozenset[Lozenge]]:
-    """Yield every tiling exactly once, deterministically.
+def _tilings(
+    region: Region, max_triangles: int, label: Callable[[Triangle, Triangle, str], Any]
+) -> Iterator[list]:
+    """Every tiling exactly once, deterministically, as the list of its
+    lozenges' label(up, down, orientation): one list, refilled per tiling.
 
     Branches on the lexicographically smallest uncovered triangle, trying
     its partners in a fixed orientation order.
@@ -140,27 +138,35 @@ def iter_tilings(
         )
     codes, moves = encode(region.triangles)
     index = {c: k for k, c in enumerate(sorted(codes))}
-    options: list[list[tuple[int, Lozenge]]] = []
+    options: list[list[tuple[int, Any]]] = []
     for c, k in index.items():
         options.append([])
         for offset, o in moves[c & 1]:
             n = c + offset
             if index.get(n, -1) > k:
-                loz = Lozenge(codes[c], codes[n], o) if c & 1 else Lozenge(codes[n], codes[c], o)
-                options[k].append((1 << k | 1 << index[n], loz))
-    acc: list[Lozenge] = []
+                up, down = (codes[c], codes[n]) if c & 1 else (codes[n], codes[c])
+                options[k].append((1 << k | 1 << index[n], label(up, down, o)))
+    acc: list = []
 
-    def rec(uncovered: int) -> Iterator[frozenset[Lozenge]]:
+    def rec(uncovered: int) -> Iterator[list]:
         if not uncovered:
-            yield frozenset(acc)
+            yield acc
             return
-        for pair, loz in options[(uncovered & -uncovered).bit_length() - 1]:
+        for pair, value in options[(uncovered & -uncovered).bit_length() - 1]:
             if uncovered & pair == pair:
-                acc.append(loz)
+                acc.append(value)
                 yield from rec(uncovered ^ pair)
                 acc.pop()
 
     return rec((1 << len(index)) - 1)
+
+
+def iter_tilings(
+    region: Region, max_triangles: int = DEFAULT_TRIANGLE_BUDGET
+) -> Iterator[frozenset[Lozenge]]:
+    """Yield every tiling exactly once, deterministically, as a frozenset of
+    Lozenges; BudgetExceeded beyond max_triangles, before the first draw."""
+    return map(frozenset, _tilings(region, max_triangles, Lozenge))
 
 
 def gen_function_oracle(
@@ -171,17 +177,10 @@ def gen_function_oracle(
     """Generating function by brute force, one tiling at a time.  The
     weight is resolved before any tiling is drawn, so a region it cannot
     weigh fails whether it has tilings or not."""
-    wt0 = w is WeightAssignment.WT0
-    # A pile's volume is its tiling's wt2 exponent less the empty pile's.
-    empty = g_exponent(wt0_params(region)) if wt0 else 0
-    weight = lozenge_weight(WeightAssignment.WT2 if wt0 else w, region)
-    terms: dict[int, int] = {}
-    for tiling in iter_tilings(region, max_triangles=max_triangles):
-        e = sum(map(weight, tiling)) - empty
-        terms[e] = terms.get(e, 0) + 1
-    if wt0 and min(terms, default=0) < 0:
-        raise NegativeVolume("volume %d < 0; weight conventions are broken" % min(terms))
-    return QPoly(terms)
+    weight, offset = enumeration_weight(w, region)
+    exponent = down_weight(weight, region)
+    label = lambda up, down, o: exponent(o, down.row, down.pos)
+    return less_offset(QPoly(Counter(map(sum, _tilings(region, max_triangles, label)))), offset)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +347,11 @@ def gen_function(
 ) -> QPoly:
     """Generating function via the frontier sweep; exact, never sampled.
 
-    wt0 is computed through the wt2 route shifted down by the empty-pile
-    exponent, which is the only way wt0 exists (see the weights module).
+    wt0 is the wt2 sweep less the empty-pile exponent, the weights module's
+    one rule for it (see enumeration_weight).
     """
-    if w is WeightAssignment.WT0:
-        offset = g_exponent(wt0_params(region))
-        return _frontier(region, WeightAssignment.WT2, max_states).shift(-offset)
-    return _frontier(region, w, max_states)
+    weight, offset = enumeration_weight(w, region)
+    return less_offset(_frontier(region, weight, max_states), offset)
 
 
 # ---------------------------------------------------------------------------
@@ -398,26 +395,18 @@ def _outer_walks(triangles: frozenset[Triangle]) -> list[list[Triangle]]:
     return walks
 
 
-def _cyclically_ordered(length: int, pu: int, pv: int, pw: int, ps: int) -> bool:
-    dv = (pv - pu) % length
-    dw = (pw - pu) % length
-    ds = (ps - pu) % length
-    return 0 < dv < dw < ds
-
-
 def _marks_in_order(
     walk: list[Triangle], u: Triangle, v: Triangle, w: Triangle, s: Triangle
 ) -> bool:
     """Whether some visits of u, v, w, s along the walk come in that cyclic
-    order, read in either direction."""
-    spots = {t: [k for k, owner in enumerate(walk) if owner == t] for t in (u, v, w, s)}
-    n = len(walk)
+    order, read in either direction: after some visit of u, one lap of the
+    walk meets v, w, s or s, w, v in turn."""
+    laps = [walk[k + 1 :] + walk[:k] for k, t in enumerate(walk) if t == u]
     return any(
-        _cyclically_ordered(n, pu, pv, pw, ps) or _cyclically_ordered(n, pu, ps, pw, pv)
-        for pu in spots[u]
-        for pv in spots[v]
-        for pw in spots[w]
-        for ps in spots[s]
+        all(m in it for m in order)
+        for lap in laps
+        for order in ((v, w, s), (s, w, v))
+        for it in [iter(lap)]
     )
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain, combinations
 from math import comb
 from typing import Callable, Optional, Sequence
@@ -355,42 +355,39 @@ def _bounded_tuples(slots: int, total: int) -> list[tuple[int, ...]]:
     return tuples
 
 
+# A family's (argument tuple, RegionParams it projects to) pairs over its
+# bounded tuples, as keyed(project, slots): built once per suite_tasks call.
+Keyed = Callable[[Callable[..., RegionParams], int], list[tuple[tuple, RegionParams]]]
+
+
 def _formula_tasks(
-    builder_id: str,
-    project: Callable[..., RegionParams],
-    slots: int,
-    max_sum: int,
-    weights: Sequence[WeightAssignment],
+    builder_id: str, keyed: list[tuple[tuple, RegionParams]], weights: Sequence[WeightAssignment]
 ) -> list[tuple]:
-    """Formula checks of one family over its bounded argument tuples, each
-    keyed by the RegionParams its arguments project to."""
-    tasks = []
-    for ps in _bounded_tuples(slots, max_sum):
-        key = project(*ps)
-        tasks += [(key, check_formula_vs_enumeration, builder_id, ps, w) for w in weights]
-    return tasks
+    """Formula checks of one family over its keyed argument tuples."""
+    check = check_formula_vs_enumeration
+    return [(key, check, builder_id, ps, w) for ps, key in keyed for w in weights]
 
 
-def _suite_qmain(max_sum: int) -> list[tuple]:
-    return _formula_tasks("q_region", RegionParams, 8, max_sum, (WeightAssignment.WT2,))
+def _suite_qmain(max_sum: int, keyed: Keyed) -> list[tuple]:
+    return _formula_tasks("q_region", keyed(RegionParams, 8), (WeightAssignment.WT2,))
 
 
-def _suite_formulas(max_sum: int) -> list[tuple]:
+def _suite_formulas(max_sum: int, keyed: Keyed) -> list[tuple]:
     W = WeightAssignment
-    tasks = _formula_tasks("hexagon", hexagon_params, 3, max_sum, (W.WT0, W.WT1, W.WT2))
+    tasks = _formula_tasks("hexagon", keyed(hexagon_params, 3), (W.WT0, W.WT1, W.WT2))
     cap = min(max_sum, 6)
     for a in range(cap + 1):
         for b in range(cap - a + 1):
             for dents in combinations(range(1, a + b + 1), a):
                 args = (a, b, dents)
                 tasks.append((args, check_formula_vs_enumeration, "semihexagon", args, W.WT2))
-    tasks += _formula_tasks("k_region", k_region_params, 5, max_sum, (W.WT2,))
-    tasks += _formula_tasks("magnet_bar", magnet_bar_params, 6, max_sum, (W.WT2, W.WT3))
-    tasks += _formula_tasks("q_region", RegionParams, 8, max_sum, (W.WT0, W.WT1, W.WT2))
+    tasks += _formula_tasks("k_region", keyed(k_region_params, 5), (W.WT2,))
+    tasks += _formula_tasks("magnet_bar", keyed(magnet_bar_params, 6), (W.WT2, W.WT3))
+    tasks += _formula_tasks("q_region", keyed(RegionParams, 8), (W.WT0, W.WT1, W.WT2))
     return tasks
 
 
-def _suite_kuo(max_sum: int) -> list[tuple]:
+def _suite_kuo(max_sum: int, keyed: Keyed) -> list[tuple]:
     """Fixed placement library; max_sum is ignored because nothing sweeps."""
     W = WeightAssignment
     unit = hexagon_params(1, 1, 1)
@@ -418,11 +415,10 @@ def _suite_kuo(max_sum: int) -> list[tuple]:
     return tasks
 
 
-def _suite_recurrences(max_sum: int) -> list[tuple]:
-    bars = [(ps, magnet_bar_params(*ps)) for ps in _bounded_tuples(6, max_sum)]
+def _suite_recurrences(max_sum: int, keyed: Keyed) -> list[tuple]:
+    bars = keyed(magnet_bar_params, 6)
     tasks = [(p, check_magnet_recurrence, *ps) for ps, p in bars if _recurrence_applies(p)]
-    for ps in _bounded_tuples(8, max_sum):
-        p = RegionParams(*ps)
+    for ps, p in keyed(RegionParams, 8):
         if _recurrence_applies(p):
             tasks.append((p, check_q_recurrence, p))
         if _psi_applies(p):
@@ -441,10 +437,10 @@ def _suite_recurrences(max_sum: int) -> list[tuple]:
     return tasks
 
 
-def _suite_prop31(max_sum: int) -> list[tuple]:
+def _suite_prop31(max_sum: int, keyed: Keyed) -> list[tuple]:
     return [
         (p, check_prop31, p)
-        for p in (RegionParams(*ps) for ps in _bounded_tuples(8, max_sum))
+        for _, p in keyed(RegionParams, 8)
         if q_region_triangle_count(p) <= DEFAULT_TRIANGLE_BUDGET
     ]
 
@@ -463,13 +459,13 @@ def suite_names() -> list[str]:
 
 
 def suite_tasks(name: str, max_sum: int = 4) -> list[tuple]:
-    if name == "all":
-        return [t for key in _SUITES for t in _SUITES[key](max_sum)]
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise ValueError(
             "unknown suite %r; choose from %s" % (name, ", ".join(suite_names()))
         )
-    return _SUITES[name](max_sum)
+    keyed = cache(lambda project, slots: [(ps, project(*ps)) for ps in _bounded_tuples(slots, max_sum)])
+    names = _SUITES if name == "all" else [name]
+    return [t for key in names for t in _SUITES[key](max_sum, keyed)]
 
 
 # The tasks and groups of each suite run_suite is running, by (name, max_sum).

@@ -10,13 +10,15 @@ the closed product formulas; do not adjust one without the other.
 down_weight resolves an assignment on a region once: it fails if the
 region's frame lacks the line the assignment measures from, whatever
 lozenges the region holds, and returns each lozenge's exponent from its
-orientation and its down triangle; lozenge_weight reads it off a Lozenge.
+orientation and its down triangle.
 
 wt0 weights a tiling by the number of unit cubes in the pile the tiling
 depicts.  That exponent is a property of the whole pile, not of any one
 lozenge (the same right lozenge can cap columns of different heights in
-different tilings), so wt0 only exists at tiling level: see
-tiling_volume.
+different tilings), so wt0 only exists at tiling level: a pile's volume is
+its tiling's wt2 exponent less the empty pile's, g(p).  Both enumeration
+routes take that one rule from here: enumeration_weight before they
+enumerate, less_offset after.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from enum import Enum
 from math import comb
 from typing import Callable
 
-from .lattice import RIGHT, VERTICAL, Lozenge, Region, RegionParams
+from .lattice import RIGHT, VERTICAL, Region, RegionParams
+from .qalgebra import NonExactDivision, QPoly
 
 
 class MissingFrame(ValueError):
@@ -33,7 +36,7 @@ class MissingFrame(ValueError):
 
 
 class WeightUndefined(ValueError):
-    """wt0 has no per-lozenge exponent; use tiling_volume instead."""
+    """wt0 has no per-lozenge exponent; see enumeration_weight."""
 
 
 class NegativeVolume(ValueError):
@@ -45,9 +48,6 @@ class WeightAssignment(Enum):
     WT1 = "wt1"
     WT2 = "wt2"
     WT3 = "wt3"
-
-
-Tiling = frozenset
 
 
 def down_weight(w: WeightAssignment, region: Region) -> Callable[[str, int, int], int]:
@@ -73,17 +73,6 @@ def down_weight(w: WeightAssignment, region: Region) -> Callable[[str, int, int]
     if origin is None:
         raise MissingFrame(need)
     return exponent
-
-
-def lozenge_weight(w: WeightAssignment, region: Region) -> Callable[[Lozenge], int]:
-    """down_weight(w, region) of a Lozenge, whose second triangle is down."""
-    exponent = down_weight(w, region)
-    return lambda loz: exponent(loz.orientation, loz.second.row, loz.second.pos)
-
-
-def tiling_exponent(w: WeightAssignment, region: Region, tiling: Tiling) -> int:
-    """Total q-exponent of a tiling: the sum over its lozenges."""
-    return sum(map(lozenge_weight(w, region), tiling))
 
 
 def f_exponent(p: RegionParams) -> int:
@@ -115,23 +104,25 @@ def g_exponent(p: RegionParams) -> int:
     )
 
 
-def wt0_params(region: Region) -> RegionParams:
-    """The parameters a wt0 pile is measured against, or MissingFrame when
-    the region records none, whatever tilings it has."""
+def enumeration_weight(w: WeightAssignment, region: Region) -> tuple[WeightAssignment, int]:
+    """The weight to enumerate for w, and the exponent less_offset takes off
+    the result: (w, 0), or for wt0 (wt2, g of the region's parameters).
+    Raises MissingFrame when wt0 meets a region that records no parameters,
+    whatever tilings it has."""
+    if w is not WeightAssignment.WT0:
+        return w, 0
     if region.params is None:
         raise MissingFrame("wt0 needs a parameter-tagged region")
-    return region.params
+    return WeightAssignment.WT2, g_exponent(region.params)
 
 
-def tiling_volume(region: Region, tiling: Tiling) -> int:
-    """Number of unit cubes in the pile this tiling depicts.
-
-    Uses the wt2 route: the wt2-exponent of a tiling exceeds that of the
-    empty pile by exactly the pile's volume.  The wt1/f route must agree;
-    the tests hold both routes to that.
-    """
-    empty = g_exponent(wt0_params(region))
-    vol = tiling_exponent(WeightAssignment.WT2, region, tiling) - empty
-    if vol < 0:
-        raise NegativeVolume("volume %d < 0; weight conventions are broken" % vol)
-    return vol
+def less_offset(poly: QPoly, offset: int) -> QPoly:
+    """poly shifted down by offset, poly itself when offset is 0.  Raises
+    NegativeVolume when that would leave a negative exponent."""
+    if not offset:
+        return poly
+    try:
+        return poly.shift(-offset)
+    except NonExactDivision:
+        vol = min(poly.terms) - offset
+        raise NegativeVolume("volume %d < 0; weight conventions are broken" % vol) from None

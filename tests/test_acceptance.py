@@ -48,12 +48,12 @@ from qlozenge.verify import (
     check_q_recurrence,
     run_suite,
 )
-from qlozenge.weights import (
-    WeightAssignment as W,
-    f_exponent,
-    g_exponent,
-    tiling_exponent,
-)
+from qlozenge.weights import WeightAssignment as W, down_weight, f_exponent, g_exponent
+
+
+def tiling_exponent(w, region, tiling):
+    """Sum of down_weight over a tiling's lozenges, whose second triangle is down."""
+    return sum(down_weight(w, region)(loz.orientation, *loz.second[:2]) for loz in tiling)
 
 
 def _notched_sweep():

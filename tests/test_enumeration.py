@@ -12,6 +12,7 @@ from qlozenge.enumeration import (
     BadMarks,
     BudgetExceeded,
     _exponent_tables,
+    _marks_in_order,
     _planned,
     _sweep,
     count_tilings,
@@ -509,6 +510,25 @@ def test_kuo_rejects_bad_marks():
     # both up marks then both down marks along the walk: not cyclic
     with pytest.raises(BadMarks):
         kuo_remove(region, [up(0, 0), down(3, -2), up(0, 1), down(0, 1)])
+
+
+def _marks_in_order_reference(walk, u, v, w, s):
+    # Every choice of one visit per mark, tested for the cyclic order
+    # u, v, w, s or u, s, w, v by the marks' distances ahead of u.
+    n = len(walk)
+    spots = {t: [k for k, owner in enumerate(walk) if owner == t] for t in (u, v, w, s)}
+    for pu, pv, pw, ps in itertools.product(*(spots[t] for t in (u, v, w, s))):
+        dv, dw, ds = ((p - pu) % n for p in (pv, pw, ps))
+        if 0 < dv < dw < ds or 0 < ds < dw < dv:
+            return True
+    return False
+
+
+@given(st.lists(st.integers(min_value=0, max_value=5), max_size=14))
+@settings(max_examples=400, deadline=None)
+def test_marks_in_order_matches_every_choice_of_visits(walk):
+    # Symbols 0-3 are the marks u, v, w, s; 4 and 5 are other triangles.
+    assert _marks_in_order(walk, 0, 1, 2, 3) == _marks_in_order_reference(walk, 0, 1, 2, 3)
 
 
 def test_kuo_accepts_either_walk_direction():

@@ -31,8 +31,7 @@ from qlozenge.lattice import (
     region_json,
     up,
 )
-from qlozenge.weights import WeightAssignment as W
-from qlozenge.weights import tiling_exponent
+from qlozenge.weights import WeightAssignment as W, down_weight
 
 
 def _hexagon_walk_area(n1, n2, n3, n4, n5, n6):
@@ -174,7 +173,8 @@ def test_remove_forced_drains_degenerate_hexagon():
     reduced, acc = remove_forced(region, W.WT2)
     assert reduced.triangles == frozenset()
     the_tiling = next(iter_tilings(region))
-    assert acc == tiling_exponent(W.WT2, region, the_tiling)
+    exponent = down_weight(W.WT2, region)
+    assert acc == sum(exponent(loz.orientation, *loz.second[:2]) for loz in the_tiling)
 
 
 def test_remove_forced_fixpoint():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -531,6 +532,22 @@ def test_suite_task_counts_frozen():
         "prop31": 1287,
         "all": 8332,
     }
+
+
+def test_a_task_list_builds_each_family_tuple_once(monkeypatch):
+    # qmain, formulas, recurrences and prop31 all sweep the notched
+    # eight-tuples, and formulas and recurrences the bar six-tuples: each
+    # family's RegionParams are built once per task list, besides the kuo
+    # suite's fixed few.
+    calls = []
+    real = RegionParams.__post_init__
+    monkeypatch.setattr(RegionParams, "__post_init__", lambda p: calls.append(p) or real(p))
+    suite_tasks("kuo", 3)
+    kuo = len(calls)
+    calls.clear()
+    suite_tasks("all", 3)
+    families = sum(math.comb(3 + slots, slots) for slots in (3, 5, 6, 8))
+    assert len(calls) == families + kuo
 
 
 def test_qmain_suite_small():

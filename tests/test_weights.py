@@ -4,12 +4,11 @@ from collections import Counter
 import pytest
 
 from qlozenge import enumeration
-from qlozenge.enumeration import gen_function_oracle, iter_tilings, remove_forced
+from qlozenge.enumeration import gen_function, gen_function_oracle, iter_tilings, remove_forced
 from qlozenge.lattice import (
     LEFT,
     RIGHT,
     VERTICAL,
-    Lozenge,
     Region,
     RegionParams,
     build_hexagon,
@@ -25,12 +24,20 @@ from qlozenge.weights import (
     NegativeVolume,
     WeightAssignment as W,
     WeightUndefined,
+    down_weight,
     f_exponent,
     g_exponent,
-    lozenge_weight,
-    tiling_exponent,
-    tiling_volume,
 )
+
+
+def tiling_exponent(w, region, tiling):
+    """Sum of down_weight over a tiling's lozenges, whose second triangle is down."""
+    return sum(down_weight(w, region)(loz.orientation, *loz.second[:2]) for loz in tiling)
+
+
+def tiling_volume(region, tiling):
+    """The pile's volume by the wt2 route: its exponent less the empty pile's."""
+    return tiling_exponent(W.WT2, region, tiling) - g_exponent(region.params)
 
 
 def _mac_q(a, b, c):
@@ -46,46 +53,39 @@ def _mac_q(a, b, c):
 
 def test_left_lozenges_are_free():
     region = build_hexagon(1, 1, 1)
-    left = Lozenge(up(0, 0), down(0, -1), LEFT)
-    assert lozenge_weight(W.WT1, region)(left) == 0
-    assert lozenge_weight(W.WT2, region)(left) == 0
-    assert lozenge_weight(W.WT3, region)(left) == 0
+    for w in (W.WT1, W.WT2, W.WT3):
+        assert down_weight(w, region)(LEFT, 0, -1) == 0
 
 
 def test_unit_hexagon_right_lozenge_exponents():
     region = build_hexagon(1, 1, 1)
-    low = Lozenge(up(0, 0), down(0, 0), RIGHT)
-    high = Lozenge(up(1, -1), down(1, -1), RIGHT)
     for w in (W.WT1, W.WT2):
-        exponent = lozenge_weight(w, region)
-        assert {exponent(low), exponent(high)} == {1, 2}
+        exponent = down_weight(w, region)
+        assert {exponent(RIGHT, 0, 0), exponent(RIGHT, 1, -1)} == {1, 2}
 
 
 def test_unit_hexagon_vertical_exponents():
     region = build_hexagon(1, 1, 1)
-    west = Lozenge(up(1, -1), down(0, -1), VERTICAL)
-    east = Lozenge(up(1, 0), down(0, 0), VERTICAL)
-    assert lozenge_weight(W.WT3, region)(west) == 1
-    assert lozenge_weight(W.WT3, region)(east) == 2
+    assert down_weight(W.WT3, region)(VERTICAL, 0, -1) == 1  # up(1, -1) over down(0, -1)
+    assert down_weight(W.WT3, region)(VERTICAL, 0, 0) == 2  # up(1, 0) over down(0, 0)
 
 
 def test_wt0_has_no_per_lozenge_value():
     with pytest.raises(WeightUndefined):
-        lozenge_weight(W.WT0, build_hexagon(1, 1, 1))
+        down_weight(W.WT0, build_hexagon(1, 1, 1))
 
 
 def test_missing_frames():
     sh = build_semihexagon_dented(2, 1, [1, 3])
-    loz = Lozenge(up(0, 1), down(0, 1), RIGHT)
-    assert lozenge_weight(W.WT2, sh)(loz) == 1  # row 0, one step above the base
+    assert down_weight(W.WT2, sh)(RIGHT, 0, 1) == 1  # row 0, one step above the base
     with pytest.raises(MissingFrame):
-        lozenge_weight(W.WT1, sh)
+        down_weight(W.WT1, sh)
     with pytest.raises(MissingFrame):
-        lozenge_weight(W.WT3, sh)
+        down_weight(W.WT3, sh)
     with pytest.raises(MissingFrame):
-        lozenge_weight(W.WT3, build_q_region(RegionParams(1, 1, 1, 1, 1, 1, 1, 1)))
+        down_weight(W.WT3, build_q_region(RegionParams(1, 1, 1, 1, 1, 1, 1, 1)))
     with pytest.raises(MissingFrame):
-        lozenge_weight(W.WT2, Region(frozenset([up(0, 0), down(0, 0)])))
+        down_weight(W.WT2, Region(frozenset([up(0, 0), down(0, 0)])))
 
 
 def test_a_missing_frame_fails_whatever_the_lozenges():
@@ -94,7 +94,9 @@ def test_a_missing_frame_fails_whatever_the_lozenges():
     with pytest.raises(MissingFrame):
         remove_forced(region, W.WT2)
     with pytest.raises(MissingFrame):
-        tiling_exponent(W.WT2, region, frozenset())
+        down_weight(W.WT2, region)
+    with pytest.raises(MissingFrame):
+        gen_function_oracle(Region(frozenset()), W.WT2)
 
 
 def test_tiling_exponent_trivial():
@@ -154,12 +156,14 @@ def test_two_route_volume_relation():
         p = RegionParams(*vals)
         region = build_q_region(p)
         f, g = f_exponent(p), g_exponent(p)
+        volumes = {}
         for T in iter_tilings(region):
             d1 = tiling_exponent(W.WT1, region, T) - f
             d2 = tiling_exponent(W.WT2, region, T) - g
             assert d1 == d2
             assert d2 >= 0
-            assert tiling_volume(region, T) == d2
+            volumes[d2] = volumes.get(d2, 0) + 1
+        assert gen_function_oracle(region, W.WT0) == QPoly(volumes)
 
 
 def test_unit_hexagon_volumes():
@@ -170,35 +174,35 @@ def test_unit_hexagon_volumes():
 
 def test_volume_needs_params():
     sh = build_semihexagon_dented(1, 1, [1])
-    (only,) = iter_tilings(sh)
-    with pytest.raises(MissingFrame):
-        tiling_volume(sh, only)
+    assert len(list(iter_tilings(sh))) == 1
+    for route in (gen_function, gen_function_oracle):
+        with pytest.raises(MissingFrame):
+            route(sh, W.WT0)
 
 
 def test_negative_volume_is_loud():
     # Grafting wrong parameters onto a region makes the subtraction go
-    # negative; that must never pass silently.
+    # negative; that must never pass silently, and both routes fail alike,
+    # as they do for a region with no parameters at all.
     region = build_hexagon(1, 1, 1)
     lying = Region(region.triangles, RegionParams(2, 2, 2, 2, 2, 2, 2, 2), region.frames)
-    T = next(iter_tilings(region))
-    with pytest.raises(NegativeVolume):
-        tiling_volume(lying, T)
+    for route in (gen_function, gen_function_oracle):
+        with pytest.raises(NegativeVolume):
+            route(lying, W.WT0)
+        with pytest.raises(MissingFrame):
+            route(Region(region.triangles), W.WT0)
 
 
 def test_wt0_oracle_resolves_its_weight_once_per_region(monkeypatch):
     region = build_magnet_bar(1, 1, 2, 2, 1, 1)
     volumes = Counter(tiling_volume(region, T) for T in iter_tilings(region))
     calls = []
-    for name in ("g_exponent", "lozenge_weight"):
+    for name in ("enumeration_weight", "down_weight"):
         real = getattr(enumeration, name)
         counted = lambda *args, name=name, real=real: calls.append(name) or real(*args)
         monkeypatch.setattr(enumeration, name, counted)
     assert gen_function_oracle(region, W.WT0) == QPoly(dict(volumes))
-    assert sorted(calls) == ["g_exponent", "lozenge_weight"]
-    hexagon = build_hexagon(1, 1, 1)
-    lying = Region(hexagon.triangles, RegionParams(2, 2, 2, 2, 2, 2, 2, 2), hexagon.frames)
-    with pytest.raises(NegativeVolume):
-        gen_function_oracle(lying, W.WT0)
+    assert sorted(calls) == ["down_weight", "enumeration_weight"]
 
 
 def test_hexagon_generating_functions_match_product():
