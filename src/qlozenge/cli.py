@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from functools import cache
+from itertools import islice
 from typing import Optional, Sequence
 
 from .enumeration import (
@@ -147,15 +148,23 @@ def _parse_marks(text: str) -> list[Triangle]:
 # SVG rendering
 
 _ROOT3_HALF = math.sqrt(3.0) / 2.0
-_LOZENGE_FILL = {RIGHT: "#c8c8c8", LEFT: "#8f8f8f", VERTICAL: "#efefef"}
-
-
-def _point(i: int, j: int) -> tuple[float, float]:
-    return (i + j / 2.0, -j * _ROOT3_HALF)
+_BARE_STYLE = 'fill="#ffffff" stroke="#bbbbbb" stroke-width="0.03"'
+_NOTCH_STYLE = 'fill="#b0b0b0" stroke="none"'
+_LOZENGE_STYLE = {
+    o: 'fill="%s" stroke="#444444" stroke-width="0.04"' % fill
+    for o, fill in ((RIGHT, "#c8c8c8"), (LEFT, "#8f8f8f"), (VERTICAL, "#efefef"))
+}
 
 
 def _fmt(value: float) -> str:
     return "%.3f" % (value + 0.0)
+
+
+def _xy(corner: tuple[int, int], sep: str) -> str:
+    """A lattice point in drawing coordinates, x and y joined by sep: i runs
+    along the base, j up at 60 degrees, and y grows downwards."""
+    i, j = corner
+    return _fmt(i + j / 2.0) + sep + _fmt(-j * _ROOT3_HALF)
 
 
 def _triangle_corners(t: Triangle) -> list[tuple[int, int]]:
@@ -174,14 +183,6 @@ def _lozenge_corners(loz: Lozenge) -> list[tuple[int, int]]:
     return [(p + 1, r - 1), (p + 1, r), (p, r + 1), (p, r)]
 
 
-def _points_attr(corners) -> str:
-    pieces = []
-    for i, j in corners:
-        x, y = _point(i, j)
-        pieces.append("%s,%s" % (_fmt(x), _fmt(y)))
-    return " ".join(pieces)
-
-
 def _boundary_segments(triangles):
     count: dict = {}
     for t in sorted(triangles):
@@ -190,17 +191,6 @@ def _boundary_segments(triangles):
             edge = tuple(sorted((corners[k], corners[(k + 1) % 3])))
             count[edge] = count.get(edge, 0) + 1
     return sorted(edge for edge, n in count.items() if n == 1)
-
-
-def _path_attr(segments) -> str:
-    pieces = []
-    for (i1, j1), (i2, j2) in segments:
-        x1, y1 = _point(i1, j1)
-        x2, y2 = _point(i2, j2)
-        pieces.append(
-            "M %s %s L %s %s" % (_fmt(x1), _fmt(y1), _fmt(x2), _fmt(y2))
-        )
-    return " ".join(pieces)
 
 
 def render_svg(region: Region, tiling: "Optional[frozenset[Lozenge]]" = None) -> str:
@@ -212,54 +202,31 @@ def render_svg(region: Region, tiling: "Optional[frozenset[Lozenge]]" = None) ->
     region's recorded parameters describe one.
     """
     hole = set() if region.params is None else q_region_notch(region.params)
-    corners = [c for t in sorted(region.triangles) for c in _triangle_corners(t)]
-    corners.extend(c for t in sorted(hole) for c in _triangle_corners(t))
-    xs = [_point(i, j)[0] for i, j in corners] or [0.0, 1.0]
-    ys = [_point(i, j)[1] for i, j in corners] or [-1.0, 0.0]
+    if tiling is None:
+        shapes = [(_triangle_corners(t), _BARE_STYLE) for t in sorted(region.triangles)]
+    else:
+        shapes = [(_lozenge_corners(z), _LOZENGE_STYLE[z.orientation]) for z in sorted(tiling)]
+    shapes.extend((_triangle_corners(t), _NOTCH_STYLE) for t in sorted(hole))
+    # A tiling's lozenges have the corners of the region's triangles, so the
+    # shapes span the region and its notch either way.
+    corners = [c for shape, _ in shapes for c in shape]
+    xs = [i + j / 2.0 for i, j in corners] or [0.0, 1.0]
+    ys = [-j * _ROOT3_HALF for _, j in corners] or [-1.0, 0.0]
     pad = 0.5
     min_x, min_y = min(xs) - pad, min(ys) - pad
     width, height = max(xs) + pad - min_x, max(ys) + pad - min_y
+    box = " ".join(map(_fmt, (min_x, min_y, width, height)))
     lines = [
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%s %s %s %s" '
-        'width="%d" height="%d">'
-        % (
-            _fmt(min_x),
-            _fmt(min_y),
-            _fmt(width),
-            _fmt(height),
-            round(40 * width),
-            round(40 * height),
-        )
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%s" width="%d" height="%d">'
+        % (box, round(40 * width), round(40 * height))
     ]
-    if tiling is None:
-        for t in sorted(region.triangles):
-            lines.append(
-                '<polygon points="%s" fill="#ffffff" stroke="#bbbbbb" '
-                'stroke-width="0.03"/>' % _points_attr(_triangle_corners(t))
-            )
-    else:
-        for loz in sorted(tiling):
-            lines.append(
-                '<polygon points="%s" fill="%s" stroke="#444444" '
-                'stroke-width="0.04"/>'
-                % (_points_attr(_lozenge_corners(loz)), _LOZENGE_FILL[loz.orientation])
-            )
-    for t in sorted(hole):
-        lines.append(
-            '<polygon points="%s" fill="#b0b0b0" stroke="none"/>'
-            % _points_attr(_triangle_corners(t))
-        )
-    outline = _boundary_segments(region.triangles)
-    if outline:
-        lines.append(
-            '<path d="%s" fill="none" stroke="#000000" stroke-width="0.08"/>'
-            % _path_attr(outline)
-        )
-    if hole:
-        lines.append(
-            '<path d="%s" fill="none" stroke="#000000" stroke-width="0.08"/>'
-            % _path_attr(_boundary_segments(hole))
-        )
+    for shape, style in shapes:
+        lines.append('<polygon points="%s" %s/>' % (" ".join(_xy(c, ",") for c in shape), style))
+    for triangles in (region.triangles, hole):
+        segments = _boundary_segments(triangles)
+        if segments:
+            path = " ".join("M %s L %s" % (_xy(a, " "), _xy(b, " ")) for a, b in segments)
+            lines.append('<path d="%s" fill="none" stroke="#000000" stroke-width="0.08"/>' % path)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -352,11 +319,9 @@ def cmd_render(args) -> int:
     region = _build_region(args.builder, args)
     tiling = None
     if args.tiling_index is not None:
-        for k, candidate in enumerate(iter_tilings(region, args.max_triangles)):
-            if k == args.tiling_index:
-                tiling = candidate
-                break
-        else:
+        tilings = iter_tilings(region, args.max_triangles)
+        tiling = next(islice(tilings, args.tiling_index, None), None)
+        if tiling is None:
             raise ValueError("tiling index %d out of range" % args.tiling_index)
     document = render_svg(region, tiling)
     if args.svg is not None:

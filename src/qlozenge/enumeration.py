@@ -10,13 +10,14 @@ move table that a test checks against the triangles' corners.  One
 backtracker serves iter_tilings and the oracle: it numbers the triangles
 in sorted order, lists each one's lozenges with later ones once as (pair
 bitmask, label), and backtracks on one int: its lowest set bit is the
-triangle to cover, and ^ takes a pair off.  A label is computed once per
-region: a Lozenge for iter_tilings, the lozenge's down_weight exponent
-for the oracle, which sums a tiling's labels.  The engine sweeps the
-region one triangle at a time carrying a boundary mask.  Both routes
-resolve the weight once per region before they enumerate anything, and
-take wt0 from the weights module's one rule: enumerate wt2, then
-less_offset.
+triangle to cover, and ^ takes a pair off.  It walks an explicit stack of
+(uncovered mask, options left), so its depth, one frame per lozenge, has
+no recursion limit.  A label is computed once per region: a Lozenge for
+iter_tilings, the lozenge's down_weight exponent for the oracle, which
+sums a tiling's labels.  The engine sweeps the region one triangle at a
+time carrying a boundary mask.  Both routes resolve the weight once per
+region before they enumerate anything, and take wt0 from the weights
+module's one rule: enumerate wt2, then less_offset.
 
 Once per region the engine picks the orientation whose lozenges cross
 its sweep's rows.  Every tiling uses exactly k of the n candidate
@@ -146,19 +147,35 @@ def _tilings(
             if index.get(n, -1) > k:
                 up, down = (codes[c], codes[n]) if c & 1 else (codes[n], codes[c])
                 options[k].append((1 << k | 1 << index[n], label(up, down, o)))
-    acc: list = []
 
-    def rec(uncovered: int) -> Iterator[list]:
+    def walk(uncovered: int) -> Iterator[list]:
+        # A frame for the region and one per lozenge placed, each the mask
+        # still to cover and the options of its lowest triangle not yet
+        # tried; acc holds the label of each placed lozenge.
+        acc: list = []
         if not uncovered:
             yield acc
             return
-        for pair, value in options[(uncovered & -uncovered).bit_length() - 1]:
-            if uncovered & pair == pair:
-                acc.append(value)
-                yield from rec(uncovered ^ pair)
+        stack = [(uncovered, iter(options[0]))]
+        while stack:
+            uncovered, left = stack[-1]
+            for pair, value in left:
+                if uncovered & pair == pair:
+                    break
+            else:
+                stack.pop()
+                if acc:
+                    acc.pop()
+                continue
+            acc.append(value)
+            uncovered ^= pair
+            if uncovered:
+                stack.append((uncovered, iter(options[(uncovered & -uncovered).bit_length() - 1])))
+            else:
+                yield acc
                 acc.pop()
 
-    return rec((1 << len(index)) - 1)
+    return walk((1 << len(index)) - 1)
 
 
 def iter_tilings(

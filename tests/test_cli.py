@@ -7,7 +7,7 @@ import pytest
 from qlozenge import verify
 from qlozenge.cli import build_parser, main, render_svg
 from qlozenge.enumeration import gen_function, iter_tilings
-from qlozenge.formulas import semihex_dents_M2
+from qlozenge.formulas import FAMILIES, semihex_dents_M2
 from qlozenge.lattice import (
     BadDents,
     RegionParams,
@@ -265,6 +265,18 @@ def test_render_tilings_distinct_and_stable(capsys):
         assert shade in first[1]
 
 
+def test_render_a_tiling_deeper_than_the_recursion_limit(capsys):
+    # 1 200 lozenges deep: the backtracker keeps its own stack, so a budget
+    # raised past about 2 100 triangles does not meet Python's recursion
+    # limit.  A hexagon has no notch, so each polygon is one lozenge.
+    code, out, err = run(
+        capsys, "render", "hexagon", "--a", "20", "--b", "20", "--c", "20",
+        "--tiling-index", "0", "--max-triangles", "3000",
+    )
+    assert code == 0 and err == ""
+    assert out.count("<polygon") == 1200
+
+
 def test_render_out_of_range_index(capsys):
     code, _, err = run(
         capsys, "render", "hexagon", "--a", "1", "--b", "1", "--c", "1",
@@ -487,3 +499,28 @@ def test_degenerate_default_kuo_marks_say_so(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "canonical marks degenerate" in err and "--marks" in err
+
+
+# Each region bare, then every tiling of it.  Together they draw all three
+# lozenge fills, notches of 0, 2 and 4 triangles, and a region without
+# parameters (the dented semihexagon), so one digest pins render_svg's bytes.
+_DRAWN_REGIONS = [
+    ("hexagon", (2, 2, 2)),
+    ("magnet_bar", (1, 1, 1, 1, 1, 1)),
+    ("k_region", (2, 1, 0, 1, 1)),
+    ("semihexagon", (3, 2, (1, 3, 4))),
+]
+
+
+def test_render_svg_of_every_tiling_is_pinned():
+    digest = hashlib.sha256()
+    documents = 0
+    for name, params in _DRAWN_REGIONS:
+        region = FAMILIES[name].build(*params)
+        for tiling in [None, *iter_tilings(region)]:
+            digest.update(render_svg(region, tiling).encode("ascii"))
+            documents += 1
+    assert documents == 4 + 20 + 30 + 4 + 3
+    assert digest.hexdigest() == (
+        "bcd818f0a8dc5d7bd27359d2a51195c56369f41d2b1e6efb4b9589b730e21987"
+    )
