@@ -19,12 +19,33 @@ time carrying a boundary mask.  Both routes resolve the weight once per
 region before they enumerate anything, and take wt0 from the weights
 module's one rule: enumerate wt2, then less_offset.
 
-Once per region the engine picks the orientation whose lozenges cross
+The engine sweeps a region's normal form, made once per region: one
+encode, the lozenges every tiling must contain stripped on the codes
+(each kept as its orientation, down row and down pos; the strip does not
+depend on the weight, and an untileable region gives 0 with no sweep),
+and what is left encoded afresh.  Its stride and sorted codes are the
+region's shape.  A region's polynomial is q to its forced lozenges'
+exponents times its shape's, and each weight's exponent is affine in row
+and pos with slopes the weight fixes, so the weight and the exponents it
+gives the lozenges at the shape's corner (its frame origin, seen from
+the shape) fix every exponent on the shape.  The sweep is keyed by
+(shape, weight, those exponents, max_states); an equal key means equal
+exponent tables, and the region's answer is that sweep decoded once,
+shifted by the forced lozenges' exponents.
+The frame check and the negative-exponent check still run on the region
+as asked, for every weight: down_weight first, then the bounds the
+normal form keeps, each weight's exponent at the region's extreme
+triangles (wt1 falls as a right lozenge's pos grows, wt2 grows with its
+row, wt3 with a vertical one's row + pos).  No lozenge's exponent is
+below them; only if one is negative are the whole region's tables
+walked, to raise at the first negative lozenge in sweep order, if any.
+
+Once per shape the engine picks the orientation whose lozenges cross
 its sweep's rows.  Every tiling uses exactly k of the n candidate
 lozenges of one orientation across a lattice line, k = |ups - downs| on
 one side, so at most C(n, k) states meet there.  The plan takes the
 least sum of C(n, k) over an orientation's lines, all three sums from
-one pass over the triangles; a tie keeps the region as built (vertical),
+one pass over the codes; a tie keeps the region as built (vertical),
 and left or right turn it a sixth of a turn, swapping up and down
 triangles.
 
@@ -32,14 +53,15 @@ In that frame, with span positions to a row, up(r, p) sits in slot
 2*(r*span + p) and down(r, p) in the next; a lozenge is a move of its
 earlier triangle, bit d - 1 for a partner d slots ahead.  The exponent
 tables list each triangle's slot, row (for budget errors) and (bit,
-exponent) moves, exponents taken in the region's own frame by
+exponent) moves, rows and exponents taken in the region's own frame by
 weights.down_weight from the plan's (orientation, down row, down pos) of
-each lozenge, so no Lozenge is built.  A state is an int bitmask whose
-bit k says the triangle k slots ahead is already covered; between
-visited triangles it shifts right by the slot gap.  Every frame is a
-lattice image of the region, so an up triangle has at most one move
-(next slot) and a down triangle two (next slot, 2*span - 1 ahead): their
-other neighbours come earlier.  A state's value is a pair:
+each lozenge, counted from the shape's corner, so no Lozenge is built.
+A state is an int bitmask whose bit k says the triangle k slots ahead
+is already covered; between visited triangles it shifts right by the
+slot gap.  Every frame is a lattice image of the region, so an up
+triangle has at most one move (next slot) and a down triangle two (next
+slot, 2*span - 1 ahead): their other neighbours come earlier.  A state's
+value is a pair:
 its tiling count, and its polynomial Kronecker-packed into one int with
 the coefficient of q^e in bytes e*B to (e+1)*B - 1, so a lozenge is a
 left shift and a merge adds both parts.  A state's coefficients are
@@ -54,28 +76,37 @@ decoded by byte slices at the end; count_tilings reads the count of the
 same sweep over all-zero tables.
 
 Inside lattice.shared_work (verify runs each group of checks on one
-region in such a block), the engine plans each region once, and keeps
-each polynomial under (region, weight, max_states) and each count, swept
-for or found by a weighted sweep, under (region, max_states): wt0 reuses
-the wt2 sweep, and a budgeted call never reads a result computed under
-another budget.  The first request for a (region, weight) still builds
-its exponent tables, so the weight is resolved and its frame checked.
+region in such a block), the engine keeps each region's normal form,
+each shape's plan and each (region, weight, max_states) answer for the
+block, and each sweep in the block's lasting memo: each polynomial,
+packed as the sweep left it, under its key, and each count, swept for or
+found by a weighted sweep, under (shape, None, None, max_states).  So wt0 reuses the wt2 sweep, a
+translate or a region that strips to the same shape from the same frame
+origin sweeps nothing, and a budgeted call never reads a result computed
+under another budget.  verify hands every group of one run_suite call
+the same lasting memo, so each key is swept once a suite run (once per
+pool worker).  Outside shared_work nothing is kept, and gen_function and
+count_tilings take the same strip-then-sweep path.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from collections import Counter
 from math import comb
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from .lattice import (
+    DOWN,
     LEFT,
     RIGHT,
+    UP,
     VERTICAL,
     Lozenge,
     Region,
     Triangle,
+    code_moves,
     encode,
     region_json,
     shared,
@@ -137,7 +168,7 @@ def _tilings(
             "%d triangles exceed the enumeration budget of %d"
             % (len(region.triangles), max_triangles)
         )
-    codes, moves = encode(region.triangles)
+    codes, moves = encode(region.triangles)[:2]
     index = {c: k for k, c in enumerate(sorted(codes))}
     options: list[list[tuple[int, Any]]] = []
     for c, k in index.items():
@@ -204,10 +235,97 @@ def gen_function_oracle(
 # engine route: frontier dynamic programming
 
 
+class _Form(NamedTuple):
+    """A region as the engine sweeps it: what is left once its forced
+    lozenges are stripped, encoded afresh, and where that sits."""
+
+    shape: tuple[int, bytes]  # the stride, and the codes of what is left, sorted and packed
+    corner: tuple[int, int]  # the region's row and pos of the shape's row 0, pos 0
+    forced: list[tuple[str, int, int]]  # (orientation, down row, down pos) of each forced lozenge
+    lowest: list[tuple[str, int, int]]  # no lozenge's exponent is below these ones
+    stuck: Optional[Triangle]  # a triangle left with no cover, None if the strip ended
+
+
+def _form(region: Region) -> _Form:
+    return shared(("form", region), lambda: _normal_form(region))
+
+
+def _normal_form(region: Region) -> _Form:
+    """Strip the lozenges every tiling must contain, whatever the weight.
+
+    A worklist starts with every triangle that has fewer than two partners,
+    smallest code first.  One with exactly one partner left goes with that
+    partner, and the pair's remaining neighbours go back on the list; one
+    with none stops the strip, as the region is untileable.
+    """
+    codes, moves, stride, corner = encode(region.triangles)
+    to = {o: offset for offset, o in moves[0]}  # to a down triangle's partners, from an up's
+    right, left, vertical = to[RIGHT], to[LEFT], to[VERTICAL]
+    todo = [  # triangles of fewer than two partners
+        c
+        for c in codes
+        if c & 1
+        if (c - right in codes) + (c - left in codes) + (c - vertical in codes) < 2
+    ]
+    todo += [
+        c
+        for c in codes
+        if not c & 1
+        if (c + right in codes) + (c + left in codes) + (c + vertical in codes) < 2
+    ]
+    # Bounds on every lozenge's exponent, each weight's at the region's
+    # extreme triangles: a right lozenge's falls as its pos grows (wt1) and
+    # grows with its row (wt2), a vertical one's grows with row + pos (wt3).
+    row0, pos0 = corner
+    lowest = [
+        (RIGHT, row0, pos0 + stride - 2),
+        (VERTICAL, row0, min([r + p for r, p, _ in codes.values()], default=0) - row0),
+    ]
+    if not todo:
+        return _Form(_shape(stride, codes), corner, [], lowest, None)
+    todo.sort(reverse=True)  # popped smallest first
+    remaining = set(codes)
+    forced: list[tuple[str, int, int]] = []
+    while todo:
+        c = todo.pop()
+        if c not in remaining:
+            continue
+        options = [(c + offset, o) for offset, o in moves[c & 1] if c + offset in remaining]
+        if not options:
+            return _Form((stride, b""), corner, forced, lowest, codes[c])
+        if len(options) == 1:
+            ((n, o),) = options
+            down = codes[n if c & 1 else c]
+            forced.append((o, down.row, down.pos))
+            remaining -= {c, n}
+            todo += [s + off for s in (c, n) for off, _ in moves[s & 1] if s + off in remaining]
+    if forced:
+        codes, _, stride, corner = encode(frozenset(codes[c] for c in remaining))
+    return _Form(_shape(stride, codes), corner, forced, lowest, None)
+
+
+def _whole(region: Region) -> _Form:
+    """The region as it is, no lozenge stripped."""
+    codes, _, stride, corner = encode(region.triangles)
+    return _Form(_shape(stride, codes), corner, [], [], None)
+
+
+def _shape(stride: int, codes: dict[int, Triangle]) -> tuple[int, bytes]:
+    """The codes as a memo key: the stride and the sorted codes packed
+    eight bytes each, several times smaller than a set of them."""
+    return stride, struct.pack("%dq" % len(codes), *sorted(codes))
+
+
+def _decoded(shape: tuple[int, bytes]) -> dict[int, tuple[int, int]]:
+    """Each code of the shape, with its row and pos counted from the shape's corner."""
+    stride, packed = shape
+    return {c: divmod(c >> 1, stride) for c in struct.unpack("%dq" % (len(packed) // 8), packed)}
+
+
 class _Plan(NamedTuple):
     orientation: str  # the orientation whose lozenges cross the sweep's rows
-    # (slot, row in the region's own frame, [(bit, orientation, down row, down
-    # pos) of each lozenge it takes]), in slot order
+    # (slot, row, [(bit, orientation, down row, down pos) of each lozenge it
+    # takes]), in slot order; rows and positions counted from the shape's corner
     steps: list[tuple[int, int, list[tuple[int, str, int, int]]]]
 
 
@@ -224,17 +342,18 @@ _FRAMES = {
 }
 
 
-def _planned(region: Region) -> _Plan:
-    """The orientation of least line cost, and the region's slots in its
+def _planned(shape: tuple[int, bytes]) -> _Plan:
+    """The orientation of least line cost, and the shape's slots in its
     frame, each with the lozenges its triangle shares with later ones."""
-    codes, moves = encode(region.triangles)
+    at = _decoded(shape)  # code -> (row, pos) in the shape
+    moves = code_moves(shape[0])
     # band between two lines that vertical, left, right lozenges cross (of
     # constant row, pos, row + pos) -> ups - downs in the band
     rows, cols, diagonals = {}, {}, {}
     # per orientation, band -> candidate lozenges across the band's top line
     across: dict[str, dict[int, int]] = {o: {} for o in _FRAMES}
     lozenges = []  # (up code, down code, orientation, down row, down pos)
-    for c, (r, p, _) in codes.items():
+    for c, (r, p) in at.items():
         if c & 1:
             rows[r] = rows.get(r, 0) + 1
             cols[p] = cols.get(p, 0) + 1
@@ -244,7 +363,7 @@ def _planned(region: Region) -> _Plan:
         cols[p] = cols.get(p, 0) - 1
         diagonals[r + p + 1] = diagonals.get(r + p + 1, 0) - 1
         for (offset, o), line in zip(moves[0], (r + p, p, r)):
-            if c + offset in codes:
+            if c + offset in at:
                 lozenges.append((c + offset, c, o, r, p))
                 across[o][line] = across[o].get(line, 0) + 1
     cost = {}
@@ -257,31 +376,34 @@ def _planned(region: Region) -> _Plan:
     positions = {VERTICAL: cols, LEFT: diagonals, RIGHT: rows}[orientation]  # p, r + p + d, -r
     span = max(positions, default=0) - min(positions, default=0) + 1
     frame = _FRAMES[orientation]
-    slot = {c: frame(r, p, 1 - (c & 1), span) for c, (r, p, _) in codes.items()}
-    taken: dict[int, list[tuple[int, str, int, int]]] = {c: [] for c in codes}
+    slot = {c: frame(r, p, 1 - (c & 1), span) for c, (r, p) in at.items()}
+    taken: dict[int, list[tuple[int, str, int, int]]] = {c: [] for c in at}
     for up, down, o, r, p in lozenges:
         a, b = slot[up], slot[down]
         taken[up if a < b else down].append((1 << (abs(a - b) - 1), o, r, p))
-    return _Plan(orientation, sorted((slot[c], t.row, taken[c]) for c, t in codes.items()))
+    return _Plan(orientation, sorted((slot[c], r, taken[c]) for c, (r, _) in at.items()))
 
 
 # (slot, row, [(bit, exponent) of each lozenge the triangle takes]), in slot order
 ExponentTables = list[tuple[int, int, list[tuple[int, int]]]]
 
 
-def _exponent_tables(region: Region, w: Optional[WeightAssignment]) -> ExponentTables:
-    """The sweep's steps, each triangle with the bit and exponent of every
-    lozenge it takes with a later one; w None gives the all-zero exponents
+def _exponent_tables(
+    form: _Form, exponent: Optional[Callable[[str, int, int], int]]
+) -> ExponentTables:
+    """The sweep's steps on the form's shape, each triangle with the bit and
+    exponent of every lozenge it takes with a later one, rows and exponents
+    in the region's own frame; exponent None gives the all-zero exponents
     of plain counting."""
-    exponent = None if w is None else down_weight(w, region)
+    row0, pos0 = form.corner
     tables: ExponentTables = []
-    for slot, row, moves in shared(("plan", region), lambda: _planned(region)).steps:
+    for slot, row, moves in shared(("plan", form.shape), lambda: _planned(form.shape)).steps:
         taken: list[tuple[int, int]] = []
-        tables.append((slot, row, taken))
+        tables.append((slot, row + row0, taken))
         for bit, o, r, p in moves:
-            e = 0 if exponent is None else exponent(o, r, p)
+            e = 0 if exponent is None else exponent(o, r + row0, p + pos0)
             if e < 0:
-                where = (o, (r, p), e)
+                where = (o, (r + row0, p + pos0), e)
                 raise ValueError("%s lozenge at down triangle %r has negative exponent %d" % where)
             taken.append((bit, e))
     return tables
@@ -339,21 +461,51 @@ def _respaced(packed: int, size: int, wider: int) -> int:
 
 
 def _frontier(region: Region, w: WeightAssignment, max_states: Optional[int]) -> QPoly:
-    return shared((region, w, max_states), lambda: _unpacked(region, w, max_states))
+    return shared((region, w, max_states), lambda: _shifted(region, w, max_states))
 
 
-def _unpacked(region: Region, w: WeightAssignment, max_states: Optional[int]) -> QPoly:
-    count, packed, size = _sweep(_exponent_tables(region, w), max_states)
-    shared((region, max_states), lambda: count)  # a later count_tilings reads it
+def _shifted(region: Region, w: WeightAssignment, max_states: Optional[int]) -> QPoly:
+    """The region's polynomial under w: one sweep of its shape, shared with
+    every region of that shape and the same exponents on it, decoded with
+    every exponent raised by its forced lozenges' (see the module
+    docstring)."""
+    exponent = down_weight(w, region)
+    form = _form(region)
+    if any(exponent(*bound) < 0 for bound in form.lowest):
+        _exponent_tables(_whole(region), exponent)  # raises at the first, in sweep order
+    if form.stuck is not None:
+        return QPoly(0)
+    row0, pos0 = form.corner
+    corner = tuple(exponent(o, row0, pos0) for o in (LEFT, RIGHT, VERTICAL))
+    packed, size = shared(
+        (form.shape, w, corner, max_states),
+        lambda: _swept(form, exponent, max_states),
+        lasting=True,
+    )
+    forced = sum(exponent(*lozenge) for lozenge in form.forced)
     data = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
     starts = range(0, len(data), size)
-    return QPoly({k // size: int.from_bytes(data[k : k + size], "little") for k in starts})
+    return QPoly({k // size + forced: int.from_bytes(data[k : k + size], "little") for k in starts})
+
+
+def _swept(
+    form: _Form, exponent: Callable[[str, int, int], int], max_states: Optional[int]
+) -> tuple[int, int]:
+    """The packed polynomial of the form's shape, and its slot width in bytes."""
+    count, packed, size = _sweep(_exponent_tables(form, exponent), max_states)
+    shared((form.shape, None, None, max_states), lambda: count, lasting=True)  # for count_tilings
+    return packed, size
 
 
 def count_tilings(region: Region, max_states: Optional[int] = None) -> int:
     """Number of tilings (0 if untileable, 1 for the empty region)."""
+    form = _form(region)
+    if form.stuck is not None:
+        return 0
     return shared(
-        (region, max_states), lambda: _sweep(_exponent_tables(region, None), max_states)[0]
+        (form.shape, None, None, max_states),
+        lambda: _sweep(_exponent_tables(form, None), max_states)[0],
+        lasting=True,
     )
 
 
@@ -388,7 +540,7 @@ def _outer_walks(triangles: frozenset[Triangle]) -> list[list[Triangle]]:
     merge into the outer face the same way.  The four-point recurrences
     mark exactly such triangles.
     """
-    codes, moves = encode(triangles)
+    codes, moves = encode(triangles)[:2]
     ring = {  # neighbours in counterclockwise order
         c: [c + offset for offset, _ in moves[c & 1] if c + offset in codes] for c in codes
     }
@@ -456,31 +608,19 @@ def kuo_remove(region: Region, marked: list[Triangle]) -> list[Region]:
 
 
 def remove_forced(region: Region, w: WeightAssignment) -> tuple[Region, int]:
-    """Strip lozenges that every tiling must contain.
-
-    Takes triangles off a worklist that starts with every triangle: one
-    with exactly one in-region partner is removed with that partner, the
-    q-exponent of the removed lozenge under the weight assignment w is
-    accumulated, and the pair's remaining neighbours go back on the list.
-    Raises Untileable if some triangle ends up with no partner at all, and
-    MissingFrame as weights.down_weight does, forced lozenges or not.
+    """Strip lozenges that every tiling must contain (the engine's strip,
+    see _normal_form): the region they leave, and the sum of their
+    q-exponents under w.  Raises Untileable if some triangle ends up with
+    no partner at all, and MissingFrame as weights.down_weight does,
+    forced lozenges or not.
     """
     exponent = down_weight(w, region)
-    codes, moves = encode(region.triangles)
-    remaining = set(codes)
-    acc = 0
-    todo = sorted(remaining, reverse=True)  # popped smallest first
-    while todo:
-        c = todo.pop()
-        if c not in remaining:
-            continue
-        options = [(c + off, o) for off, o in moves[c & 1] if c + off in remaining]
-        if not options:
-            raise Untileable("triangle %r has no possible cover" % (codes[c],))
-        if len(options) == 1:
-            ((n, o),) = options
-            down = codes[n if c & 1 else c]
-            acc += exponent(o, down.row, down.pos)
-            remaining -= {c, n}
-            todo += [s + off for s in (c, n) for off, _ in moves[s & 1] if s + off in remaining]
-    return Region(frozenset(codes[c] for c in remaining), None, region.frames), acc
+    form = _form(region)
+    if form.stuck is not None:
+        raise Untileable("triangle %r has no possible cover" % (form.stuck,))
+    row0, pos0 = form.corner
+    left = frozenset(
+        Triangle(row0 + r, pos0 + p, UP if c & 1 else DOWN)
+        for c, (r, p) in _decoded(form.shape).items()
+    )
+    return Region(left, None, region.frames), sum(exponent(*lozenge) for lozenge in form.forced)

@@ -37,7 +37,8 @@ module imports no other of the package; surgery that needs a weight
 
 Inside a shared_work block, build_q_region and the frontier engine hand
 back what they already computed for an equal request (see shared); the
-block's memo goes when it ends, so nothing outlives it.
+block's memo goes when it ends.  Only what the engine marks lasting goes
+into the second memo the block was handed, which the caller keeps.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 UP = "U"
@@ -93,8 +95,22 @@ _DOWN_MOVES = ((0, 0, RIGHT), (0, 1, LEFT), (1, 0, VERTICAL))
 Moves = tuple[tuple[tuple[int, str], ...], ...]
 
 
-def encode(triangles: frozenset[Triangle]) -> tuple[dict[int, Triangle], Moves]:
-    """Each triangle under its code, and per last code bit its partners' moves."""
+class Encoding(NamedTuple):
+    codes: dict[int, Triangle]  # each triangle under its code
+    moves: Moves
+    stride: int  # R, the codes' positions to a row
+    corner: tuple[int, int]  # (row0, pos0): code 0 is down(row0, pos0)
+
+
+@cache
+def code_moves(stride: int) -> Moves:
+    """Per last code bit, the code offsets of a triangle's partners."""
+    down = tuple((2 * (dr * stride + dp) + 1, o) for dr, dp, o in _DOWN_MOVES)
+    return down, tuple((-offset, o) for offset, o in down)
+
+
+def encode(triangles: frozenset[Triangle]) -> Encoding:
+    """Each triangle under its code, the partners' moves, and the layout."""
     rows, positions, orients = zip(*(triangles or [up(0, 0)]))
     row0, pos0 = min(rows), min(positions) - 1
     stride = max(positions) - pos0 + 2
@@ -102,8 +118,7 @@ def encode(triangles: frozenset[Triangle]) -> tuple[dict[int, Triangle], Moves]:
         2 * ((r - row0) * stride + p - pos0) + (o == UP): t
         for r, p, o, t in zip(rows, positions, orients, triangles)
     }
-    down = tuple((2 * (dr * stride + dp) + 1, o) for dr, dp, o in _DOWN_MOVES)
-    return codes, (down, tuple((-offset, o) for offset, o in down))
+    return Encoding(codes, code_moves(stride), stride, (row0, pos0))
 
 
 @dataclass(frozen=True)
@@ -171,28 +186,32 @@ def region_json(region: Region) -> str:
 # work shared within a block
 
 _T = TypeVar("_T")
-_memo: ContextVar[Optional[dict]] = ContextVar("qlozenge_shared_work", default=None)
+_memo: ContextVar[Optional[tuple[dict, dict]]] = ContextVar("qlozenge_shared_work", default=None)
 _MISSING = object()
 
 
 @contextmanager
-def shared_work() -> Iterator[None]:
+def shared_work(lasting: Optional[dict] = None) -> Iterator[None]:
     """Within the block (in this thread), shared answers an equal key from
-    one memo, which is dropped when the block ends."""
-    token = _memo.set({})
+    the block's memo, which is dropped when the block ends, or a lasting
+    key from `lasting`: a dict the caller may hand to later blocks, by
+    default a fresh one that goes with the block."""
+    token = _memo.set(({}, {} if lasting is None else lasting))
     try:
         yield
     finally:
         _memo.reset(token)
 
 
-def shared(key: Hashable, compute: Callable[[], _T]) -> _T:
+def shared(key: Hashable, compute: Callable[[], _T], lasting: bool = False) -> _T:
     """compute(), or inside shared_work the value it gave for an equal key
-    earlier in the block.  The key must hold every input of compute, and
-    a call that raised leaves nothing behind."""
-    memo = _memo.get()
-    if memo is None:
+    earlier in the block (or, lasting, in an earlier block handed the same
+    lasting dict).  The key must hold every input of compute, and a call
+    that raised leaves nothing behind."""
+    memos = _memo.get()
+    if memos is None:
         return compute()
+    memo = memos[lasting]
     value = memo.get(key, _MISSING)
     if value is _MISSING:
         value = memo[key] = compute()

@@ -20,13 +20,17 @@ its own, and each group runs inside one lattice.shared_work block: the
 region is built, split by kuo_remove, counted and swept under each weight
 once, and its Kuo products multiplied once, however many checks ask; a
 repeated task (each qmain task is a formulas task too) is checked once.
-Nothing is kept from one group to the next.  One table, _KUO_MOVES, gives
-Kuo's five removals as moves of the sides, for the recurrences and
-reductions alike.  Groups run in this process or, with jobs > 1, one per
-pool item, and results go back in task order, so the output is identical
-however many workers ran them.  Only group numbers go to the pool (a forked
-worker reads the task list, a spawn or forkserver worker builds it once);
-back come Reports, or with the CLI's renderer (passed, line) pairs.
+Only the engine's sweeps outlive a group: every group of one run_suite
+call hands the block the same lasting memo, which run_suite drops when it
+returns (a pool worker keeps its own for the pool's life), so a shape is
+swept once per weight and frame origin in a suite run, however many
+groups reach it.  One table, _KUO_MOVES, gives Kuo's five removals as
+moves of the sides, for the recurrences and reductions alike.  Groups run
+in this process or, with jobs > 1, one per pool item, and results go back
+in task order, so the output is identical however many workers ran them.
+Only group numbers go to the pool (a forked worker reads the task list, a
+spawn or forkserver worker builds it once); back come Reports, or with
+the CLI's renderer (passed, line) pairs.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .enumeration import (
     gen_function_oracle,
     kuo_remove,
     region_digest,
-    remove_forced,
 )
 from .formulas import FAMILIES, theorem_qmain
 from .lattice import (
@@ -324,10 +327,10 @@ def check_magnet_reduction(
 
     Deleting the marked triangles and then stripping forced lozenges
     leaves a translate of a smaller bar, so the comparison is between
-    wt2 generating functions: the stripped core shifted by the exponent
-    remove_forced accumulated, against the smaller bar built from
-    scratch shifted by the predicted prefactor.  Inside shared_work the
-    bar is built and split once for all five steps.
+    wt2 generating functions: the mark-deleted bar's (the engine strips
+    its forced lozenges and adds their exponents), against the smaller
+    bar built from scratch shifted by the predicted prefactor.  Inside
+    shared_work the bar is built and split once for all five steps.
     """
     if step not in _KUO_MOVES:
         raise ValueError("unknown reduction step %r" % (step,))
@@ -336,8 +339,7 @@ def check_magnet_reduction(
     if not _reduction_applies(p, step):
         return _precondition("magnet_reduction", params)
     parts = shared(("kuo", p), lambda: kuo_remove(build_q_region(p), four_point_marks(p)))
-    core, stripped = remove_forced(dict(zip(_KUO_MOVES, parts))[step], WeightAssignment.WT2)
-    lhs = gen_function(core, WeightAssignment.WT2).shift(stripped)
+    lhs = gen_function(dict(zip(_KUO_MOVES, parts))[step], WeightAssignment.WT2)
     smaller = build_q_region(_moved(p, **_KUO_MOVES[step]))
     rhs = gen_function(smaller, WeightAssignment.WT2)
     return _verdict("magnet_reduction", params, lhs, rhs.shift(_reduction_exponent(p, step)))
@@ -468,25 +470,27 @@ def suite_tasks(name: str, max_sum: int = 4) -> list[tuple]:
     return [t for key in names for t in _SUITES[key](max_sum, keyed)]
 
 
-# The tasks and groups of each suite run_suite is running, by (name, max_sum).
+# The tasks and groups of each suite run_suite is running, by (name, max_sum),
+# and the engine's lasting memo for its groups.
 _held: dict = {}
 
 
-def _suite_groups(name: str, max_sum: int) -> tuple[list[tuple], list[list[int]]]:
-    """The suite's tasks, and the indices of each group's tasks."""
+def _suite_groups(name: str, max_sum: int) -> tuple[list[tuple], list[list[int]], dict]:
+    """The suite's tasks, the indices of each group's tasks, and the memo
+    every group hands the engine's sweeps."""
     held = _held.get((name, max_sum))
     if held is None:
         tasks, groups = suite_tasks(name, max_sum), {}
         for i, task in enumerate(tasks):
             groups.setdefault(i if task[0] is None else task[0], []).append(i)
-        held = _held[name, max_sum] = (tasks, list(groups.values()))
+        held = _held[name, max_sum] = (tasks, list(groups.values()), {})
     return held
 
 
 def _run_group(number: int, name: str, max_sum: int, render: Render = None) -> list:
-    tasks, groups = _suite_groups(name, max_sum)
+    tasks, groups, swept = _suite_groups(name, max_sum)
     batch = [tasks[i] for i in groups[number]]
-    with shared_work():
+    with shared_work(swept):
         done = {task: task[1](*task[2:]) for task in dict.fromkeys(batch)}
     out = {t: (r.status == PASS, render(r)) for t, r in done.items()} if render else done
     return [out[task] for task in batch]
@@ -499,7 +503,7 @@ def run_suite(name: str, max_sum: int = 4, jobs: int = 1, render: Render = None)
     it once.  Back come, in task order at any jobs, Reports, or with render
     the pairs (status is Pass, render(report)), made in the workers."""
     try:
-        tasks, groups = _suite_groups(name, max_sum)
+        tasks, groups, _ = _suite_groups(name, max_sum)
         run = partial(_run_group, name=name, max_sum=max_sum, render=render)
         if jobs > 1:
             # Imported here, as only a pooled run needs it: the import holds

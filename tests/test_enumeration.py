@@ -12,6 +12,7 @@ from qlozenge.enumeration import (
     BadMarks,
     BudgetExceeded,
     _exponent_tables,
+    _form,
     _marks_in_order,
     _planned,
     _sweep,
@@ -46,7 +47,7 @@ from qlozenge.lattice import (
 )
 from qlozenge.qalgebra import QPoly, parse_poly
 from qlozenge.verify import four_point_marks
-from qlozenge.weights import MissingFrame, WeightAssignment as W
+from qlozenge.weights import MissingFrame, WeightAssignment as W, down_weight
 
 
 def _rotate_to_min(walk):
@@ -184,10 +185,24 @@ def test_the_budget_counts_states_in_the_chosen_frame():
     # Swept as built, this bar needs 420 states; its right lozenges crossing
     # the rows, it needs 35.
     region = build_magnet_bar(2, 3, 4, 2, 0, 2)
-    assert _planned(region).orientation == RIGHT
+    assert _planned(_form(region).shape).orientation == RIGHT
     assert count_tilings(region, max_states=70) == 1234800
     with pytest.raises(BudgetExceeded, match="needs 35 states at row 3, budget is 34"):
         count_tilings(region, max_states=34)
+
+
+def _translated(region, drow, dpos, frames=None):
+    """The region moved by drow rows and dpos positions, its frames moved
+    along unless others are given."""
+    if frames is None and region.frames is not None:
+        f = region.frames
+        frames = Frames(
+            None if f.base_row is None else f.base_row + drow,
+            None if f.se_i is None else f.se_i + dpos,
+            None if f.sw_level is None else f.sw_level + drow + dpos,
+        )
+    moved = frozenset(t._replace(row=t.row + drow, pos=t.pos + dpos) for t in region.triangles)
+    return Region(moved, None, frames)
 
 
 def test_shared_work_builds_counts_and_sweeps_each_region_once(monkeypatch):
@@ -197,9 +212,12 @@ def test_shared_work_builds_counts_and_sweeps_each_region_once(monkeypatch):
         swept.append(tables)
         return _sweep(tables, max_states)
 
-    def plan(region):
-        planned.append(region)
-        return _planned(region)
+    def plan(shape):
+        planned.append(shape)
+        return _planned(shape)
+
+    def tables(region, w):
+        return _exponent_tables(_form(region), down_weight(w, region))
 
     monkeypatch.setattr("qlozenge.enumeration._sweep", sweep)
     monkeypatch.setattr("qlozenge.enumeration._planned", plan)
@@ -208,21 +226,138 @@ def test_shared_work_builds_counts_and_sweeps_each_region_once(monkeypatch):
     with shared_work():
         region = build_q_region(p)
         assert build_q_region(p) is region
+        shape = _form(region).shape
         wt2 = gen_function(region, W.WT2)
         assert gen_function(build_q_region(p), W.WT2) is wt2
-        assert swept == [_exponent_tables(region, W.WT2)]  # one pass, no count sweep
-        assert count_tilings(region) == sum(wt2.terms.values())  # the count it found
+        assert swept == [tables(region, W.WT2)]  # one pass, no count sweep
+        count = count_tilings(region)
+        assert count == sum(wt2.terms.values())  # the count it found
         gen_function(region, W.WT0)  # the wt2 sweep, shifted
         assert len(swept) == 1
-        gen_function(region, W.WT1)
-        assert swept[1:] == [_exponent_tables(region, W.WT1)]
-        assert planned == [region]  # one plan for every weight and the count
+        wt1 = gen_function(region, W.WT1)
+        assert swept[1:] == [tables(region, W.WT1)]
+        assert planned == [shape]  # one plan for every weight and the count
+        # A translate with its frames moved along has the same shape and the
+        # same exponents on it: the same sweeps answer it, with no plan.
+        moved = _translated(region, 3, -2)
+        assert (gen_function(moved, W.WT2), gen_function(moved, W.WT1)) == (wt2, wt1)
+        assert count_tilings(moved) == count
+        assert len(swept) == 2
+        # The same triangles measured from another base row: the same shape
+        # and plan, other exponents, so one more sweep.
+        lifted = Region(region.triangles, None, Frames(base_row=-1))
+        assert gen_function(lifted, W.WT2) == gen_function_oracle(lifted, W.WT2) != wt2
+        assert len(swept) == 3 and planned == [shape]
     with shared_work():
-        assert count_tilings(region) == sum(wt2.terms.values())
+        assert count_tilings(region) == count
         gen_function(region, W.WT2)  # a count gives no polynomial
-        assert len(swept) == 4
-        assert planned == [region, region]
+        assert len(swept) == 5
+        assert planned == [shape, shape]
+    # Blocks handed one lasting memo share its sweeps, each planning nothing
+    # it need not sweep.
+    lasting: dict = {}
+    with shared_work(lasting):
+        gen_function(region, W.WT1)
+    with shared_work(lasting):
+        assert gen_function(moved, W.WT1) == wt1 and count_tilings(region) == count
+    assert len(swept) == 6 and len(planned) == 3
     assert build_q_region(p) is not region
+
+
+def _origins(region):
+    """The frame's lines as seen from the corner of the region's shape."""
+    (row0, pos0), f = _form(region).corner, region.frames
+    return f.base_row - row0, f.se_i - pos0, f.sw_level - row0 - pos0
+
+
+# Regions whose mark-deleted parts carry forced lozenges.
+_STRIPPED = [
+    magnet_bar_params(1, 1, 1, 1, 1, 1),
+    magnet_bar_params(1, 2, 1, 1, 1, 1),
+    magnet_bar_params(0, 1, 2, 1, 0, 1),
+    RegionParams(1, 1, 0, 1, 1, 1, 1, 1),
+    RegionParams(0, 1, 1, 0, 1, 0, 1, 2),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from(_STRIPPED), drow=st.integers(-9, 9), dpos=st.integers(-9, 9))
+def test_engine_matches_oracle_on_translates_and_forced_lozenges(p, drow, dpos):
+    """A region and its mark-deleted parts, which carry forced lozenges, as
+    built and moved with their frames, all swept in one block, so that
+    equal keys meet.  The first part of the 1,1,1,1,1,1 bar strips to the
+    shape of the smaller bar it reduces to, seen from another frame origin:
+    a key without the origin answers one of the two wrongly."""
+    bar = magnet_bar_params(1, 1, 1, 1, 1, 1)
+    smaller = build_q_region(magnet_bar_params(1, 1, 1, 0, 1, 0))
+    (uvws, *_) = kuo_remove(build_q_region(bar), four_point_marks(bar))
+    assert _form(uvws).shape == _form(smaller).shape
+    assert _origins(uvws) != _origins(smaller)
+    region = build_q_region(p)
+    parts = kuo_remove(region, four_point_marks(p))
+    assert any(_form(part).forced for part in parts)
+    regions = [uvws, smaller, region, *parts]
+    regions += [_translated(r, drow, dpos) for r in regions]
+    with shared_work():
+        for region in regions:
+            assert count_tilings(region) == len(list(iter_tilings(region)))
+            for w in (W.WT1, W.WT2, W.WT3):
+                try:
+                    expected = gen_function_oracle(region, w)
+                except MissingFrame:
+                    with pytest.raises(MissingFrame):
+                        gen_function(region, w)
+                    continue
+                assert gen_function(region, w) == expected
+
+
+# The bar moved 3 rows up and 2 positions left under a frame that did not
+# follow it.  Here and below, each message is the one a sweep of the whole
+# region raises at its first negative lozenge.
+_MISFRAMED = {
+    W.WT1: "right lozenge at down triangle (3, 0) has negative exponent -1",
+    W.WT2: "right lozenge at down triangle (3, 0) has negative exponent -1",
+    W.WT3: "vertical lozenge at down triangle (3, -2) has negative exponent -1",
+}
+# A region with an isolated forced lozenge of negative exponent strips to
+# the bar's shape, from the bar's frame origin, so its key is the bar's;
+# the contracts must still see the lozenge.
+_NEGATIVE_EXTRAS = {
+    W.WT1: ({up(0, 4), down(0, 4)}, "right lozenge at down triangle (0, 4)", -1),
+    W.WT2: ({up(-2, 0), down(-2, 0)}, "right lozenge at down triangle (-2, 0)", -1),
+    W.WT3: ({up(-1, -3), down(-2, -3)}, "vertical lozenge at down triangle (-2, -3)", -3),
+}
+
+
+@pytest.mark.parametrize("w", list(_NEGATIVE_EXTRAS), ids=lambda w: w.name)
+def test_a_memo_hit_keeps_every_contract(w):
+    extra, where, exponent = _NEGATIVE_EXTRAS[w]
+    message = "%s has negative exponent %d" % (where, exponent)
+    bar = build_magnet_bar(1, 1, 1, 1, 1, 1)
+    assert bar.frames == Frames(base_row=0, se_i=3, sw_level=0)
+    with shared_work():
+        swept = gen_function(bar, w)
+        assert gen_function(_translated(bar, 2, -5), w) == swept
+        frameless = {W.WT1: Frames(0, None, 0), W.WT2: Frames(None, 3, 0), W.WT3: Frames(0, 3)}[w]
+        need = {W.WT1: "southeast side", W.WT2: "base row", W.WT3: "southwest corner"}[w]
+        with pytest.raises(MissingFrame, match="^wt%s needs the %s" % (w.value[-1], need)):
+            gen_function(_translated(bar, 2, -5, frameless), w)
+        with pytest.raises(MissingFrame, match="^region carries no frame data$"):
+            gen_function(Region(_translated(bar, 1, 1).triangles), w)
+        with pytest.raises(ValueError) as info:
+            gen_function(_translated(bar, 3, -2, Frames(5, -1, 4)), w)
+        assert type(info.value) is ValueError and str(info.value) == _MISFRAMED[w]
+        loaded = Region(bar.triangles | extra, None, bar.frames)
+        assert _form(loaded).shape == _form(bar).shape
+        assert _form(loaded).corner == _form(bar).corner
+        with pytest.raises(ValueError) as info:
+            gen_function(loaded, w)
+        assert type(info.value) is ValueError and str(info.value) == message
+        assert count_tilings(loaded) == count_tilings(bar)
+        # A left lozenge past the southeast side: the wt1 bound trips, yet
+        # no lozenge's exponent is negative, so the region is answered.
+        loose = Region(bar.triangles | {up(0, 5), down(0, 4)}, None, bar.frames)
+        assert gen_function(loose, w) == gen_function_oracle(loose, w)
 
 
 def test_budgeted_calls_in_shared_work_never_read_unbudgeted_sweeps():
@@ -355,7 +490,7 @@ def test_no_lattice_image_changes_the_count(build, args, w, digest):
 )
 def test_each_orientation_is_swept_exactly(notch, orientation):
     region = build_q_region(RegionParams(0, 0, 0, 0, *notch))
-    assert _planned(region).orientation == orientation
+    assert _planned(_form(region).shape).orientation == orientation
     for w in (W.WT1, W.WT2):
         assert gen_function(region, w) == gen_function_oracle(region, w)
     assert count_tilings(region, max_states=9) == 54
@@ -370,7 +505,7 @@ def test_slots_widen_across_byte_boundaries():
     expected = hex_M2(5, 5, 5).poly
     assert sum(expected.terms.values()).bit_length() == 28
     assert gen_function(region, W.WT2) == expected
-    assert _sweep(_exponent_tables(region, W.WT2), None)[2] == 4
+    assert _sweep(_exponent_tables(_form(region), down_weight(W.WT2, region)), None)[2] == 4
 
 
 def test_slot_width_covers_the_largest_coefficient():
@@ -384,7 +519,7 @@ def test_slot_width_covers_the_largest_coefficient():
     for region, w in cases:
         poly = gen_function(region, w)
         widest = max(c.bit_length() for c in poly.terms.values())
-        count, _, size = _sweep(_exponent_tables(region, w), None)
+        count, _, size = _sweep(_exponent_tables(_form(region), down_weight(w, region)), None)
         assert count == sum(poly.terms.values())
         assert count < 1 << (8 * size - 2)  # the bound the sweep keeps between steps
         assert 8 * size >= widest
@@ -420,7 +555,7 @@ def test_outer_walk_skips_an_interior_hole():
     triangles = build_hexagon(3, 3, 3).triangles - hole
     (walk,) = _outer_walks(triangles)
     assert len(walk) == 30
-    codes, moves = encode(build_hexagon(3, 3, 3).triangles)
+    codes, moves = encode(build_hexagon(3, 3, 3).triangles)[:2]
     rim = {codes.get(k + step) for k, t in codes.items() if t in hole for step, _ in moves[k & 1]}
     rim &= triangles
     assert rim and not rim & set(walk)

@@ -314,11 +314,12 @@ def test_codes_agree_with_the_corner_geometry(near, far, drow, dpos):
     # the engine, the oracle and the surgery all read these codes and
     # offsets, so they are checked here against the corners alone.
     triangles = frozenset(near) | _translate(far, drow, dpos)
-    codes, moves = encode(triangles)
+    codes, moves, *layout = encode(triangles)
     # the code of the module docstring, and its decoding
     row0 = min(t.row for t in triangles)
     pos0 = min(t.pos for t in triangles) - 1
     stride = max(t.pos for t in triangles) - pos0 + 2
+    assert layout == [stride, (row0, pos0)]
     assert codes == {
         2 * ((t.row - row0) * stride + t.pos - pos0) + (t.orient == "U"): t for t in triangles
     }

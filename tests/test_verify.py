@@ -370,51 +370,82 @@ def test_each_magnet_bar_is_split_once(monkeypatch):
 
 
 def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
-    builds, plans, tables, swept = [], [], [], []
-    real_build, real_plan, real_tables, real_sweep = (
+    builds, groups, swept, asked, computing = [], [], [], [], []
+    real_build, real_plan, real_sweep, real_shared, real_group = (
         lattice._q_region,
         enumeration._planned,
-        enumeration._exponent_tables,
         enumeration._sweep,
+        enumeration.shared,
+        verify._run_group,
     )
 
     def build(p):
         builds.append(p)
         return real_build(p)
 
-    def plan(region):
-        plans.append(region)
-        return real_plan(region)
+    def run_group(*args, **kwargs):
+        groups.append([])  # the shapes this group plans
+        return real_group(*args, **kwargs)
 
-    def exponent_tables(region, w):
-        made = real_tables(region, w)
-        tables.append((region, w, made))  # kept alive, so ids stay unique
-        return made
+    def plan(shape):
+        groups[-1].append(shape)
+        return real_plan(shape)
 
-    def sweep(made, max_states):
-        swept.append(id(made))
-        return real_sweep(made, max_states)
+    def shared(key, compute, lasting=False):
+        if not lasting:
+            return real_shared(key, compute)
+        asked.append(key)
+
+        def run():
+            computing.append(key)
+            try:
+                return compute()
+            finally:
+                computing.pop()
+
+        return real_shared(key, run, lasting)
+
+    def sweep(tables, max_states):
+        swept.append(computing[-1])  # the key whose answer the sweep gives
+        return real_sweep(tables, max_states)
 
     monkeypatch.setattr(lattice, "_q_region", build)
+    monkeypatch.setattr(verify, "_run_group", run_group)
     monkeypatch.setattr(enumeration, "_planned", plan)
-    monkeypatch.setattr(enumeration, "_exponent_tables", exponent_tables)
+    monkeypatch.setattr(enumeration, "shared", shared)
     monkeypatch.setattr(enumeration, "_sweep", sweep)
-    # A formulas task on a notched hexagon shares its group with every other
-    # task on that region.  (Semihexagons with a = 0 are all the empty
-    # region, reached from different arguments, so they are left out.)
-    run_suite("formulas", 2)
-    made_for = {id(made): (region, w) for region, w, made in tables}
-    tables = [(region, w) for region, w, _ in tables if region.params is not None]
-    swept = [made_for[k] for k in swept if made_for[k][0].params is not None]
-    plans = [region for region in plans if region.params is not None]
+    reports = run_suite("formulas", 2)
     assert builds and len(builds) == len(set(builds))
-    # one plan per region, shared by all its weights and its count
-    assert plans and len(plans) == len(set(plans))
-    assert set(plans) == {region for region, _ in tables}
-    assert tables and len(tables) == len(set(tables))
-    # one sweep per (region, weight), and none only for a count
-    assert sorted(swept, key=repr) == sorted(tables, key=repr)
-    assert all(w is not None for _, w in swept)
+    # One sweep per distinct key (shape, weight, frame origin, budget) over
+    # the whole suite, and none only for a count.
+    assert swept and len(swept) == len(set(swept))
+    weighted = [key for key in asked if key[1] is not None]
+    assert set(swept) == set(weighted)
+    assert len(swept) < len(weighted)  # translates and repeats share sweeps
+    # One plan per shape in a group, and none where no sweep is needed.
+    plans = [shape for shapes in groups for shape in shapes]
+    assert plans and all(len(shapes) == len(set(shapes)) for shapes in groups)
+    assert set(plans) == {key[0] for key in swept}
+    assert len(plans) <= len(swept)
+    # The memo goes with run_suite: a second run sweeps every key again.
+    assert verify._held == {} and lattice._memo.get() is None
+    first = list(swept)
+    swept.clear()
+    assert run_suite("formulas", 2) == reports
+    assert swept == first
+
+
+def test_a_wrong_prefactor_or_a_core_not_a_translate_fails_a_reduction(monkeypatch):
+    steps = list(verify._KUO_MOVES)
+    assert all(check_magnet_reduction(1, 1, 1, 1, 1, 1, s).status == PASS for s in steps)
+    real_exponent, real_kuo = verify._reduction_exponent, verify.kuo_remove
+    monkeypatch.setattr(verify, "_reduction_exponent", lambda p, step: real_exponent(p, step) + 1)
+    assert all(check_magnet_reduction(1, 1, 1, 1, 1, 1, s).status == FAIL for s in steps)
+    monkeypatch.setattr(verify, "_reduction_exponent", real_exponent)
+    # Each step handed the part of the next: a region that strips to no
+    # translate of the smaller bar.
+    monkeypatch.setattr(verify, "kuo_remove", lambda r, m: real_kuo(r, m)[1:] + real_kuo(r, m)[:1])
+    assert all(check_magnet_reduction(1, 1, 1, 1, 1, 1, s).status == FAIL for s in steps)
 
 
 def test_no_memo_outlives_run_suite(monkeypatch):
