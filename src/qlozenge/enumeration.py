@@ -1,6 +1,5 @@
 """Tiling enumeration: a naive exhaustive oracle and a frontier engine,
-plus the region surgery of the removal identities (kuo_remove,
-remove_forced).
+plus the region surgery of the removal identities (kuo_remove).
 
 The two routes share one contract (the generating function of a region
 under a weight assignment, a plain QPoly) and deliberately share no
@@ -31,14 +30,15 @@ gives the lozenges at the shape's corner (its frame origin, seen from
 the shape) fix every exponent on the shape.  The sweep is keyed by
 (shape, weight, those exponents, max_states); an equal key means equal
 exponent tables, and the region's answer is that sweep decoded once,
-shifted by the forced lozenges' exponents.
+shifted by the forced lozenges' exponents.  This is the package's one
+forced-lozenge strip.
 The frame check and the negative-exponent check still run on the region
 as asked, for every weight: down_weight first, then the bounds the
 normal form keeps, each weight's exponent at the region's extreme
 triangles (wt1 falls as a right lozenge's pos grows, wt2 grows with its
 row, wt3 with a vertical one's row + pos).  No lozenge's exponent is
-below them; only if one is negative are the whole region's tables
-walked, to raise at the first negative lozenge in sweep order, if any.
+below them; only if one is negative does every lozenge of the region go
+to weights.refuse_negative, the rule the oracle applies too.
 
 Once per shape the engine picks the orientation whose lozenges cross
 its sweep's rows.  Every tiling uses exactly k of the n candidate
@@ -98,10 +98,8 @@ from math import comb
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from .lattice import (
-    DOWN,
     LEFT,
     RIGHT,
-    UP,
     VERTICAL,
     Lozenge,
     Region,
@@ -112,7 +110,8 @@ from .lattice import (
     shared,
 )
 from .qalgebra import QPoly
-from .weights import WeightAssignment, down_weight, enumeration_weight, less_offset
+from .weights import WeightAssignment, down_weight, enumeration_weight
+from .weights import less_offset, refuse_negative
 
 DEFAULT_TRIANGLE_BUDGET = 120
 
@@ -123,10 +122,6 @@ class BudgetExceeded(RuntimeError):
 
 class BadMarks(ValueError):
     """Marked triangles violate the four-point boundary precondition."""
-
-
-class Untileable(ValueError):
-    """Forced-lozenge propagation exposed a triangle with no cover."""
 
 
 def region_digest(region: Region) -> str:
@@ -148,6 +143,13 @@ def tiling_json(tiling: "frozenset[Lozenge]") -> str:
         for loz in tiling
     )
     return json.dumps(entries, separators=(",", ":"))
+
+
+def _lozenges(region: Region) -> Iterator[tuple[str, int, int]]:
+    """(orientation, down row, down pos) of every lozenge the region holds."""
+    codes, moves = encode(region.triangles)[:2]
+    downs = [(c, t) for c, t in codes.items() if not c & 1]
+    return ((o, t.row, t.pos) for c, t in downs for offset, o in moves[0] if c + offset in codes)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +225,11 @@ def gen_function_oracle(
     max_triangles: int = DEFAULT_TRIANGLE_BUDGET,
 ) -> QPoly:
     """Generating function by brute force, one tiling at a time.  The
-    weight is resolved before any tiling is drawn, so a region it cannot
-    weigh fails whether it has tilings or not."""
+    weight is resolved and every exponent checked before any tiling is
+    drawn, so a region it cannot weigh fails whether it has tilings or not."""
     weight, offset = enumeration_weight(w, region)
     exponent = down_weight(weight, region)
+    refuse_negative(exponent, _lozenges(region))
     label = lambda up, down, o: exponent(o, down.row, down.pos)
     return less_offset(QPoly(Counter(map(sum, _tilings(region, max_triangles, label)))), offset)
 
@@ -239,11 +242,10 @@ class _Form(NamedTuple):
     """A region as the engine sweeps it: what is left once its forced
     lozenges are stripped, encoded afresh, and where that sits."""
 
-    shape: tuple[int, bytes]  # the stride, and the codes of what is left, sorted and packed
+    shape: Optional[tuple[int, bytes]]  # stride and sorted packed codes left; None if untileable
     corner: tuple[int, int]  # the region's row and pos of the shape's row 0, pos 0
     forced: list[tuple[str, int, int]]  # (orientation, down row, down pos) of each forced lozenge
     lowest: list[tuple[str, int, int]]  # no lozenge's exponent is below these ones
-    stuck: Optional[Triangle]  # a triangle left with no cover, None if the strip ended
 
 
 def _form(region: Region) -> _Form:
@@ -282,7 +284,7 @@ def _normal_form(region: Region) -> _Form:
         (VERTICAL, row0, min([r + p for r, p, _ in codes.values()], default=0) - row0),
     ]
     if not todo:
-        return _Form(_shape(stride, codes), corner, [], lowest, None)
+        return _Form(_shape(stride, codes), corner, [], lowest)
     todo.sort(reverse=True)  # popped smallest first
     remaining = set(codes)
     forced: list[tuple[str, int, int]] = []
@@ -292,7 +294,7 @@ def _normal_form(region: Region) -> _Form:
             continue
         options = [(c + offset, o) for offset, o in moves[c & 1] if c + offset in remaining]
         if not options:
-            return _Form((stride, b""), corner, forced, lowest, codes[c])
+            return _Form(None, corner, forced, lowest)
         if len(options) == 1:
             ((n, o),) = options
             down = codes[n if c & 1 else c]
@@ -301,25 +303,13 @@ def _normal_form(region: Region) -> _Form:
             todo += [s + off for s in (c, n) for off, _ in moves[s & 1] if s + off in remaining]
     if forced:
         codes, _, stride, corner = encode(frozenset(codes[c] for c in remaining))
-    return _Form(_shape(stride, codes), corner, forced, lowest, None)
-
-
-def _whole(region: Region) -> _Form:
-    """The region as it is, no lozenge stripped."""
-    codes, _, stride, corner = encode(region.triangles)
-    return _Form(_shape(stride, codes), corner, [], [], None)
+    return _Form(_shape(stride, codes), corner, forced, lowest)
 
 
 def _shape(stride: int, codes: dict[int, Triangle]) -> tuple[int, bytes]:
     """The codes as a memo key: the stride and the sorted codes packed
     eight bytes each, several times smaller than a set of them."""
     return stride, struct.pack("%dq" % len(codes), *sorted(codes))
-
-
-def _decoded(shape: tuple[int, bytes]) -> dict[int, tuple[int, int]]:
-    """Each code of the shape, with its row and pos counted from the shape's corner."""
-    stride, packed = shape
-    return {c: divmod(c >> 1, stride) for c in struct.unpack("%dq" % (len(packed) // 8), packed)}
 
 
 class _Plan(NamedTuple):
@@ -345,8 +335,10 @@ _FRAMES = {
 def _planned(shape: tuple[int, bytes]) -> _Plan:
     """The orientation of least line cost, and the shape's slots in its
     frame, each with the lozenges its triangle shares with later ones."""
-    at = _decoded(shape)  # code -> (row, pos) in the shape
-    moves = code_moves(shape[0])
+    stride, packed = shape
+    codes = struct.unpack("%dq" % (len(packed) // 8), packed)
+    at = {c: divmod(c >> 1, stride) for c in codes}  # code -> (row, pos) in the shape
+    moves = code_moves(stride)
     # band between two lines that vertical, left, right lozenges cross (of
     # constant row, pos, row + pos) -> ups - downs in the band
     rows, cols, diagonals = {}, {}, {}
@@ -396,17 +388,11 @@ def _exponent_tables(
     in the region's own frame; exponent None gives the all-zero exponents
     of plain counting."""
     row0, pos0 = form.corner
-    tables: ExponentTables = []
-    for slot, row, moves in shared(("plan", form.shape), lambda: _planned(form.shape)).steps:
-        taken: list[tuple[int, int]] = []
-        tables.append((slot, row + row0, taken))
-        for bit, o, r, p in moves:
-            e = 0 if exponent is None else exponent(o, r + row0, p + pos0)
-            if e < 0:
-                where = (o, (r + row0, p + pos0), e)
-                raise ValueError("%s lozenge at down triangle %r has negative exponent %d" % where)
-            taken.append((bit, e))
-    return tables
+    weigh = exponent or (lambda o, r, p: 0)
+    return [
+        (slot, row + row0, [(bit, weigh(o, r + row0, p + pos0)) for bit, o, r, p in moves])
+        for slot, row, moves in shared(("plan", form.shape), lambda: _planned(form.shape)).steps
+    ]
 
 
 def _sweep(tables: ExponentTables, max_states: Optional[int]) -> tuple[int, int, int]:
@@ -472,8 +458,8 @@ def _shifted(region: Region, w: WeightAssignment, max_states: Optional[int]) -> 
     exponent = down_weight(w, region)
     form = _form(region)
     if any(exponent(*bound) < 0 for bound in form.lowest):
-        _exponent_tables(_whole(region), exponent)  # raises at the first, in sweep order
-    if form.stuck is not None:
+        refuse_negative(exponent, _lozenges(region))
+    if form.shape is None:
         return QPoly(0)
     row0, pos0 = form.corner
     corner = tuple(exponent(o, row0, pos0) for o in (LEFT, RIGHT, VERTICAL))
@@ -500,7 +486,7 @@ def _swept(
 def count_tilings(region: Region, max_states: Optional[int] = None) -> int:
     """Number of tilings (0 if untileable, 1 for the empty region)."""
     form = _form(region)
-    if form.stuck is not None:
+    if form.shape is None:
         return 0
     return shared(
         (form.shape, None, None, max_states),
@@ -524,7 +510,7 @@ def gen_function(
 
 
 # ---------------------------------------------------------------------------
-# region surgery: four-point boundary removal and forced lozenges
+# region surgery: four-point boundary removal
 
 def _outer_walks(triangles: frozenset[Triangle]) -> list[list[Triangle]]:
     """Triangles along the outer face of each connected component of the
@@ -606,21 +592,3 @@ def kuo_remove(region: Region, marked: list[Triangle]) -> list[Region]:
         Region(region.triangles - frozenset(gone), None, region.frames) for gone in removals
     ]
 
-
-def remove_forced(region: Region, w: WeightAssignment) -> tuple[Region, int]:
-    """Strip lozenges that every tiling must contain (the engine's strip,
-    see _normal_form): the region they leave, and the sum of their
-    q-exponents under w.  Raises Untileable if some triangle ends up with
-    no partner at all, and MissingFrame as weights.down_weight does,
-    forced lozenges or not.
-    """
-    exponent = down_weight(w, region)
-    form = _form(region)
-    if form.stuck is not None:
-        raise Untileable("triangle %r has no possible cover" % (form.stuck,))
-    row0, pos0 = form.corner
-    left = frozenset(
-        Triangle(row0 + r, pos0 + p, UP if c & 1 else DOWN)
-        for c, (r, p) in _decoded(form.shape).items()
-    )
-    return Region(left, None, region.frames), sum(exponent(*lozenge) for lozenge in form.forced)

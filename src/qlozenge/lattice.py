@@ -32,8 +32,8 @@ Every builder anchors its region with the base side on row 0 and the
 southwest corner of the base at (0, 0); the Frames record carries the
 reference lines that the weight assignments measure distances from.
 Regions are immutable; builders and queries are pure functions.  This
-module imports no other of the package; surgery that needs a weight
-(remove_forced) lives in enumeration.
+module imports no other of the package; the region surgery and the
+forced-lozenge strip live in enumeration.
 
 Inside a shared_work block, build_q_region and the frontier engine hand
 back what they already computed for an equal request (see shared); the

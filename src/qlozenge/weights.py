@@ -10,7 +10,9 @@ the closed product formulas; do not adjust one without the other.
 down_weight resolves an assignment on a region once: it fails if the
 region's frame lacks the line the assignment measures from, whatever
 lozenges the region holds, and returns each lozenge's exponent from its
-orientation and its down triangle.
+orientation and its down triangle.  No lozenge may have a negative
+exponent: refuse_negative is the one rule both enumeration routes apply
+to a region's lozenges, and it names the lozenge of least exponent.
 
 wt0 weights a tiling by the number of unit cubes in the pile the tiling
 depicts.  That exponent is a property of the whole pile, not of any one
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable
 
 from .lattice import RIGHT, VERTICAL, Region, RegionParams
 from .qalgebra import NonExactDivision, QPoly
@@ -73,6 +75,19 @@ def down_weight(w: WeightAssignment, region: Region) -> Callable[[str, int, int]
     if origin is None:
         raise MissingFrame(need)
     return exponent
+
+
+def refuse_negative(
+    exponent: Callable[[str, int, int], int], lozenges: Iterable[tuple[str, int, int]]
+) -> None:
+    """Raise ValueError if some lozenge, given as (orientation, down row,
+    down pos), has a negative exponent: it names the one of least exponent,
+    ties going to the lower row, then the lower pos."""
+    least = min(((exponent(o, r, p), r, p, o) for o, r, p in lozenges), default=(0,))
+    if least[0] < 0:
+        e, row, pos, o = least
+        where = (o, (row, pos), e)
+        raise ValueError("%s lozenge at down triangle %r has negative exponent %d" % where)
 
 
 def f_exponent(p: RegionParams) -> int:

@@ -7,8 +7,14 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlozenge import lattice
-from qlozenge.enumeration import Untileable, gen_function_oracle, iter_tilings, remove_forced
+from qlozenge import lattice, weights
+from qlozenge.enumeration import (
+    _form,
+    count_tilings,
+    gen_function,
+    gen_function_oracle,
+    iter_tilings,
+)
 from qlozenge.lattice import (
     LEFT,
     RIGHT,
@@ -31,6 +37,7 @@ from qlozenge.lattice import (
     region_json,
     up,
 )
+from qlozenge.qalgebra import QPoly
 from qlozenge.weights import WeightAssignment as W, down_weight
 
 
@@ -169,34 +176,56 @@ def test_magnet_builder_always_balanced(m, a, x, y, z, t):
 
 
 def test_remove_forced_drains_degenerate_hexagon():
+    # Every lozenge of the one tiling is forced, so no triangle is left.
     region = build_hexagon(0, 2, 3)
-    reduced, acc = remove_forced(region, W.WT2)
-    assert reduced.triangles == frozenset()
-    the_tiling = next(iter_tilings(region))
+    form = _form(region)
+    assert form.shape[1] == b""
+    (the_tiling,) = iter_tilings(region)
+    lozenges = [(loz.orientation, *loz.second[:2]) for loz in the_tiling]
+    assert sorted(form.forced) == sorted(lozenges)
     exponent = down_weight(W.WT2, region)
-    assert acc == sum(exponent(loz.orientation, *loz.second[:2]) for loz in the_tiling)
+    assert sum(exponent(*loz) for loz in form.forced) == sum(exponent(*loz) for loz in lozenges)
 
 
 def test_remove_forced_fixpoint():
+    # Every triangle has two partners, so nothing is stripped: the shape
+    # keeps all six codes.
     region = build_hexagon(1, 1, 1)
-    reduced, acc = remove_forced(region, W.WT2)
-    assert reduced.triangles == region.triangles
-    assert acc == 0
+    form = _form(region)
+    assert form.forced == []
+    assert len(form.shape[1]) == 8 * len(region.triangles)
 
 
 def test_remove_forced_untileable():
     region = Region(frozenset([up(0, 0)]), None, build_hexagon(1, 1, 1).frames)
-    with pytest.raises(Untileable):
-        remove_forced(region, W.WT2)
+    assert _form(region).shape is None
+    assert count_tilings(region) == 0
+    assert gen_function(region, W.WT2) == QPoly(0)
+    assert gen_function_oracle(region, W.WT2) == QPoly(0)
+
+
+def _package_imports(module):
+    """The names of the package modules the module imports, relative
+    imports and imports of qlozenge alike."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qlozenge")):
+            inner = (node.module or "").removeprefix("qlozenge").lstrip(".")
+            names.update([inner] if inner else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            package = [a.name for a in node.names if a.name.startswith("qlozenge")]
+            names.update(name.removeprefix("qlozenge.") for name in package)
+    return names
 
 
 def test_lattice_imports_no_other_package_module():
     # The weights and the region surgery read the geometry; it reads neither.
-    for node in ast.walk(ast.parse(inspect.getsource(lattice))):
-        if isinstance(node, ast.ImportFrom):
-            assert node.level == 0 and not node.module.startswith("qlozenge"), ast.dump(node)
-        elif isinstance(node, ast.Import):
-            assert not any(a.name.startswith("qlozenge") for a in node.names), ast.dump(node)
+    assert _package_imports(lattice) == set()
+
+
+def test_weights_imports_only_lattice_and_qalgebra():
+    # The negative-exponent rule lives here, below both enumeration routes.
+    assert _package_imports(weights) <= {"lattice", "qalgebra"}
 
 
 def test_split_factors_bar_with_pendant():

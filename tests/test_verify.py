@@ -6,10 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qlozenge import enumeration, lattice, verify
-from qlozenge.enumeration import BadMarks, BudgetExceeded, _outer_walks, kuo_remove, remove_forced
+from qlozenge.enumeration import BadMarks, BudgetExceeded, _form, _outer_walks, kuo_remove
 from qlozenge.lattice import (
     RegionParams,
-    Triangle,
     build_hexagon,
     build_magnet_bar,
     build_q_region,
@@ -250,15 +249,6 @@ def test_magnet_reduction_preconditions():
         check_magnet_reduction(1, 1, 1, 1, 1, 1, "uw")
 
 
-def _translated_to_origin(triangles):
-    if not triangles:
-        return frozenset()
-    lo = min(triangles)
-    return frozenset(
-        Triangle(t.row - lo.row, t.pos - lo.pos, t.orient) for t in triangles
-    )
-
-
 def test_reduction_core_is_translated_bar():
     """Stripping forced lozenges from the mark-deleted bar leaves a translate
     of the named smaller bar, once that bar's own forced strip is peeled the
@@ -268,16 +258,14 @@ def test_reduction_core_is_translated_bar():
     parts = kuo_remove(region, marks)
     targets = [(1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 1, 0), (1, 0, 2, 0), (1, 1, 0, 1)]
     for part, tup in zip(parts, targets):
-        core, _ = remove_forced(part, W.WT2)
-        bar_core, _ = remove_forced(build_magnet_bar(1, 1, *tup), W.WT2)
-        assert _translated_to_origin(core.triangles) == _translated_to_origin(
-            bar_core.triangles
-        )
-    # the two steps whose targets keep y = 1 land on the bar verbatim
-    core_ws, _ = remove_forced(parts[2], W.WT2)
-    assert core_ws.triangles == build_magnet_bar(1, 1, 1, 1, 1, 0).triangles
-    core_vw, _ = remove_forced(parts[4], W.WT2)
-    assert core_vw.triangles == build_magnet_bar(1, 1, 1, 1, 0, 1).triangles
+        # equal shapes: the two strips leave translates of each other
+        assert _form(part).shape == _form(build_magnet_bar(1, 1, *tup)).shape
+    # the two steps whose targets keep y = 1 land on the bar verbatim: the
+    # bar strips nothing, and the part's core sits where the bar does
+    for part, tup in ((parts[2], (1, 1, 1, 0)), (parts[4], (1, 1, 0, 1))):
+        bar = _form(build_magnet_bar(1, 1, *tup))
+        assert bar.forced == []
+        assert (_form(part).shape, _form(part).corner) == (bar.shape, bar.corner)
 
 
 def test_report_json_round_trip():

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from qlozenge import enumeration
-from qlozenge.enumeration import gen_function, gen_function_oracle, iter_tilings, remove_forced
+from qlozenge.enumeration import gen_function, gen_function_oracle, iter_tilings
 from qlozenge.lattice import (
     LEFT,
     RIGHT,
@@ -92,7 +92,7 @@ def test_a_missing_frame_fails_whatever_the_lozenges():
     # No frames and no forced lozenge, so no lozenge ever asks for the frame.
     region = Region(build_hexagon(1, 1, 1).triangles)
     with pytest.raises(MissingFrame):
-        remove_forced(region, W.WT2)
+        gen_function(region, W.WT2)
     with pytest.raises(MissingFrame):
         down_weight(W.WT2, region)
     with pytest.raises(MissingFrame):
