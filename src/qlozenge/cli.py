@@ -4,7 +4,8 @@ run identity suites, probe four-point removals, and render SVG pictures.
 Output is deterministic byte for byte: collections are sorted before
 emission and coordinates use a fixed decimal precision.  Exit codes:
 0 success (and all Pass for verify/kuo), 1 a check failed, 2 usage
-error, 3 an enumeration budget was exceeded.
+error, 3 an enumeration budget was exceeded, 141 (128 + SIGPIPE) the
+reader closed stdout early, as in `qlozenge tilings ... | head -1`.
 """
 
 from __future__ import annotations
@@ -410,7 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # what is still buffered goes nowhere, so exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExceeded as err:
         print("budget exceeded: %s" % err, file=sys.stderr)
         return 3

@@ -4,34 +4,38 @@ plus the region surgery of the removal identities (kuo_remove).
 The two routes share one contract (the generating function of a region
 under a weight assignment, a plain QPoly) and deliberately share no
 enumeration code; tests pit them against each other.  Both, and the
-surgery, find neighbours on lattice.encode's integer codes, from the one
-move table that a test checks against the triangles' corners.  One
-backtracker serves iter_tilings and the oracle: it numbers the triangles
-in sorted order, lists each one's lozenges with later ones once as (pair
-bitmask, label), and backtracks on one int: its lowest set bit is the
-triangle to cover, and ^ takes a pair off.  It walks an explicit stack of
-(uncovered mask, options left), so its depth, one frame per lozenge, has
-no recursion limit.  A label is computed once per region: a Lozenge for
+surgery, find neighbours on the region's integer codes, region.encoding
+(a lattice.Encoding made once per region object; kuo_remove's parts take
+theirs from the parent's codes), from the one move table that a test
+checks against the triangles' corners.  One backtracker serves
+iter_tilings and the oracle: it numbers the triangles in sorted order,
+lists each one's lozenges with later ones once as (pair bitmask, label),
+and backtracks on one int: its lowest set bit is the triangle to cover,
+and ^ takes a pair off.  It walks an explicit stack of (uncovered mask,
+options left), so its depth, one frame per lozenge, has no recursion
+limit.  A label is computed once per lozenge: a Lozenge for
 iter_tilings, the lozenge's down_weight exponent for the oracle, which
-sums a tiling's labels.  The engine sweeps the region one triangle at a
-time carrying a boundary mask.  Both routes resolve the weight once per
-region before they enumerate anything, and take wt0 from the weights
-module's one rule: enumerate wt2, then less_offset.
+sums a tiling's labels and sends the region's lozenges to
+weights.refuse_negative only when the least label is negative.  The
+engine sweeps the region one triangle at a time carrying a boundary
+mask.  Both routes resolve the weight once per region before they
+enumerate anything, and take wt0 from the weights module's one rule:
+enumerate wt2, then less_offset.
 
-The engine sweeps a region's normal form, made once per region: one
-encode, the lozenges every tiling must contain stripped on the codes
-(each kept as its orientation, down row and down pos; the strip does not
+The engine sweeps a region's normal form, made once per region: the
+lozenges every tiling must contain stripped on the region's codes (each
+kept as its orientation, down row and down pos; the strip does not
 depend on the weight, and an untileable region gives 0 with no sweep),
-and what is left encoded afresh.  Its stride and sorted codes are the
-region's shape.  A region's polynomial is q to its forced lozenges'
-exponents times its shape's, and each weight's exponent is affine in row
-and pos with slopes the weight fixes, so the weight and the exponents it
-gives the lozenges at the shape's corner (its frame origin, seen from
-the shape) fix every exponent on the shape.  The sweep is keyed by
-(shape, weight, those exponents, max_states); an equal key means equal
-exponent tables, and the region's answer is that sweep decoded once,
-shifted by the forced lozenges' exponents.  This is the package's one
-forced-lozenge strip.
+and what is left re-coded as encode would, by arithmetic (recoded).  Its
+stride and sorted codes are the region's shape.  A region's polynomial
+is q to its forced lozenges' exponents times its shape's, and each
+weight's exponent is affine in row and pos with slopes the weight fixes,
+so the weight and the exponents it gives the lozenges at the shape's
+corner (its frame origin, seen from the shape) fix every exponent on the
+shape.  The sweep is keyed by (shape, weight, those exponents,
+max_states); an equal key means equal exponent tables, and the region's
+answer is that sweep decoded once, shifted by the forced lozenges'
+exponents.  This is the package's one forced-lozenge strip.
 The frame check and the negative-exponent check still run on the region
 as asked, for every weight: down_weight first, then the bounds the
 normal form keeps, each weight's exponent at the region's extreme
@@ -95,7 +99,7 @@ import json
 import struct
 from collections import Counter
 from math import comb
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Collection, Iterator, NamedTuple, Optional
 
 from .lattice import (
     LEFT,
@@ -105,7 +109,8 @@ from .lattice import (
     Region,
     Triangle,
     code_moves,
-    encode,
+    coded_region,
+    recoded,
     region_json,
     shared,
 )
@@ -147,7 +152,7 @@ def tiling_json(tiling: "frozenset[Lozenge]") -> str:
 
 def _lozenges(region: Region) -> Iterator[tuple[str, int, int]]:
     """(orientation, down row, down pos) of every lozenge the region holds."""
-    codes, moves = encode(region.triangles)[:2]
+    codes, moves = region.encoding[:2]
     downs = [(c, t) for c, t in codes.items() if not c & 1]
     return ((o, t.row, t.pos) for c, t in downs for offset, o in moves[0] if c + offset in codes)
 
@@ -156,21 +161,10 @@ def _lozenges(region: Region) -> Iterator[tuple[str, int, int]]:
 # oracle route: plain backtracking
 
 
-def _tilings(
-    region: Region, max_triangles: int, label: Callable[[Triangle, Triangle, str], Any]
-) -> Iterator[list]:
-    """Every tiling exactly once, deterministically, as the list of its
-    lozenges' label(up, down, orientation): one list, refilled per tiling.
-
-    Branches on the lexicographically smallest uncovered triangle, trying
-    its partners in a fixed orientation order.
-    """
-    if len(region.triangles) > max_triangles:
-        raise BudgetExceeded(
-            "%d triangles exceed the enumeration budget of %d"
-            % (len(region.triangles), max_triangles)
-        )
-    codes, moves = encode(region.triangles)[:2]
+def _options(region: Region, label: Callable[..., Any]) -> list[list[tuple[int, Any]]]:
+    """Per triangle, in sorted order, each lozenge it makes with a later one
+    as (pair bitmask, label(up, down, orientation))."""
+    codes, moves = region.encoding[:2]
     index = {c: k for k, c in enumerate(sorted(codes))}
     options: list[list[tuple[int, Any]]] = []
     for c, k in index.items():
@@ -180,6 +174,17 @@ def _tilings(
             if index.get(n, -1) > k:
                 up, down = (codes[c], codes[n]) if c & 1 else (codes[n], codes[c])
                 options[k].append((1 << k | 1 << index[n], label(up, down, o)))
+    return options
+
+
+def _tilings(options: list[list[tuple[int, Any]]], max_triangles: int) -> Iterator[list]:
+    """Every tiling exactly once, deterministically, as the list of its
+    lozenges' labels (one list, refilled per tiling): branches on the
+    smallest uncovered triangle, trying its options in their order."""
+    if len(options) > max_triangles:
+        raise BudgetExceeded(
+            "%d triangles exceed the enumeration budget of %d" % (len(options), max_triangles)
+        )
 
     def walk(uncovered: int) -> Iterator[list]:
         # A frame for the region and one per lozenge placed, each the mask
@@ -208,7 +213,7 @@ def _tilings(
                 yield acc
                 acc.pop()
 
-    return walk((1 << len(index)) - 1)
+    return walk((1 << len(options)) - 1)
 
 
 def iter_tilings(
@@ -216,7 +221,7 @@ def iter_tilings(
 ) -> Iterator[frozenset[Lozenge]]:
     """Yield every tiling exactly once, deterministically, as a frozenset of
     Lozenges; BudgetExceeded beyond max_triangles, before the first draw."""
-    return map(frozenset, _tilings(region, max_triangles, Lozenge))
+    return map(frozenset, _tilings(_options(region, Lozenge), max_triangles))
 
 
 def gen_function_oracle(
@@ -224,14 +229,15 @@ def gen_function_oracle(
     w: WeightAssignment,
     max_triangles: int = DEFAULT_TRIANGLE_BUDGET,
 ) -> QPoly:
-    """Generating function by brute force, one tiling at a time.  The
-    weight is resolved and every exponent checked before any tiling is
+    """Generating function by brute force, one tiling at a time.  Every
+    lozenge is weighed once, before the budget is read and any tiling is
     drawn, so a region it cannot weigh fails whether it has tilings or not."""
     weight, offset = enumeration_weight(w, region)
     exponent = down_weight(weight, region)
-    refuse_negative(exponent, _lozenges(region))
-    label = lambda up, down, o: exponent(o, down.row, down.pos)
-    return less_offset(QPoly(Counter(map(sum, _tilings(region, max_triangles, label)))), offset)
+    options = _options(region, lambda up, down, o: exponent(o, down.row, down.pos))
+    if min((e for lozenges in options for _, e in lozenges), default=0) < 0:
+        refuse_negative(exponent, _lozenges(region))  # it names the least
+    return less_offset(QPoly(Counter(map(sum, _tilings(options, max_triangles)))), offset)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +266,7 @@ def _normal_form(region: Region) -> _Form:
     partner, and the pair's remaining neighbours go back on the list; one
     with none stops the strip, as the region is untileable.
     """
-    codes, moves, stride, corner = encode(region.triangles)
+    codes, moves, stride, corner = region.encoding
     to = {o: offset for offset, o in moves[0]}  # to a down triangle's partners, from an up's
     right, left, vertical = to[RIGHT], to[LEFT], to[VERTICAL]
     todo = [  # triangles of fewer than two partners
@@ -283,8 +289,6 @@ def _normal_form(region: Region) -> _Form:
         (RIGHT, row0, pos0 + stride - 2),
         (VERTICAL, row0, min([r + p for r, p, _ in codes.values()], default=0) - row0),
     ]
-    if not todo:
-        return _Form(_shape(stride, codes), corner, [], lowest)
     todo.sort(reverse=True)  # popped smallest first
     remaining = set(codes)
     forced: list[tuple[str, int, int]] = []
@@ -301,12 +305,12 @@ def _normal_form(region: Region) -> _Form:
             forced.append((o, down.row, down.pos))
             remaining -= {c, n}
             todo += [s + off for s in (c, n) for off, _ in moves[s & 1] if s + off in remaining]
-    if forced:
-        codes, _, stride, corner = encode(frozenset(codes[c] for c in remaining))
+    if forced:  # what is left, as encode would code it
+        codes, (stride, corner) = recoded(list(remaining), (stride, corner))
     return _Form(_shape(stride, codes), corner, forced, lowest)
 
 
-def _shape(stride: int, codes: dict[int, Triangle]) -> tuple[int, bytes]:
+def _shape(stride: int, codes: Collection[int]) -> tuple[int, bytes]:
     """The codes as a memo key: the stride and the sorted codes packed
     eight bytes each, several times smaller than a set of them."""
     return stride, struct.pack("%dq" % len(codes), *sorted(codes))
@@ -471,7 +475,8 @@ def _shifted(region: Region, w: WeightAssignment, max_states: Optional[int]) -> 
     forced = sum(exponent(*lozenge) for lozenge in form.forced)
     data = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
     starts = range(0, len(data), size)
-    return QPoly({k // size + forced: int.from_bytes(data[k : k + size], "little") for k in starts})
+    terms = {k // size + forced: int.from_bytes(data[k : k + size], "little") for k in starts}
+    return QPoly._trusted(terms)
 
 
 def _swept(
@@ -512,7 +517,7 @@ def gen_function(
 # ---------------------------------------------------------------------------
 # region surgery: four-point boundary removal
 
-def _outer_walks(triangles: frozenset[Triangle]) -> list[list[Triangle]]:
+def _outer_walks(region: Region) -> list[list[Triangle]]:
     """Triangles along the outer face of each connected component of the
     adjacency graph that has an edge, in walk order.
 
@@ -526,7 +531,7 @@ def _outer_walks(triangles: frozenset[Triangle]) -> list[list[Triangle]]:
     merge into the outer face the same way.  The four-point recurrences
     mark exactly such triangles.
     """
-    codes, moves = encode(triangles)[:2]
+    codes, moves = region.encoding[:2]
     ring = {  # neighbours in counterclockwise order
         c: [c + offset for offset, _ in moves[c & 1] if c + offset in codes] for c in codes
     }
@@ -582,13 +587,16 @@ def kuo_remove(region: Region, marked: list[Triangle]) -> list[Region]:
         raise BadMarks("marked triangles must lie in the region")
     if u.orient != w.orient or v.orient != s.orient or u.orient == v.orient:
         raise BadMarks("marks must alternate orientation as u, v, w, s")
-    walks = _outer_walks(region.triangles)
+    walks = _outer_walks(region)
     if any(all(t not in walk for walk in walks) for t in marked):
         raise BadMarks("every mark must lie on the outer boundary")
     if not any(_marks_in_order(walk, u, v, w, s) for walk in walks):
         raise BadMarks("marks are not in cyclic order on one component's outer boundary")
-    removals = [(u, v, w, s), (u, v), (w, s), (u, s), (v, w)]
+    codes, _, stride, corner = region.encoding
+    at = {t: c for c, t in codes.items() if t in marked}
+    removals = [{at[t] for t in gone} for gone in ((u, v, w, s), (u, v), (w, s), (u, s), (v, w))]
     return [
-        Region(region.triangles - frozenset(gone), None, region.frames) for gone in removals
+        coded_region([c for c in codes if c not in gone], (stride, corner), None, region.frames)
+        for gone in removals
     ]
 

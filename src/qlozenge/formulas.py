@@ -35,6 +35,7 @@ from .lattice import (
     hexagon_params,
     k_region_params,
     magnet_bar_params,
+    region_params,
     validate_dents,
 )
 from .qalgebra import QPoly, resolve
@@ -255,12 +256,12 @@ FAMILIES: dict[str, Family] = {
     ),
     "q_region": Family(
         tuple(f.name for f in fields(RegionParams)),
-        lambda *ps: build_q_region(RegionParams(*ps)),
+        lambda *ps: build_q_region(region_params(*ps)),
         {
-            "count": lambda *ps: theorem_main(RegionParams(*ps)),
-            "wt0": lambda *ps: theorem_qmain(RegionParams(*ps)),
-            "wt1": lambda *ps: _qmain_times(RegionParams(*ps), f_exponent),
-            "wt2": lambda *ps: _qmain_times(RegionParams(*ps), g_exponent),
+            "count": lambda *ps: theorem_main(region_params(*ps)),
+            "wt0": lambda *ps: theorem_qmain(region_params(*ps)),
+            "wt1": lambda *ps: _qmain_times(region_params(*ps), f_exponent),
+            "wt2": lambda *ps: _qmain_times(region_params(*ps), g_exponent),
         },
     ),
 }

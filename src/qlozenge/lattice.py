@@ -15,30 +15,30 @@ orientations:
     left     up(r, p) + down(r, p-1)
     vertical up(r+1, p) + down(r, p)
 
-One move table, _DOWN_MOVES, gives a down triangle's three partners as
-(drow, dpos, lozenge orientation), counterclockwise; an up triangle's are
-the same steps negated.  encode reads it, and enumeration runs on the
-codes that encode makes once per region, 2*((row - row0)*R + pos - pos0)
-+ (1 if up else 0), with row0 the lowest row, pos0 one left of the
-leftmost position and R the position span plus 2: pos +- 1 never wraps,
-and code order is Triangle order ("D" < "U").  A partner's code is
-2*(drow*R + dpos) + 1 after a down triangle's (+1 right, +3 left, +2R+1
-vertical), and as far before an up triangle's.
+A region's geometry is its Encoding, made once: each triangle under the
+code 2*((row - row0)*R + pos - pos0) + (1 if up else 0), with row0 the
+lowest row, pos0 one left of the leftmost position and R the position
+span plus 2, so pos +- 1 never wraps and code order is Triangle order
+("D" < "U").  One move table, _DOWN_MOVES, gives a down triangle's three
+partners as (drow, dpos, orientation), counterclockwise, so a partner's
+code is 2*(drow*R + dpos) + 1 after a down triangle's (+1 right, +3 left,
++2R+1 vertical) and as far before an up triangle's.
 
-Every region and notch leaf comes from one primitive, the hexagon with
-given sides read off as one range of positions per row and orientation;
-the notch's lobes and core, and the dented trapezoid, have zero sides.
-Every builder anchors its region with the base side on row 0 and the
-southwest corner of the base at (0, 0); the Frames record carries the
-reference lines that the weight assignments measure distances from.
-Regions are immutable; builders and queries are pure functions.  This
-module imports no other of the package; the region surgery and the
-forced-lozenge strip live in enumeration.
+The builders emit codes from one primitive, the hexagon with given sides
+(the notch's lobes and core, and the dented trapezoid, have zero sides),
+each row one range of up codes and one of down codes.  Set arithmetic
+cuts the notch, and coded_region re-codes what is left as encode would
+(recoded) and makes the Triangles in one pass; a hand-built Region gets
+encode's Encoding on first use.  Builders put the base side on row 0 and
+its southwest corner at (0, 0), and Frames carries the lines the weights
+measure from.  Regions are immutable.  This module imports no other of
+the package; the region surgery and the forced-lozenge strip live in
+enumeration.
 
-Inside a shared_work block, build_q_region and the frontier engine hand
-back what they already computed for an equal request (see shared); the
-block's memo goes when it ends.  Only what the engine marks lasting goes
-into the second memo the block was handed, which the caller keeps.
+Inside a shared_work block, build_q_region, region_params and the
+frontier engine hand back what they already computed for an equal
+request (see shared); the block's memo goes when it ends, and what is
+marked lasting goes into the second memo the block was handed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cache, cached_property, partial
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 UP = "U"
@@ -71,6 +72,10 @@ class Triangle(NamedTuple):
     row: int
     pos: int
     orient: str
+
+
+# A Triangle from a (row, pos, orient) tuple, without a Python-level call.
+_triangle = partial(tuple.__new__, Triangle)
 
 
 def up(row: int, pos: int) -> Triangle:
@@ -102,6 +107,10 @@ class Encoding(NamedTuple):
     corner: tuple[int, int]  # (row0, pos0): code 0 is down(row0, pos0)
 
 
+# A code layout: (stride, (row0, pos0)), as in encode.
+Layout = tuple[int, tuple[int, int]]
+
+
 @cache
 def code_moves(stride: int) -> Moves:
     """Per last code bit, the code offsets of a triangle's partners."""
@@ -119,6 +128,22 @@ def encode(triangles: frozenset[Triangle]) -> Encoding:
         for r, p, o, t in zip(rows, positions, orients, triangles)
     }
     return Encoding(codes, code_moves(stride), stride, (row0, pos0))
+
+
+def recoded(codes: list[int], layout: Layout) -> tuple[list[int], Layout]:
+    """encode's codes (in the order given) and layout for the triangles under
+    `codes` in `layout`, by arithmetic alone."""
+    if not codes:
+        return codes, (3, (0, -1))  # encode's layout of no triangles
+    stride, (row0, pos0) = layout
+    row = (min(codes) >> 1) // stride
+    cols = {(c >> 1) % stride for c in codes}
+    lo, wide = min(cols) - 1, max(cols) - min(cols) + 3
+    if wide != stride or row or lo:  # row r, pos p become row r - row, pos p - lo
+        codes = [
+            c - 2 * (r * stride - (r - row) * wide + lo) for c in codes for r in [c // 2 // stride]
+        ]
+    return codes, (wide, (row0 + row, pos0 + lo))
 
 
 @dataclass(frozen=True)
@@ -169,10 +194,23 @@ class Region:
     def __len__(self) -> int:
         return len(self.triangles)
 
+    @cached_property
+    def encoding(self) -> Encoding:
+        """encode(self.triangles), once; a region made from codes comes with it."""
+        return encode(self.triangles)
 
-def is_balanced(region: Region) -> bool:
-    ups = sum(1 for t in region.triangles if t.orient == UP)
-    return 2 * ups == len(region.triangles)
+
+def coded_region(codes: list[int], layout: Layout, params=None, frames=None) -> Region:
+    """The Region of the triangles under `codes` in `layout`, made from the
+    codes in one pass, carrying the Encoding that encode would give it."""
+    codes, (stride, (row0, pos0)) = recoded(codes, layout)
+    triangles = [
+        _triangle((row0 + c // 2 // stride, pos0 + c // 2 % stride, "DU"[c & 1])) for c in codes
+    ]
+    region = Region(frozenset(triangles), params, frames)
+    encoding = Encoding(dict(zip(codes, triangles)), code_moves(stride), stride, (row0, pos0))
+    object.__setattr__(region, "encoding", encoding)  # what the cached property keeps
+    return region
 
 
 def region_json(region: Region) -> str:
@@ -222,76 +260,74 @@ def shared(key: Hashable, compute: Callable[[], _T], lasting: bool = False) -> _
 # builders
 
 
-def _hexagon_triangles(
-    n1: int, n2: int, n3: int, n4: int, n5: int, n6: int, origin: tuple[int, int] = (0, 0)
-) -> set[Triangle]:
-    """All unit triangles of the hexagon with clockwise sides n1..n6
-    (northwest, north, northeast, southeast, south, southwest), south side
-    n5 running from `origin` = (i0, j0) to (i0 + n5, j0).  Row j0 + r holds
-    the triangles whose corners (i0 + di, j0 + dj) keep -n6 <= di <= n5 and
-    0 <= di + dj <= n5 + n4."""
+def _hexagon_codes(
+    n1: int, n2: int, n3: int, n4: int, n5: int, n6: int, layout: Layout, origin=(0, 0)
+) -> set[int]:
+    """The codes in `layout` of the hexagon with clockwise sides n1..n6
+    (northwest, ..., southwest), south side n5 from `origin` = (i0, j0) to
+    (i0 + n5, j0).  Row j0 + r holds the triangles whose corners (i0 + di,
+    j0 + dj) keep -n6 <= di <= n5 and 0 <= di + dj <= n5 + n4: one range
+    of up codes and one of down codes."""
     if n2 + n3 != n5 + n6 or n1 + n6 != n3 + n4:
         raise Unbalanced("hexagon sides do not close up: %r" % ((n1, n2, n3, n4, n5, n6),))
-    i0, j0 = origin
-    tris: set[Triangle] = set()
+    stride, (row0, pos0) = layout
+    rows = []
     for r in range(n6 + n1):
-        tris.update(up(j0 + r, i0 + p) for p in range(max(-r, -n6), min(n5, n5 + n4 - r)))
-        tris.update(
-            down(j0 + r, i0 + p) for p in range(max(-r - 1, -n6), min(n5, n5 + n4 - r - 1))
-        )
-    return tris
+        at = 2 * ((origin[1] + r - row0) * stride + origin[0] - pos0)  # down(j0 + r, i0)'s code
+        rows.append(range(at + 2 * max(-r, -n6) + 1, at + 2 * min(n5, n5 + n4 - r) + 1, 2))
+        rows.append(range(at + 2 * max(-r - 1, -n6), at + 2 * min(n5, n5 + n4 - r - 1), 2))
+    return set(chain.from_iterable(rows))
 
 
-def build_shamrock(m: int, a: int, b: int, c: int, anchor: tuple[int, int]) -> set[Triangle]:
+def _shamrock(m: int, a: int, b: int, c: int, anchor: tuple[int, int], layout: Layout) -> set[int]:
+    i0, j0 = anchor
+    top = j0 + a + m  # the b- and c-lobes' base; each leaf is the hexagon n, k, n, k, n, k
+    leaves = ((a, 0, (i0, j0)), (0, m, (i0, j0 + a)), (b, 0, (i0, top)), (c, 0, (i0 - m - c, top)))
+    return set().union(*(_hexagon_codes(n, k, n, k, n, k, layout, at) for n, k, at in leaves))
+
+
+def build_shamrock(m: int, a: int, b: int, c: int, anchor: tuple[int, int]) -> frozenset[Triangle]:
     """Triangles of the four-leaf hole: a central down-pointing core of size
     m with up-pointing lobes of sizes a (below), b (upper right) and c
     (upper left), each leaf a hexagon with three zero sides.  `anchor` is
     the lower-left corner of the a-lobe."""
-    i0, j0 = anchor
-    return (
-        _hexagon_triangles(a, 0, a, 0, a, 0, (i0, j0))
-        | _hexagon_triangles(0, m, 0, m, 0, m, (i0, j0 + a))
-        | _hexagon_triangles(b, 0, b, 0, b, 0, (i0, j0 + a + m))
-        | _hexagon_triangles(c, 0, c, 0, c, 0, (i0 - m - c, j0 + a + m))
-    )
+    layout = (m + a + b + c + 2, (anchor[1], anchor[0] - m - c - 1))
+    return coded_region(list(_shamrock(m, a, b, c, anchor, layout)), layout).triangles
 
 
-def q_region_notch(p: RegionParams) -> set[Triangle]:
-    """The notch build_q_region cuts from its hexagon: the shamrock with the
-    a-lobe's lower-left corner x+c units right of the hexagon's."""
-    return build_shamrock(p.m, p.a, p.b, p.c, (p.x + p.c, 0))
+def _q_parts(p: RegionParams) -> tuple[set[int], set[int], Layout]:
+    """The codes, in its layout, of the hexagon with clockwise sides z+a+b+c,
+    x+y+m, t+a+b+c, z+m, x+y+a+b+c, t+m, and of the notch build_q_region
+    cuts from it: the a-lobe's lower-left corner x+c right of the hexagon's."""
+    n5, n6 = p.x + p.y + p.a + p.b + p.c, p.t + p.m
+    layout = (n5 + n6 + 2, (0, -n6 - 1))
+    sides = (p.z + p.a + p.b + p.c, p.x + p.y + p.m, p.t + p.a + p.b + p.c, p.z + p.m, n5, n6)
+    notch = _shamrock(p.m, p.a, p.b, p.c, (p.x + p.c, 0), layout)
+    return _hexagon_codes(*sides, layout), notch, layout
+
+
+def q_region_notch(p: RegionParams) -> frozenset[Triangle]:
+    """The notch build_q_region cuts from its hexagon."""
+    _, notch, layout = _q_parts(p)
+    return coded_region(list(notch), layout).triangles
 
 
 def build_q_region(p: RegionParams) -> Region:
-    """Hexagon with a shamrock-shaped notch on its base.
-
-    The hexagon has clockwise sides z+a+b+c, x+y+m, t+a+b+c, z+m,
-    x+y+a+b+c, t+m; the notch sits on the base with the a-lobe's lower-left
-    corner x+c units right of the hexagon's lower-left corner.  Inside
-    shared_work equal parameters get the same Region object back.
-    """
+    """Hexagon with a shamrock-shaped notch on its base (see _q_parts).
+    Inside shared_work equal parameters get the same Region object back."""
     return shared(p, lambda: _q_region(p))
 
 
 def _q_region(p: RegionParams) -> Region:
-    hexa = _hexagon_triangles(
-        p.z + p.a + p.b + p.c,
-        p.x + p.y + p.m,
-        p.t + p.a + p.b + p.c,
-        p.z + p.m,
-        p.x + p.y + p.a + p.b + p.c,
-        p.t + p.m,
-    )
-    hole = q_region_notch(p)
-    if not hole <= hexa:
+    hexagon, notch, layout = _q_parts(p)
+    if not notch <= hexagon:
         raise Unbalanced("notch sticks out of the hexagon for %r" % (p,))
-    tris = hexa - hole
+    codes = list(hexagon - notch)
+    if 2 * sum(c & 1 for c in codes) != len(codes):
+        raise Unbalanced("region is not balanced for %r" % (p,))
     width = p.x + p.y + p.a + p.b + p.c
     sw_level = 0 if p.b == 0 and p.c == 0 else None
-    region = Region(frozenset(tris), p, Frames(base_row=0, se_i=width, sw_level=sw_level))
-    if not is_balanced(region):
-        raise Unbalanced("region is not balanced for %r" % (p,))
-    return region
+    return coded_region(codes, layout, p, Frames(base_row=0, se_i=width, sw_level=sw_level))
 
 
 def q_region_triangle_count(p: RegionParams) -> int:
@@ -307,19 +343,25 @@ def q_region_triangle_count(p: RegionParams) -> int:
 # arguments to RegionParams; builders and closed formulas both go through it.
 
 
+def region_params(*values: int) -> RegionParams:
+    """RegionParams(*values), checked once per tuple inside shared_work: an
+    equal tuple gets the object the block, or its lasting memo, made first."""
+    return shared(("params", values), lambda: RegionParams(*values), lasting=True)
+
+
 def hexagon_params(a: int, b: int, c: int) -> RegionParams:
     """The hexagon with sides a, b, c, a, b, c: no notch, x = b, z = a, t = c."""
-    return RegionParams(x=b, y=0, z=a, t=c, m=0, a=0, b=0, c=0)
+    return region_params(b, 0, a, c, 0, 0, 0, 0)
 
 
 def k_region_params(a: int, x: int, y: int, z: int, t: int) -> RegionParams:
     """A single up-pointing notch of size a: m = b = c = 0."""
-    return RegionParams(x=x, y=y, z=z, t=t, m=0, a=a, b=0, c=0)
+    return region_params(x, y, z, t, 0, a, 0, 0)
 
 
 def magnet_bar_params(m: int, a: int, x: int, y: int, z: int, t: int) -> RegionParams:
     """A bar-with-pendant notch: b = c = 0."""
-    return RegionParams(x=x, y=y, z=z, t=t, m=m, a=a, b=0, c=0)
+    return region_params(x, y, z, t, m, a, 0, 0)
 
 
 def build_hexagon(a: int, b: int, c: int) -> Region:
@@ -356,7 +398,9 @@ def validate_dents(a: int, b: int, dents: Iterable[int]) -> list[int]:
 def build_semihexagon_dented(a: int, b: int, dents: Iterable[int]) -> Region:
     """Top half of the hexagon with sides a, b, a: a trapezoid of height a
     with base a+b, minus the up-pointing base triangles at the 1-indexed
-    positions in `dents` (exactly a of them, so the result is balanced)."""
+    positions in `dents` (exactly a of them, so the result is balanced):
+    up(0, s - 1) has code 2s + 1 in the trapezoid's layout."""
     dents = validate_dents(a, b, dents)
-    tris = _hexagon_triangles(a, b, a, 0, a + b, 0) - {up(0, s - 1) for s in dents}
-    return Region(frozenset(tris), None, Frames(base_row=0, se_i=None, sw_level=None))
+    layout = (a + b + 2, (0, -1))
+    codes = _hexagon_codes(a, b, a, 0, a + b, 0, layout) - {2 * s + 1 for s in dents}
+    return coded_region(list(codes), layout, None, Frames(base_row=0, se_i=None, sw_level=None))

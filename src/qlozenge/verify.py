@@ -13,24 +13,26 @@ calls and the suites filter on, so a suite never emits a Precondition line.
 run_suite builds a deterministic task list per suite name.  A task is
 (key, check, *args): the region the task reads, then a check call, its
 arguments already typed and hashable (RegionParams, Region, a tuple of
-Triangle marks, WeightAssignment).  The key is a semihexagon's
-(a, b, dents), None for q_int_addition, and the RegionParams for every
-other task.  Tasks with equal keys form one group, a None task a group of
-its own, and each group runs inside one lattice.shared_work block: the
-region is built, split by kuo_remove, counted and swept under each weight
-once, and its Kuo products multiplied once, however many checks ask; a
-repeated task (each qmain task is a formulas task too) is checked once.
-Only the engine's sweeps outlive a group: every group of one run_suite
-call hands the block the same lasting memo, which run_suite drops when it
-returns (a pool worker keeps its own for the pool's life), so a shape is
-swept once per weight and frame origin in a suite run, however many
-groups reach it.  One table, _KUO_MOVES, gives Kuo's five removals as
-moves of the sides, for the recurrences and reductions alike.  Groups run
-in this process or, with jobs > 1, one per pool item, and results go back
-in task order, so the output is identical however many workers ran them.
-Only group numbers go to the pool (a forked worker reads the task list, a
-spawn or forkserver worker builds it once); back come Reports, or with
-the CLI's renderer (passed, line) pairs.
+Triangle marks, WeightAssignment).  The key is a semihexagon's (a, b,
+dents), None for q_int_addition, and the RegionParams for every other
+task.  Tasks with equal keys form one group, a None task a group of its
+own, and each group runs inside one lattice.shared_work block: the
+region is built, split by kuo_remove, counted and swept under each
+weight once, and its Kuo products multiplied once, however many checks
+ask; a repeated task (each qmain task is a formulas task too) is checked
+once.  Only the engine's sweeps and the RegionParams outlive a group:
+every group of one run_suite call hands the block the same lasting memo,
+which run_suite drops when it returns (a pool worker keeps its own for
+the pool's life), so a shape is swept once per weight and frame origin
+in a suite run, however many groups reach it, and each tuple's
+RegionParams, made with the task list, is checked once.  One table,
+_KUO_MOVES, gives Kuo's five removals as moves of the sides, for the
+recurrences and reductions alike.  Groups run in this process or, with
+jobs > 1, one per pool item, and results go back in task order, so the
+output is identical however many workers ran them.  Only group numbers
+go to the pool (a forked worker reads the task list, a spawn or
+forkserver worker builds it once); back come Reports, or with the CLI's
+renderer (passed, line) pairs.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .lattice import (
     k_region_params,
     magnet_bar_params,
     q_region_triangle_count,
+    region_params,
     shared,
     shared_work,
     up,
@@ -205,7 +208,7 @@ _KUO_MOVES = {
 def _moved(p: RegionParams, **steps: int) -> Optional[RegionParams]:
     """p with each named side moved by its step, or None once one is negative."""
     moved = [v + steps.get(name, 0) for name, v in zip(RegionParams.__match_args__, p)]
-    return None if min(moved) < 0 else RegionParams(*moved)
+    return None if min(moved) < 0 else region_params(*moved)
 
 
 def _kuo_products(p: RegionParams) -> list[tuple[QPoly, int]]:
@@ -316,7 +319,7 @@ def _reduction_applies(p: RegionParams, step: str) -> bool:
         _recurrence_applies(p)
         and p.x + p.y + p.m >= 2
         and p.t + p.a >= 2
-        and _moved(p, **_KUO_MOVES[step]) is not None
+        and all(getattr(p, side) + move >= 0 for side, move in _KUO_MOVES[step].items())
     )
 
 
@@ -371,7 +374,7 @@ def _formula_tasks(
 
 
 def _suite_qmain(max_sum: int, keyed: Keyed) -> list[tuple]:
-    return _formula_tasks("q_region", keyed(RegionParams, 8), (WeightAssignment.WT2,))
+    return _formula_tasks("q_region", keyed(region_params, 8), (WeightAssignment.WT2,))
 
 
 def _suite_formulas(max_sum: int, keyed: Keyed) -> list[tuple]:
@@ -385,7 +388,7 @@ def _suite_formulas(max_sum: int, keyed: Keyed) -> list[tuple]:
                 tasks.append((args, check_formula_vs_enumeration, "semihexagon", args, W.WT2))
     tasks += _formula_tasks("k_region", keyed(k_region_params, 5), (W.WT2,))
     tasks += _formula_tasks("magnet_bar", keyed(magnet_bar_params, 6), (W.WT2, W.WT3))
-    tasks += _formula_tasks("q_region", keyed(RegionParams, 8), (W.WT0, W.WT1, W.WT2))
+    tasks += _formula_tasks("q_region", keyed(region_params, 8), (W.WT0, W.WT1, W.WT2))
     return tasks
 
 
@@ -420,7 +423,7 @@ def _suite_kuo(max_sum: int, keyed: Keyed) -> list[tuple]:
 def _suite_recurrences(max_sum: int, keyed: Keyed) -> list[tuple]:
     bars = keyed(magnet_bar_params, 6)
     tasks = [(p, check_magnet_recurrence, *ps) for ps, p in bars if _recurrence_applies(p)]
-    for ps, p in keyed(RegionParams, 8):
+    for ps, p in keyed(region_params, 8):
         if _recurrence_applies(p):
             tasks.append((p, check_q_recurrence, p))
         if _psi_applies(p):
@@ -442,7 +445,7 @@ def _suite_recurrences(max_sum: int, keyed: Keyed) -> list[tuple]:
 def _suite_prop31(max_sum: int, keyed: Keyed) -> list[tuple]:
     return [
         (p, check_prop31, p)
-        for _, p in keyed(RegionParams, 8)
+        for _, p in keyed(region_params, 8)
         if q_region_triangle_count(p) <= DEFAULT_TRIANGLE_BUDGET
     ]
 
@@ -480,10 +483,11 @@ def _suite_groups(name: str, max_sum: int) -> tuple[list[tuple], list[list[int]]
     every group hands the engine's sweeps."""
     held = _held.get((name, max_sum))
     if held is None:
-        tasks, groups = suite_tasks(name, max_sum), {}
+        with shared_work(lasting := {}):  # where every group finds each tuple's RegionParams
+            tasks, groups = suite_tasks(name, max_sum), {}
         for i, task in enumerate(tasks):
             groups.setdefault(i if task[0] is None else task[0], []).append(i)
-        held = _held[name, max_sum] = (tasks, list(groups.values()), {})
+        held = _held[name, max_sum] = (tasks, list(groups.values()), lasting)
     return held
 
 

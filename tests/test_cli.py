@@ -1,6 +1,9 @@
 import hashlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -127,6 +130,24 @@ def test_tilings_lines(capsys):
         assert entries == sorted(entries)
         for first, second, _letter in entries:
             assert first[2] == "U" and second[2] == "D"
+
+
+def test_a_reader_that_stops_early_gets_exit_141_and_no_traceback():
+    # The 980 tilings fill the pipe many times over, so the writes after
+    # the reader is gone fail, as under `| head -1`.
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    argv = ["tilings", "hexagon", "--a", "3", "--b", "3", "--c", "3"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qlozenge.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141 and err == b""
+    assert json.loads(first) and first.endswith(b"\n")
 
 
 def test_verify_suite_kuo(capsys):

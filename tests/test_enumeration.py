@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import os
 import subprocess
@@ -16,6 +17,7 @@ from qlozenge.enumeration import (
     _form,
     _marks_in_order,
     _planned,
+    _shape,
     _sweep,
     count_tilings,
     gen_function,
@@ -26,6 +28,7 @@ from qlozenge.enumeration import (
     _outer_walks,
 )
 from qlozenge.formulas import hex_M2
+from qlozenge import lattice
 from qlozenge.lattice import (
     LEFT,
     RIGHT,
@@ -373,6 +376,62 @@ def test_a_memo_hit_keeps_every_contract(w):
         assert gen_function(loose, w) == gen_function_oracle(loose, w)
 
 
+@pytest.mark.parametrize("w", list(_MISFRAMED), ids=lambda w: w.name)
+def test_the_oracle_names_the_least_lozenge_before_reading_its_budget(w):
+    bar = build_magnet_bar(1, 1, 1, 1, 1, 1)
+    misframed = _translated(bar, 3, -2, Frames(5, -1, 4))
+    for budget in (len(bar), len(bar) - 1, 0):
+        with pytest.raises(ValueError) as info:
+            gen_function_oracle(misframed, w, max_triangles=budget)
+        assert type(info.value) is ValueError and str(info.value) == _MISFRAMED[w]
+    extra, where, exponent = _NEGATIVE_EXTRAS[w]
+    loaded = Region(bar.triangles | extra, None, bar.frames)
+    with pytest.raises(ValueError) as info:
+        gen_function_oracle(loaded, w, max_triangles=0)
+    assert str(info.value) == "%s has negative exponent %d" % (where, exponent)
+    with pytest.raises(BudgetExceeded, match="^%d triangles exceed" % len(bar)):
+        gen_function_oracle(bar, w, max_triangles=len(bar) - 1)
+    assert gen_function_oracle(bar, w) == gen_function(bar, w)
+
+
+def _frontier_draws():
+    """The regions of the bench's frontier workload at seeds 1 to 5."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    items = [item for seed in range(1, 6) for item in workloads.frontier_items(seed)]
+    return [workloads._region(lattice, item["family"], item["params"]) for item in items]
+
+
+def _encoded_survivors(region, form):
+    """The shape and corner the strip gave when it encoded the Triangles
+    left once its forced lozenges are taken off."""
+    ups = {RIGHT: (0, 0), LEFT: (0, 1), VERTICAL: (1, 0)}
+    gone = set()
+    for o, row, pos in form.forced:
+        drow, dpos = ups[o]
+        gone |= {down(row, pos), up(row + drow, pos + dpos)}
+    codes, _, stride, corner = encode(region.triangles - gone)
+    return _shape(stride, codes), corner
+
+
+def test_the_strip_recodes_every_shape_as_encode_would():
+    regions = _frontier_draws()
+    assert len(regions) == 35
+    grid = [ps for ps in itertools.product(range(3), repeat=8) if sum(ps) <= 4]
+    regions += [build_q_region(RegionParams(*ps)) for ps in grid]
+    for p in _STRIPPED:
+        regions += kuo_remove(build_q_region(p), four_point_marks(p))
+    stripped = 0
+    for region in regions:
+        form = _form(region)
+        if form.shape is not None:
+            assert (form.shape, form.corner) == _encoded_survivors(region, form)
+            stripped += bool(form.forced)
+    assert stripped > 100
+
+
 def test_budgeted_calls_in_shared_work_never_read_unbudgeted_sweeps():
     region = build_hexagon(2, 2, 2)
     with shared_work():
@@ -545,7 +604,7 @@ def test_gen_function_digest_is_the_region_hash():
 
 
 def test_outer_walk_unit_hexagon():
-    (walk,) = _outer_walks(build_hexagon(1, 1, 1).triangles)
+    (walk,) = _outer_walks(build_hexagon(1, 1, 1))
     assert _rotate_to_min(walk) == [
         down(0, -1),
         up(1, -1),
@@ -557,7 +616,7 @@ def test_outer_walk_unit_hexagon():
 
 
 def test_outer_walk_skips_interior_triangles():
-    (walk,) = _outer_walks(build_hexagon(2, 2, 2).triangles)
+    (walk,) = _outer_walks(build_hexagon(2, 2, 2))
     assert up(1, 0) not in walk
 
 
@@ -566,7 +625,7 @@ def test_outer_walk_skips_an_interior_hole():
     # its rim is not on the outer walk.
     hole = {up(2, 0), up(3, -1), up(3, 0), down(2, -1), down(2, 0), down(3, -1)}
     triangles = build_hexagon(3, 3, 3).triangles - hole
-    (walk,) = _outer_walks(triangles)
+    (walk,) = _outer_walks(Region(triangles))
     assert len(walk) == 30
     codes, moves = encode(build_hexagon(3, 3, 3).triangles)[:2]
     rim = {codes.get(k + step) for k, t in codes.items() if t in hole for step, _ in moves[k & 1]}
@@ -578,7 +637,7 @@ def test_outer_walk_includes_point_contact_triangles():
     # In the bar region the triangle under the top side touches the
     # boundary only at one lattice point, yet it sits on the outer face.
     region = build_magnet_bar(1, 1, 1, 1, 1, 1)
-    (walk,) = _outer_walks(region.triangles)
+    (walk,) = _outer_walks(region)
     assert up(3, 0) in walk
 
 
@@ -623,6 +682,25 @@ def test_kuo_takes_marks_on_any_one_component():
     split = [up(0, 0), down(0, 0), up(1, 10), down(1, 9)]
     with pytest.raises(BadMarks, match="one component"):
         kuo_remove(twin, split)
+
+
+def test_kuo_parts_carry_the_encoding_encode_gives(monkeypatch):
+    # The parts take their codes from the parent's: no encode, even where a
+    # removal moves a part's lowest row or leftmost position.
+    cases = [(build_q_region(p), four_point_marks(p)) for p in _STRIPPED + _TRANSLATED]
+    cases.append((build_hexagon(1, 1, 1), [up(0, 0), down(0, 0), up(1, 0), down(1, -1)]))
+    real = lattice.encode
+    monkeypatch.setattr(lattice, "encode", lambda triangles: pytest.fail("encode was called"))
+    split = [(region, kuo_remove(region, marks)) for region, marks in cases]
+    encodings = [(region.encoding, [part.encoding for part in parts]) for region, parts in split]
+    monkeypatch.undo()
+    moved = 0
+    for (region, parts), (whole, coded) in zip(split, encodings):
+        assert len(parts) == 5
+        for part, encoding in zip(parts, coded):
+            assert encoding == real(part.triangles)
+            moved += encoding[2:] != whole[2:]
+    assert moved  # some part's stride or corner differs from its parent's
 
 
 def test_kuo_unit_hexagon():

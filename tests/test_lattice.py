@@ -30,10 +30,11 @@ from qlozenge.lattice import (
     build_q_region,
     build_semihexagon_dented,
     build_shamrock,
+    coded_region,
     down,
     encode,
-    is_balanced,
     q_region_triangle_count,
+    recoded,
     region_json,
     up,
 )
@@ -49,6 +50,11 @@ def _hexagon_walk_area(n1, n2, n3, n4, n5, n6):
     for (i1, j1), (i2, j2) in zip(verts, verts[1:] + verts[:1]):
         total += i1 * j2 - i2 * j1
     return total
+
+
+def is_balanced(region):
+    """As many up triangles as down ones."""
+    return 2 * sum(t.orient == "U" for t in region.triangles) == len(region)
 
 
 def _translate(triangles, drow, dpos):
@@ -287,7 +293,7 @@ def _shamrocks():
 
 
 # One SHA-256 per builder over region_json of every region on its grid.
-# Every builder reads its rows from _hexagon_triangles, so a slip in either
+# Every builder reads its rows from _hexagon_codes, so a slip in either
 # row range changes all three.
 _BUILDER_GRID = {
     "q_region": (
@@ -314,6 +320,45 @@ def test_builders_on_the_recorded_grid(builder):
     assert digest.hexdigest() == expected
 
 
+def _zero_sided_regions():
+    """Every builder family on a grid reaching zero sides: no notch, empty
+    lobes, t = m = 0, x = c = 0, and the empty region."""
+    for p in _small_params(4):
+        yield build_q_region(p)
+    for sides in itertools.product(range(3), repeat=3):
+        yield build_hexagon(*sides)
+    for sides in itertools.product(range(2), repeat=5):
+        yield build_k_region(*sides)
+    for sides in itertools.product(range(2), repeat=6):
+        yield build_magnet_bar(*sides)
+    for _, region in _semihexagons():
+        yield region
+
+
+def test_builders_hand_each_region_the_encoding_encode_gives(monkeypatch):
+    # A builder's region carries its codes from the build: reading them
+    # calls no encode, and they are encode's to the last code.
+    real = lattice.encode
+    monkeypatch.setattr(lattice, "encode", lambda triangles: pytest.fail("encode was called"))
+    regions = list(_zero_sided_regions())
+    encodings = [region.encoding for region in regions]
+    monkeypatch.undo()
+    assert len(regions) > 1500 and any(not region.triangles for region in regions)
+    for region, encoding in zip(regions, encodings):
+        assert encoding == real(region.triangles)
+
+
+def test_a_hand_built_region_is_encoded_once_on_first_use(monkeypatch):
+    region = Region(build_hexagon(2, 1, 2).triangles)
+    calls = []
+    monkeypatch.setattr(lattice, "encode", lambda tris: calls.append(tris) or encode(tris))
+    assert region.encoding is region.encoding == encode(region.triangles)
+    assert calls == [region.triangles]
+    # The encoding is no field: equality, hashing and repr ignore it.
+    assert region == Region(region.triangles) and hash(region) == hash(Region(region.triangles))
+    assert "encoding" not in repr(region)
+
+
 def _corners(t):
     """The corners of t by the formulas of the lattice module docstring."""
     r, p = t.row, t.pos
@@ -334,6 +379,22 @@ _PATCH = st.lists(
     min_size=1,
     max_size=25,
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(patch=_PATCH, low=st.tuples(st.integers(0, 3), st.integers(0, 3)), high=st.integers(0, 3))
+def test_codes_in_any_holding_layout_recode_to_encode_s(patch, low, high):
+    # Lay the patch out with room to spare on every side, then re-code it:
+    # the lowest row, the leftmost position and the span may all move.
+    triangles = frozenset(patch)
+    rows, positions = [t.row for t in patch], [t.pos for t in patch]
+    corners = {down(min(rows) - low[0], min(positions) - low[1])}
+    corners.add(up(max(rows), max(positions) + high))
+    codes, _, stride, corner = encode(triangles | corners)
+    kept = [c for c, t in codes.items() if t in triangles]
+    region = coded_region(kept, (stride, corner))
+    assert region.triangles == triangles and region.encoding == encode(triangles)
+    assert recoded(kept, (stride, corner)) == (list(region.encoding.codes), region.encoding[2:])
 
 
 @settings(max_examples=150, deadline=None)

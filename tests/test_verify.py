@@ -93,7 +93,7 @@ def _outer_walk_marks(draw):
     of the other.  Consecutive walk entries alternate orientation, so the
     marks do too."""
     region = build_q_region(draw(st.sampled_from(_SMALL_Q)))
-    walk = draw(st.sampled_from(_outer_walks(region.triangles)))
+    walk = draw(st.sampled_from(_outer_walks(region)))
     n = len(walk)
     assume(n >= 4)
     i = draw(st.integers(0, n - 4))
@@ -421,6 +421,36 @@ def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
     swept.clear()
     assert run_suite("formulas", 2) == reports
     assert swept == first
+
+
+def test_a_suite_encodes_no_region_it_builds(monkeypatch):
+    # Builders and kuo_remove hand their regions the codes they built, so
+    # encode runs at most once per distinct region in a group: here never.
+    groups, real_group = [], verify._run_group
+
+    def run_group(*args, **kwargs):
+        groups.append([])  # the triangles this group encodes
+        return real_group(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_run_group", run_group)
+    for module in (lattice, enumeration):  # the latter in case it calls encode itself
+        monkeypatch.setattr(module, "encode", lambda t: groups[-1].append(t), raising=False)
+    for name in ("formulas", "kuo"):
+        run_suite(name, 2)
+    assert len(groups) > 50
+    assert all(len(encoded) == len(set(encoded)) for encoded in groups)
+    assert not any(groups)
+
+
+def test_a_suite_checks_each_region_params_once(monkeypatch):
+    # Every group, the family callables and the Kuo moves included, finds
+    # the tuple's RegionParams made when the task list was.
+    calls = []
+    real = RegionParams.__post_init__
+    monkeypatch.setattr(RegionParams, "__post_init__", lambda p: calls.append(tuple(p)) or real(p))
+    reports = run_suite("all", 4)
+    assert len(calls) == len(set(calls))
+    assert set(calls) >= {tuple(r.params) for r in reports if r.check_name == "q_recurrence"}
 
 
 def test_a_wrong_prefactor_or_a_core_not_a_translate_fails_a_reduction(monkeypatch):
