@@ -4,23 +4,20 @@ plus the region surgery of the removal identities (kuo_remove).
 The two routes share one contract (the generating function of a region
 under a weight assignment, a plain QPoly) and deliberately share no
 enumeration code; tests pit them against each other.  Both, and the
-surgery, find neighbours on the region's integer codes, region.encoding
-(a lattice.Encoding made once per region object; kuo_remove's parts take
-theirs from the parent's codes), from the one move table that a test
-checks against the triangles' corners.  One backtracker serves
-iter_tilings and the oracle: it numbers the triangles in sorted order,
-lists each one's lozenges with later ones once as (pair bitmask, label),
-and backtracks on one int: its lowest set bit is the triangle to cover,
-and ^ takes a pair off.  It walks an explicit stack of (uncovered mask,
-options left), so its depth, one frame per lozenge, has no recursion
-limit.  A label is computed once per lozenge: a Lozenge for
+surgery, find neighbours on region.encoding's integer codes (made once
+per region; kuo_remove's parts take theirs from the parent's), from the
+one move table that a test checks against the triangles' corners.  One
+backtracker serves iter_tilings and the oracle: it numbers the triangles
+in sorted order, lists each one's lozenges with later ones once as (pair
+bitmask, label), and backtracks on one int: its lowest set bit is the
+triangle to cover, and ^ takes a pair off.  It walks an explicit stack of
+(uncovered mask, options left), so its depth, one frame per lozenge, has
+no recursion limit.  A label is computed once per lozenge: a Lozenge for
 iter_tilings, the lozenge's down_weight exponent for the oracle, which
-sums a tiling's labels and sends the region's lozenges to
-weights.refuse_negative only when the least label is negative.  The
-engine sweeps the region one triangle at a time carrying a boundary
-mask.  Both routes resolve the weight once per region before they
-enumerate anything, and take wt0 from the weights module's one rule:
-enumerate wt2, then less_offset.
+sums a tiling's labels.  The engine sweeps the region one triangle at a
+time carrying a boundary mask.  Both routes resolve the weight once per
+region before they enumerate anything, and take wt0 from the weights
+module's one rule: enumerate wt2, then less_offset.
 
 The engine sweeps a region's normal form, made once per region: the
 lozenges every tiling must contain stripped on the region's codes (each
@@ -475,8 +472,7 @@ def _shifted(region: Region, w: WeightAssignment, max_states: Optional[int]) -> 
     forced = sum(exponent(*lozenge) for lozenge in form.forced)
     data = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
     starts = range(0, len(data), size)
-    terms = {k // size + forced: int.from_bytes(data[k : k + size], "little") for k in starts}
-    return QPoly._trusted(terms)
+    return QPoly({k // size + forced: int.from_bytes(data[k : k + size], "little") for k in starts})
 
 
 def _swept(

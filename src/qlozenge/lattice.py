@@ -139,10 +139,8 @@ def recoded(codes: list[int], layout: Layout) -> tuple[list[int], Layout]:
     row = (min(codes) >> 1) // stride
     cols = {(c >> 1) % stride for c in codes}
     lo, wide = min(cols) - 1, max(cols) - min(cols) + 3
-    if wide != stride or row or lo:  # row r, pos p become row r - row, pos p - lo
-        codes = [
-            c - 2 * (r * stride - (r - row) * wide + lo) for c in codes for r in [c // 2 // stride]
-        ]
+    # row r, pos p become row r - row, pos p - lo
+    codes = [c - 2 * ((c >> 1) // stride * (stride - wide) + row * wide + lo) for c in codes]
     return codes, (wide, (row0 + row, pos0 + lo))
 
 
@@ -344,8 +342,9 @@ def q_region_triangle_count(p: RegionParams) -> int:
 
 
 def region_params(*values: int) -> RegionParams:
-    """RegionParams(*values), checked once per tuple inside shared_work: an
-    equal tuple gets the object the block, or its lasting memo, made first."""
+    """RegionParams(*values), checked once per tuple of ints inside shared_work."""
+    if {*map(type, values)} != {int}:  # 1.0 == 1 and True == 1, yet only ints pass
+        return RegionParams(*values)
     return shared(("params", values), lambda: RegionParams(*values), lasting=True)
 
 

@@ -13,19 +13,18 @@ calls and the suites filter on, so a suite never emits a Precondition line.
 run_suite builds a deterministic task list per suite name.  A task is
 (key, check, *args): the region the task reads, then a check call, its
 arguments already typed and hashable (RegionParams, Region, a tuple of
-Triangle marks, WeightAssignment).  The key is a semihexagon's (a, b,
-dents), None for q_int_addition, and the RegionParams for every other
-task.  Tasks with equal keys form one group, a None task a group of its
-own, and each group runs inside one lattice.shared_work block: the
-region is built, split by kuo_remove, counted and swept under each
-weight once, and its Kuo products multiplied once, however many checks
-ask; a repeated task (each qmain task is a formulas task too) is checked
-once.  Only the engine's sweeps and the RegionParams outlive a group:
-every group of one run_suite call hands the block the same lasting memo,
-which run_suite drops when it returns (a pool worker keeps its own for
-the pool's life), so a shape is swept once per weight and frame origin
-in a suite run, however many groups reach it, and each tuple's
-RegionParams, made with the task list, is checked once.  One table,
+Triangle marks, WeightAssignment).  The key is a semihexagon's
+(a, b, dents), None for q_int_addition, and the RegionParams for every
+other task.  Tasks with equal keys form one group, a None task a group of
+its own, and each group runs inside one lattice.shared_work block: the
+region is built, split by kuo_remove, counted and swept under each weight
+once, and its Kuo products multiplied once, however many checks ask; a
+repeated task (each qmain task is a formulas task too) is checked once.
+Only the engine's sweeps and the RegionParams outlive a group: the task
+list and every group of one run_suite call share one lasting memo, which
+run_suite drops when it returns (a pool worker keeps its own for the
+pool's life), so in a suite run a shape is swept once per weight and
+frame origin, and a tuple's RegionParams is checked once.  One table,
 _KUO_MOVES, gives Kuo's five removals as moves of the sides, for the
 recurrences and reductions alike.  Groups run in this process or, with
 jobs > 1, one per pool item, and results go back in task order, so the
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from itertools import chain, combinations
 from math import comb
 from typing import Callable, Optional, Sequence
@@ -360,39 +359,35 @@ def _bounded_tuples(slots: int, total: int) -> list[tuple[int, ...]]:
     return tuples
 
 
-# A family's (argument tuple, RegionParams it projects to) pairs over its
-# bounded tuples, as keyed(project, slots): built once per suite_tasks call.
-Keyed = Callable[[Callable[..., RegionParams], int], list[tuple[tuple, RegionParams]]]
-
-
 def _formula_tasks(
-    builder_id: str, keyed: list[tuple[tuple, RegionParams]], weights: Sequence[WeightAssignment]
+    builder_id: str, project: Callable, slots: int, max_sum: int, weights: Sequence[WeightAssignment]
 ) -> list[tuple]:
-    """Formula checks of one family over its keyed argument tuples."""
-    check = check_formula_vs_enumeration
-    return [(key, check, builder_id, ps, w) for ps, key in keyed for w in weights]
+    """Formula checks of one family over its bounded argument tuples, each
+    keyed by the RegionParams its arguments project to."""
+    check, tuples = check_formula_vs_enumeration, _bounded_tuples(slots, max_sum)
+    return [(p, check, builder_id, ps, w) for ps in tuples for p in [project(*ps)] for w in weights]
 
 
-def _suite_qmain(max_sum: int, keyed: Keyed) -> list[tuple]:
-    return _formula_tasks("q_region", keyed(region_params, 8), (WeightAssignment.WT2,))
+def _suite_qmain(max_sum: int) -> list[tuple]:
+    return _formula_tasks("q_region", region_params, 8, max_sum, (WeightAssignment.WT2,))
 
 
-def _suite_formulas(max_sum: int, keyed: Keyed) -> list[tuple]:
+def _suite_formulas(max_sum: int) -> list[tuple]:
     W = WeightAssignment
-    tasks = _formula_tasks("hexagon", keyed(hexagon_params, 3), (W.WT0, W.WT1, W.WT2))
+    tasks = _formula_tasks("hexagon", hexagon_params, 3, max_sum, (W.WT0, W.WT1, W.WT2))
     cap = min(max_sum, 6)
     for a in range(cap + 1):
         for b in range(cap - a + 1):
             for dents in combinations(range(1, a + b + 1), a):
                 args = (a, b, dents)
                 tasks.append((args, check_formula_vs_enumeration, "semihexagon", args, W.WT2))
-    tasks += _formula_tasks("k_region", keyed(k_region_params, 5), (W.WT2,))
-    tasks += _formula_tasks("magnet_bar", keyed(magnet_bar_params, 6), (W.WT2, W.WT3))
-    tasks += _formula_tasks("q_region", keyed(region_params, 8), (W.WT0, W.WT1, W.WT2))
+    tasks += _formula_tasks("k_region", k_region_params, 5, max_sum, (W.WT2,))
+    tasks += _formula_tasks("magnet_bar", magnet_bar_params, 6, max_sum, (W.WT2, W.WT3))
+    tasks += _formula_tasks("q_region", region_params, 8, max_sum, (W.WT0, W.WT1, W.WT2))
     return tasks
 
 
-def _suite_kuo(max_sum: int, keyed: Keyed) -> list[tuple]:
+def _suite_kuo(max_sum: int) -> list[tuple]:
     """Fixed placement library; max_sum is ignored because nothing sweeps."""
     W = WeightAssignment
     unit = hexagon_params(1, 1, 1)
@@ -420,10 +415,11 @@ def _suite_kuo(max_sum: int, keyed: Keyed) -> list[tuple]:
     return tasks
 
 
-def _suite_recurrences(max_sum: int, keyed: Keyed) -> list[tuple]:
-    bars = keyed(magnet_bar_params, 6)
+def _suite_recurrences(max_sum: int) -> list[tuple]:
+    bars = [(ps, magnet_bar_params(*ps)) for ps in _bounded_tuples(6, max_sum)]
     tasks = [(p, check_magnet_recurrence, *ps) for ps, p in bars if _recurrence_applies(p)]
-    for ps, p in keyed(region_params, 8):
+    for ps in _bounded_tuples(8, max_sum):
+        p = region_params(*ps)
         if _recurrence_applies(p):
             tasks.append((p, check_q_recurrence, p))
         if _psi_applies(p):
@@ -442,10 +438,10 @@ def _suite_recurrences(max_sum: int, keyed: Keyed) -> list[tuple]:
     return tasks
 
 
-def _suite_prop31(max_sum: int, keyed: Keyed) -> list[tuple]:
+def _suite_prop31(max_sum: int) -> list[tuple]:
     return [
         (p, check_prop31, p)
-        for _, p in keyed(region_params, 8)
+        for p in (region_params(*ps) for ps in _bounded_tuples(8, max_sum))
         if q_region_triangle_count(p) <= DEFAULT_TRIANGLE_BUDGET
     ]
 
@@ -468,9 +464,8 @@ def suite_tasks(name: str, max_sum: int = 4) -> list[tuple]:
         raise ValueError(
             "unknown suite %r; choose from %s" % (name, ", ".join(suite_names()))
         )
-    keyed = cache(lambda project, slots: [(ps, project(*ps)) for ps in _bounded_tuples(slots, max_sum)])
     names = _SUITES if name == "all" else [name]
-    return [t for key in names for t in _SUITES[key](max_sum, keyed)]
+    return [t for key in names for t in _SUITES[key](max_sum)]
 
 
 # The tasks and groups of each suite run_suite is running, by (name, max_sum),

@@ -33,9 +33,12 @@ from qlozenge.lattice import (
     coded_region,
     down,
     encode,
+    hexagon_params,
     q_region_triangle_count,
     recoded,
     region_json,
+    region_params,
+    shared_work,
     up,
 )
 from qlozenge.qalgebra import QPoly
@@ -262,6 +265,17 @@ def test_region_params_rejects_negative():
 def test_region_params_iterate_in_field_order():
     p = RegionParams(x=1, y=2, z=3, t=4, m=5, a=6, b=7, c=8)
     assert tuple(p) == astuple(p) == (1, 2, 3, 4, 5, 6, 7, 8)
+
+
+def test_region_params_are_checked_alike_in_and_out_of_shared_work():
+    # The memo hands an equal tuple of ints its first object, but a tuple
+    # equal to it in other types is checked afresh, as outside a block.
+    with shared_work():
+        assert hexagon_params(1, 1, 1) is region_params(1, 0, 1, 1, 0, 0, 0, 0)
+        for bad in ((1.0, 1, 1), (1, 1, 1.0)):
+            with pytest.raises(ValueError, match="must be a nonnegative integer"):
+                hexagon_params(*bad)
+        assert type(hexagon_params(True, 1, 1).z) is bool
 
 
 def _small_params(top):

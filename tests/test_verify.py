@@ -585,18 +585,18 @@ def test_suite_task_counts_frozen():
 
 def test_a_task_list_builds_each_family_tuple_once(monkeypatch):
     # qmain, formulas, recurrences and prop31 all sweep the notched
-    # eight-tuples, and formulas and recurrences the bar six-tuples: each
-    # family's RegionParams are built once per task list, besides the kuo
-    # suite's fixed few.
+    # eight-tuples, and the hexagon, K and bar tuples project onto them
+    # (formulas and recurrences both sweep the bars).  Built in one
+    # shared_work block, as run_suite builds it, a task list checks the
+    # RegionParams of each task key once and no other.
     calls = []
     real = RegionParams.__post_init__
     monkeypatch.setattr(RegionParams, "__post_init__", lambda p: calls.append(p) or real(p))
-    suite_tasks("kuo", 3)
-    kuo = len(calls)
-    calls.clear()
-    suite_tasks("all", 3)
-    families = sum(math.comb(3 + slots, slots) for slots in (3, 5, 6, 8))
-    assert len(calls) == families + kuo
+    with lattice.shared_work():
+        tasks = suite_tasks("all", 3)
+    keys = {task[0] for task in tasks if isinstance(task[0], RegionParams)}
+    assert len(keys) > math.comb(3 + 8, 8)  # every notched tuple, and the kuo suite's
+    assert len(calls) == len(keys) and set(calls) == keys
 
 
 def test_qmain_suite_small():
