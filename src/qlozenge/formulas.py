@@ -18,11 +18,10 @@ each command-line formula name to a family and weight in it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, factorial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .lattice import (
     Region,
@@ -42,8 +41,7 @@ from .qalgebra import QPoly, resolve
 from .weights import f_exponent, g_exponent
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     """A closed-form value.
 
     poly is the complete polynomial, prefactor included; the recorded
@@ -226,8 +224,7 @@ def _semihex_cached(a: int, b: int, dents: tuple[int, ...]) -> FormulaResult:
 # region families
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One degeneration of the notched hexagon.
 
     params names the builder's arguments in order.  build takes them and
@@ -255,7 +252,7 @@ FAMILIES: dict[str, Family] = {
         {"wt2": magnet_M2, "wt3": magnet_M3},
     ),
     "q_region": Family(
-        tuple(f.name for f in fields(RegionParams)),
+        RegionParams._fields,
         lambda *ps: build_q_region(region_params(*ps)),
         {
             "count": lambda *ps: theorem_main(region_params(*ps)),

@@ -31,9 +31,13 @@ cuts the notch, and coded_region re-codes what is left as encode would
 (recoded) and makes the Triangles in one pass; a hand-built Region gets
 encode's Encoding on first use.  Builders put the base side on row 0 and
 its southwest corner at (0, 0), and Frames carries the lines the weights
-measure from.  Regions are immutable.  This module imports no other of
-the package; the region surgery and the forced-lozenge strip live in
-enumeration.
+measure from.  This module imports no other of the package; the region
+surgery and the forced-lozenge strip live in enumeration.
+
+Every record here is a NamedTuple (Region and RegionParams subclass one),
+compared and hashed as the tuple of its fields.  RegionParams checks its
+sides as it is made.  A Region's Encoding is cached beside its fields, in
+its encoding attribute, and is no part of its equality, hash or repr.
 
 Inside a shared_work block, build_q_region, region_params and the
 frontier engine hand back what they already computed for an equal
@@ -46,7 +50,6 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass
 from functools import cache, cached_property, partial
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, TypeVar
@@ -144,8 +147,7 @@ def recoded(codes: list[int], layout: Layout) -> tuple[list[int], Layout]:
     return codes, (wide, (row0 + row, pos0 + lo))
 
 
-@dataclass(frozen=True)
-class Frames:
+class Frames(NamedTuple):
     """Reference lines for the distance-based weight assignments.
 
     base_row: row index of the base line (weight on right lozenges by height).
@@ -161,8 +163,7 @@ class Frames:
     sw_level: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class RegionParams:
+class _Sides(NamedTuple):
     x: int
     y: int
     z: int
@@ -172,25 +173,33 @@ class RegionParams:
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "t", "m", "a", "b", "c"):
-            v = getattr(self, name)
+
+class RegionParams(_Sides):
+    """The notched hexagon's sides, each checked to be a nonnegative int."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RegionParams:
+        self = _Sides.__new__(cls, *args, **kwargs)
+        for name, v in zip(cls._fields, self):
             if not isinstance(v, int) or v < 0:
                 raise ValueError("parameter %s must be a nonnegative integer" % name)
+        return self
 
-    def __iter__(self) -> Iterator[int]:
-        """The fields in order, without the deep copy of dataclasses.astuple."""
-        return iter((self.x, self.y, self.z, self.t, self.m, self.a, self.b, self.c))
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class Region:
+class _RegionFields(NamedTuple):
     triangles: frozenset[Triangle]
     params: Optional[RegionParams] = None
     frames: Optional[Frames] = None
 
+
+class Region(_RegionFields):
     def __len__(self) -> int:
         return len(self.triangles)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # the tuple's compares len()
 
     @cached_property
     def encoding(self) -> Encoding:
@@ -207,14 +216,14 @@ def coded_region(codes: list[int], layout: Layout, params=None, frames=None) -> 
     ]
     region = Region(frozenset(triangles), params, frames)
     encoding = Encoding(dict(zip(codes, triangles)), code_moves(stride), stride, (row0, pos0))
-    object.__setattr__(region, "encoding", encoding)  # what the cached property keeps
+    region.encoding = encoding  # what the cached property keeps
     return region
 
 
 def region_json(region: Region) -> str:
     """Canonical JSON text for a region; byte-identical across runs."""
     tri = sorted([t.row, t.pos, t.orient] for t in region.triangles)
-    params = None if region.params is None else asdict(region.params)
+    params = None if region.params is None else region.params._asdict()
     return json.dumps({"triangles": tri, "params": params}, sort_keys=True, separators=(",", ":"))
 
 

@@ -37,11 +37,10 @@ renderer (passed, line) pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .enumeration import (
     DEFAULT_TRIANGLE_BUDGET,
@@ -75,8 +74,7 @@ FAIL = "Fail"
 PRECONDITION = "Precondition"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Outcome of one identity check.
 
     For Pass and Fail, status is Pass exactly when lhs == rhs; a failing
@@ -103,9 +101,9 @@ def _precondition(name: str, params: tuple) -> Report:
     return Report(name, params, PRECONDITION)
 
 
-def _json_value(value):
-    """json's hook for Report params: a WeightAssignment's value, else a list."""
-    return value.value if isinstance(value, WeightAssignment) else list(value)
+def _json_value(value: WeightAssignment) -> str:
+    """json's hook for Report params, which hold no other non-JSON type."""
+    return value.value
 
 
 # json.dumps's separators, through the C encoder.
@@ -206,7 +204,7 @@ _KUO_MOVES = {
 
 def _moved(p: RegionParams, **steps: int) -> Optional[RegionParams]:
     """p with each named side moved by its step, or None once one is negative."""
-    moved = [v + steps.get(name, 0) for name, v in zip(RegionParams.__match_args__, p)]
+    moved = [v + steps.get(name, 0) for name, v in zip(RegionParams._fields, p)]
     return None if min(moved) < 0 else region_params(*moved)
 
 

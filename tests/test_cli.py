@@ -150,6 +150,23 @@ def test_a_reader_that_stops_early_gets_exit_141_and_no_traceback():
     assert json.loads(first) and first.endswith(b"\n")
 
 
+def test_the_cli_imports_no_dataclass_machinery():
+    # Every command starts a fresh interpreter; dataclasses would bring in
+    # inspect, ast and dis with it.  Diffed, so modules a site hook loads
+    # beforehand do not count.
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    probe = "import sys; s = set(sys.modules); import qlozenge.cli; print(*set(sys.modules) - s)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    loaded = set(done.stdout.split())
+    assert done.returncode == 0 and "qlozenge.verify" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+
+
 def test_verify_suite_kuo(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kuo")
     assert code == 0

@@ -4,7 +4,6 @@ import itertools
 import os
 import subprocess
 import sys
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,7 +138,7 @@ def _balanced_subregions(draw):
     ups = draw(st.lists(st.sampled_from(_UPS), min_size=k, max_size=k, unique=True))
     downs = draw(st.lists(st.sampled_from(_DOWNS), min_size=k, max_size=k, unique=True))
     moves = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
-    frames = Frames(*(line + move for line, move in zip(astuple(_HEX.frames), moves)))
+    frames = Frames(*(line + move for line, move in zip(_HEX.frames, moves)))
     return Region(_HEX.triangles - frozenset(ups + downs), None, frames)
 
 

@@ -2,7 +2,7 @@ import ast
 import hashlib
 import inspect
 import itertools
-from dataclasses import astuple
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +41,9 @@ from qlozenge.lattice import (
     shared_work,
     up,
 )
+from qlozenge.formulas import theorem_qmain
 from qlozenge.qalgebra import QPoly
+from qlozenge.verify import check_q_recurrence
 from qlozenge.weights import WeightAssignment as W, down_weight
 
 
@@ -264,7 +266,36 @@ def test_region_params_rejects_negative():
 
 def test_region_params_iterate_in_field_order():
     p = RegionParams(x=1, y=2, z=3, t=4, m=5, a=6, b=7, c=8)
-    assert tuple(p) == astuple(p) == (1, 2, 3, 4, 5, 6, 7, 8)
+    assert tuple(p) == (1, 2, 3, 4, 5, 6, 7, 8)
+
+
+def test_region_params_keep_their_contract_as_a_named_tuple():
+    p = RegionParams(1, 2, 3, 4, m=5, a=6, b=7, c=8)
+    assert p == RegionParams(x=1, y=2, z=3, t=4, m=5, a=6, b=7, c=8)
+    assert hash(p) == hash(tuple(p)) and RegionParams(True, *p[1:]) == p
+    assert p._replace(c=0) == (1, 2, 3, 4, 5, 6, 7, 0)
+    for made in (
+        lambda: RegionParams(1, 2, 3, -4, 5, 6, 7, 8),
+        lambda: RegionParams(x=1, y=2, z=3, t=4.0, m=5, a=6, b=7, c=8),
+        lambda: p._replace(t=-1),
+    ):
+        with pytest.raises(ValueError, match="parameter t must be a nonnegative integer"):
+            made()
+
+
+def test_records_survive_a_pickle_round_trip():
+    # A spawn or forkserver pool pickles task arguments and Reports.
+    p = RegionParams(1, 1, 1, 1, 0, 1, 0, 0)
+    region, report = build_q_region(p), check_q_recurrence(p)
+    assert report.status == "Pass"
+    for record in (p, region, theorem_qmain(p), report):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+    copy = pickle.loads(pickle.dumps(region))
+    assert copy.encoding == region.encoding == encode(region.triangles)
+    assert "encoding" not in repr(region) and hash(region) == hash(tuple(region))
+    assert Region(*region) == region and len(copy) == len(region.triangles)
+    assert region._replace(frames=None) == (region.triangles, p, None)
 
 
 def test_region_params_are_checked_alike_in_and_out_of_shared_work():

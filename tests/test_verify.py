@@ -446,8 +446,8 @@ def test_a_suite_checks_each_region_params_once(monkeypatch):
     # Every group, the family callables and the Kuo moves included, finds
     # the tuple's RegionParams made when the task list was.
     calls = []
-    real = RegionParams.__post_init__
-    monkeypatch.setattr(RegionParams, "__post_init__", lambda p: calls.append(tuple(p)) or real(p))
+    real = RegionParams.__new__
+    monkeypatch.setattr(RegionParams, "__new__", lambda cls, *p: calls.append(p) or real(cls, *p))
     reports = run_suite("all", 4)
     assert len(calls) == len(set(calls))
     assert set(calls) >= {tuple(r.params) for r in reports if r.check_name == "q_recurrence"}
@@ -590,8 +590,8 @@ def test_a_task_list_builds_each_family_tuple_once(monkeypatch):
     # shared_work block, as run_suite builds it, a task list checks the
     # RegionParams of each task key once and no other.
     calls = []
-    real = RegionParams.__post_init__
-    monkeypatch.setattr(RegionParams, "__post_init__", lambda p: calls.append(p) or real(p))
+    real = RegionParams.__new__
+    monkeypatch.setattr(RegionParams, "__new__", lambda cls, *p: calls.append(p) or real(cls, *p))
     with lattice.shared_work():
         tasks = suite_tasks("all", 3)
     keys = {task[0] for task in tasks if isinstance(task[0], RegionParams)}
