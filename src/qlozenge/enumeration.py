@@ -62,31 +62,28 @@ is already covered; between visited triangles it shifts right by the
 slot gap.  Every frame is a lattice image of the region, so an up
 triangle has at most one move (next slot) and a down triangle two (next
 slot, 2*span - 1 ahead): their other neighbours come earlier.  A state's
-value is a pair:
-its tiling count, and its polynomial Kronecker-packed into one int with
-the coefficient of q^e in bytes e*B to (e+1)*B - 1, so a lozenge is a
-left shift and a merge adds both parts.  A state's coefficients are
-nonnegative and sum to its count, and no mask has more than three
-predecessors in a step (pass-through, next-slot move, vertical move).
-So if every count is below 2**(8B - 2) before a step, every count and
-coefficient after it is below 2**(8B), and the packed sums are exact.
-Slots start one byte wide; when a merged count reaches 2**(8B - 2), the
-step ends by re-spacing every state into the bytes the largest count
-needs, two bits to spare.  One pass gives the count and the polynomial,
-decoded by byte slices at the end; count_tilings reads the count of the
-same sweep over all-zero tables.
+value is its polynomial Kronecker-packed into one int, the coefficient of
+q^e in bytes e*B to (e+1)*B - 1, so a lozenge is a left shift and a merge
+one addition.  No mask has more than three predecessors in a step
+(pass-through, next-slot move, vertical move), so if every coefficient is
+below 2**(8B - 2) before a step, every one is below 2**(8B) after it and
+the packed sums are exact.  Slots start one byte wide.  A merge tests the
+top two bits of each slot up to the largest exponent times half the
+triangles (no state holds more lozenges); once one is set, the step ends
+by re-spacing every state one byte wider.  Over all-zero tables the one slot is the count; a
+weighted sweep is decoded by byte slices once, its coefficients summed.
 
 Inside lattice.shared_work (verify runs each group of checks on one
 region in such a block), the engine keeps each region's normal form,
 each shape's plan and each (region, weight, max_states) answer for the
-block, and each sweep in the block's lasting memo: each polynomial,
-packed as the sweep left it, under its key, and each count, swept for or
-found by a weighted sweep, under (shape, None, None, max_states).  So wt0 reuses the wt2 sweep, a
-translate or a region that strips to the same shape from the same frame
-origin sweeps nothing, and a budgeted call never reads a result computed
-under another budget.  verify hands every group of one run_suite call
-the same lasting memo, so each key is swept once a suite run (once per
-pool worker).  Outside shared_work nothing is kept, and gen_function and
+block, and each sweep in the block's lasting memo: each polynomial's
+coefficients under its key, and each count, swept for or found by a
+weighted sweep, under (shape, None, None, max_states).  So wt0 reuses
+the wt2 sweep, a translate or a region that strips to the same shape
+from the same frame origin sweeps nothing, and a budgeted call never
+reads a result computed under another budget.  verify hands every group
+of one run_suite call the same lasting memo, so each key is swept once a
+suite run (once per pool worker).  Outside shared_work nothing is kept, and gen_function and
 count_tilings take the same strip-then-sweep path.
 """
 
@@ -396,54 +393,55 @@ def _exponent_tables(
     ]
 
 
-def _sweep(tables: ExponentTables, max_states: Optional[int]) -> tuple[int, int, int]:
-    """(tiling count, sum of 2**(8 * size * exponent) over all tilings, size):
-    size is the slot width in bytes, which every coefficient fits."""
-    size, top = 1, 1  # slot bytes, and the largest count merged so far
-    states: dict[int, tuple[int, int]] = {0: (1, 1)}  # mask -> (count, packed)
+def _sweep(tables: ExponentTables, max_states: Optional[int]) -> tuple[int, int]:
+    """(sum of 2**(8 * size * exponent) over all tilings, size): size is the
+    slot width in bytes, whose top two bits no coefficient reaches."""
+    # No state holds over len(tables) / 2 lozenges, none above the largest exponent.
+    slots = 1 + len(tables) // 2 * max([e for _, _, taken in tables for _, e in taken], default=0)
+    size, high = 1, int.from_bytes(b"\xc0" * slots, "little")  # each slot's top two bits
+    states = {0: 1}  # mask -> packed polynomial
     at = tables[0][0] if tables else 0  # the slot of bit 0
     for slot, row, taken in tables:
         if slot > at:
-            states = {mask >> (slot - at): val for mask, val in states.items()}
+            states = {mask >> (slot - at): v for mask, v in states.items()}
         at = slot + 1
         moves = [(bit, 8 * size * e) for bit, e in taken]
         # bit 0 is this triangle: covered, it passes through; else it takes
         # a partner.  The new masks count from the next slot.
-        nxt = {mask >> 1: val for mask, val in states.items() if mask & 1}
-        for mask, val in states.items():
+        nxt = {mask >> 1: v for mask, v in states.items() if mask & 1}
+        full = 0  # whether a merged coefficient has reached 2**(8*size - 2)
+        for mask, v in states.items():
             if not mask & 1:
                 ahead = mask >> 1
                 for bit, shift in moves:
                     if not ahead & bit:
-                        # a fresh key takes val itself: val[1] << 0 copies a big int
+                        # a fresh key takes v itself: v << 0 copies a big int
                         key = ahead | bit
                         if key in nxt:
-                            c, v = nxt[key]
-                            c += val[0]
-                            nxt[key] = (c, v + (val[1] << shift if shift else val[1]))
-                            top = c if c > top else top
+                            merged = nxt[key] = nxt[key] + (v << shift if shift else v)
+                            full = full or merged & high
                         else:
-                            nxt[key] = (val[0], val[1] << shift) if shift else val
+                            nxt[key] = v << shift if shift else v
         states = nxt
         if max_states is not None and len(states) > max_states:
             raise BudgetExceeded(
                 "frontier needs %d states at row %d, budget is %d" % (len(states), row, max_states)
             )
-        if top >> (8 * size - 2):  # keep every count below 2**(8*size - 2)
-            wider = (top.bit_length() + 9) // 8
-            states = {mask: (c, _respaced(v, size, wider)) for mask, (c, v) in states.items()}
-            size = wider
-    return (*states.get(0, (0, 0)), size)
+        if full:  # keep every coefficient below 2**(8*size - 2)
+            states = {mask: _respaced(v, size) for mask, v in states.items()}
+            size += 1
+            high = int.from_bytes((bytes(size - 1) + b"\xc0") * slots, "little")
+    return states.get(0, 0), size
 
 
-def _respaced(packed: int, size: int, wider: int) -> int:
-    """packed with each size-byte slot moved into a slot of wider bytes."""
+def _respaced(packed: int, size: int) -> int:
+    """packed with each size-byte slot moved into a slot one byte wider."""
     if not packed >> (8 * size):  # one slot (or none) is already in place
         return packed
     slots = -(-packed.bit_length() // (8 * size))
-    old, new = packed.to_bytes(slots * size, "little"), bytearray(slots * wider)
+    old, new = packed.to_bytes(slots * size, "little"), bytearray(slots * (size + 1))
     for k in range(size):
-        new[k::wider] = old[k::size]
+        new[k :: size + 1] = old[k::size]
     return int.from_bytes(new, "little")
 
 
@@ -464,24 +462,26 @@ def _shifted(region: Region, w: WeightAssignment, max_states: Optional[int]) -> 
         return QPoly(0)
     row0, pos0 = form.corner
     corner = tuple(exponent(o, row0, pos0) for o in (LEFT, RIGHT, VERTICAL))
-    packed, size = shared(
+    coefficients = shared(
         (form.shape, w, corner, max_states),
         lambda: _swept(form, exponent, max_states),
         lasting=True,
     )
     forced = sum(exponent(*lozenge) for lozenge in form.forced)
-    data = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
-    starts = range(0, len(data), size)
-    return QPoly({k // size + forced: int.from_bytes(data[k : k + size], "little") for k in starts})
+    return QPoly({e + forced: c for e, c in enumerate(coefficients)})
 
 
 def _swept(
     form: _Form, exponent: Callable[[str, int, int], int], max_states: Optional[int]
-) -> tuple[int, int]:
-    """The packed polynomial of the form's shape, and its slot width in bytes."""
-    count, packed, size = _sweep(_exponent_tables(form, exponent), max_states)
-    shared((form.shape, None, None, max_states), lambda: count, lasting=True)  # for count_tilings
-    return packed, size
+) -> tuple[int, ...]:
+    """The coefficients of the form's shape's polynomial, by exponent from 0;
+    their sum is the shape's count, kept for count_tilings."""
+    packed, size = _sweep(_exponent_tables(form, exponent), max_states)
+    data = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
+    starts = range(0, len(data), size)
+    coefficients = tuple(int.from_bytes(data[k : k + size], "little") for k in starts)
+    shared((form.shape, None, None, max_states), lambda: sum(coefficients), lasting=True)
+    return coefficients
 
 
 def count_tilings(region: Region, max_states: Optional[int] = None) -> int:

@@ -570,30 +570,38 @@ def test_each_orientation_is_swept_exactly(notch, orientation):
 
 
 def test_slots_widen_across_byte_boundaries():
-    # The count climbs to about 2**28, so the slots widen byte by byte from
-    # one byte to four.
+    # The widest coefficient has 24 bits, past the 2**22 that three-byte
+    # slots keep, so the slots widen byte by byte from one byte to four.
     region = build_hexagon(5, 5, 5)
     expected = hex_M2(5, 5, 5).poly
-    assert sum(expected.terms.values()).bit_length() == 28
+    assert max(expected.terms.values()).bit_length() == 24
     assert gen_function(region, W.WT2) == expected
-    assert _sweep(_exponent_tables(_form(region), down_weight(W.WT2, region)), None)[2] == 4
+    assert _sweep(_exponent_tables(_form(region), down_weight(W.WT2, region)), None)[1] == 4
 
 
 def test_slot_width_covers_the_largest_coefficient():
     cases = [
-        (build_hexagon(4, 3, 2), W.WT1),
-        (build_q_region(RegionParams(1, 2, 1, 1, 1, 1, 1, 1)), W.WT2),
-        (build_magnet_bar(1, 1, 2, 1, 1, 2), W.WT3),
-        (build_k_region(2, 1, 1, 2, 1), W.WT2),
-        (build_semihexagon_dented(3, 3, [1, 3, 5]), W.WT2),
+        (build_hexagon(4, 3, 2), W.WT1, None),
+        (build_q_region(RegionParams(1, 2, 1, 1, 1, 1, 1, 1)), W.WT2, None),
+        (build_magnet_bar(1, 1, 2, 1, 1, 2), W.WT3, None),
+        (build_k_region(2, 1, 1, 2, 1), W.WT2, None),
+        (build_semihexagon_dented(3, 3, [1, 3, 5]), W.WT2, None),
+        # A 7-bit coefficient passes 2**6, so the slots widen to two bytes.
+        (build_hexagon(3, 3, 3), W.WT1, 2),
+        # The widest coefficient sets the width, not the 56-bit count.
+        (build_hexagon(7, 7, 7), W.WT2, 7),
     ]
-    for region, w in cases:
-        poly = gen_function(region, w)
-        widest = max(c.bit_length() for c in poly.terms.values())
-        count, _, size = _sweep(_exponent_tables(_form(region), down_weight(w, region)), None)
-        assert count == sum(poly.terms.values())
-        assert count < 1 << (8 * size - 2)  # the bound the sweep keeps between steps
-        assert 8 * size >= widest
+    for region, w, width in cases:
+        tables = _exponent_tables(_form(region), down_weight(w, region))
+        packed, size = _sweep(tables, None)
+        slots = range(0, packed.bit_length(), 8 * size)
+        coefficients = [packed >> k & (1 << 8 * size) - 1 for k in slots]
+        count = count_tilings(region)
+        assert sum(coefficients) == count
+        assert max(coefficients) < 1 << (8 * size - 2)  # the bound the sweep keeps between steps
+        assert width in (None, size)
+        # Over all-zero exponents the one slot is the count itself.
+        assert _sweep(_exponent_tables(_form(region), None), None)[0] == count
 
 
 def test_gen_function_digest_is_the_region_hash():
