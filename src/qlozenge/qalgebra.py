@@ -6,8 +6,8 @@ building blocks of q-factorials and q-hyperfactorials) is written as an
 exponent map {j: e} for prod_j [j]^e, and resolve takes that map, because
 product formulas cancel most factors before expansion is worthwhile.
 resolve cancels them in the cyclotomic basis, where no division is
-left, and multiplies the survivors as Kronecker-packed integers, shortest
-first, each product packed at the width its own coefficients need.
+left, and multiplies the survivors shortest first, each product as two
+half-width integer products, the Kronecker-packed values at q = +-2^s.
 
 All values are immutable after construction; operations return new
 objects and are safe to call from worker processes.  QPoly arithmetic,
@@ -240,11 +240,21 @@ def _power(d: int, e: int) -> list[int]:
 
 
 def _product(a: list[int], b: list[int]) -> list[int]:
-    """Coefficients of a*b.  By Cauchy-Schwarz no coefficient exceeds
-    |a|_2 |b|_2, computed exactly from the two factors, so the slot width
-    is that bound's bit length plus a sign bit, in whole bytes."""
+    """Coefficients of a*b, neither all zeros.  By Cauchy-Schwarz no
+    coefficient of a*b, a or b exceeds |a|_2 |b|_2; slots of W bits hold
+    that bound's bit length plus a sign bit, in whole bytes.  With even and
+    odd coefficients packed at 2^W, a*b at q = 2^s plus a*b at q = -2^s,
+    s = W/2, is twice its even part at 2^W, the difference 2^(s+1) times its
+    odd part: two half-width multiplies, decoded after exact shifts."""
     size = isqrt(sum(c * c for c in a) * sum(c * c for c in b)).bit_length() // 8 + 1
-    return _digits(_packed(a, size) * _packed(b, size), size, len(a) + len(b) - 1)
+    s, n = 4 * size, len(a) + len(b) - 1
+    ae, be = _packed(a[::2], size), _packed(b[::2], size)
+    ao, bo = _packed(a[1::2], size) << s, _packed(b[1::2], size) << s
+    plus, minus = (ae + ao) * (be + bo), (ae - ao) * (be - bo)
+    out = [0] * n
+    out[::2] = _digits((plus + minus) >> 1, size, (n + 1) // 2)
+    out[1::2] = _digits((plus - minus) >> (s + 1), size, n // 2)
+    return out
 
 
 def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
@@ -257,14 +267,13 @@ def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
     polynomial exactly when every Phi_d exponent is nonnegative; otherwise
     NonExactDivision is raised before anything is multiplied.
 
-    Polynomials are multiplied as integers, evaluated at q = 2^W
-    (Kronecker substitution), and every product takes its own W from the
-    coefficients it is about to produce.  Each surviving power Phi_d^e is
-    one integer power under the coefficient-sum bound of _power; then the
-    two shortest polynomials are multiplied, again and again, until one is
-    left, each product under the Cauchy-Schwarz bound of _product.  A
-    width shared by a whole group of products would be set by its widest
-    one and pad every other product with zeros.
+    Polynomials are multiplied as integers (Kronecker substitution), each
+    product in slots of W bits taken from the coefficients it is about to
+    produce.  Each surviving power Phi_d^e is one integer power at q = 2^W
+    under the coefficient-sum bound of _power.  Then the two shortest are
+    multiplied until one is left, each product two multiplies at q = +-2^(W/2)
+    under the Cauchy-Schwarz bound of _product: k factors take k - 1
+    products, and no factor means no product, for the empty product 1.
 
     >>> str(resolve({6: 1, 3: -1, 2: -1}))
     '1 - q + q^2'
@@ -286,13 +295,12 @@ def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
             raise NonExactDivision(
                 "cyclotomic factor Phi_%d has exponent %d: not a polynomial" % (d, e)
             )
-    polys = [[1]] + [_power(d, e) for d, e in factors]  # [1]: the empty product
-    # (length, tie-breaker, coefficients), shortest first.  Rebinding polys
-    # leaves no second reference, so each factor is freed once multiplied.
-    polys = sorted((len(p), i, p) for i, p in enumerate(polys))
+    # (length, tie-breaker, coefficients), shortest first.  No second
+    # reference is kept, so each factor is freed once multiplied.
+    polys = sorted((len(p), i, p) for i, p in enumerate(_power(d, e) for d, e in factors))
     while len(polys) > 1:
         (_, _, a), (_, i, b) = polys[:2]
         del polys[:2]
         c = _product(a, b)
         insort(polys, (len(c), i, c))
-    return QPoly._trusted(dict(enumerate(polys[0][2], prefactor)))
+    return QPoly._trusted(dict(enumerate(polys[0][2] if polys else [1], prefactor)))

@@ -103,6 +103,39 @@ def test_product_matches_schoolbook_where_cauchy_schwarz_is_tight(k, bits):
             assert qalgebra._product(a, b) == _schoolbook(a, b), (m, sa, sb)
 
 
+_WIDE = st.integers(min_value=-(1 << 300), max_value=1 << 300)
+_OPERANDS = st.lists(_WIDE, min_size=1, max_size=40).filter(any)
+# Against one of these units |a|_2 |b|_2 is |a|_2 (or sqrt(2) |a|_2), so the
+# other operand's own coefficients sit at the slot bound, exactly so when it
+# has a lone nonzero coefficient.
+_UNITS = st.sampled_from([[1], [-1], [0, 1], [1, 0, -1]])
+_LONE = st.tuples(st.integers(0, 39), _WIDE.filter(bool)).map(lambda t: [0] * t[0] + [t[1]])
+
+
+@given(_OPERANDS | _LONE, _OPERANDS | _LONE | _UNITS, st.booleans())
+def test_product_matches_schoolbook(a, b, swap):
+    """_product's precondition: neither operand is all zeros.  Then every
+    coefficient of a, b and a*b fits the slot width taken from |a|_2 |b|_2."""
+    if swap:
+        a, b = b, a
+    assert qalgebra._product(a, b) == _schoolbook(a, b)
+
+
+@pytest.mark.parametrize("exponents, products", [({2: 1, 3: 1}, 1), ({2: 1}, 0), ({}, 0)])
+def test_resolve_makes_one_product_fewer_than_its_factors(monkeypatch, exponents, products):
+    # The empty product is 1 without a multiply, so no factor is a [1].
+    calls = []
+    product = qalgebra._product
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(qalgebra, "_product", counted)
+    resolve(exponents)
+    assert len(calls) == products
+
+
 def test_resolve_rejects_a_negative_cyclotomic_exponent():
     # [6] / [4] has a numerator of higher degree, yet Phi_4 divides only [4].
     with pytest.raises(NonExactDivision):
