@@ -41,6 +41,7 @@ from .lattice import (
     Triangle,
     q_region_notch,
 )
+from .qalgebra import QPoly
 from .verify import (
     PASS,
     check_kuo,
@@ -236,21 +237,39 @@ def render_svg(region: Region, tiling: "Optional[frozenset[Lozenge]]" = None) ->
 # subcommands
 
 
+def _text(value: int | QPoly) -> str:
+    """str(value), or a ValueError when an int in it is longer than the
+    interpreter's int-to-text limit, which qlozenge leaves as it is."""
+    try:
+        return str(value)
+    except ValueError:
+        widest = abs(value) if isinstance(value, int) else max(map(abs, value.terms.values()))
+        digits = (widest.bit_length() - 1) * 30102 // 100000 + 1  # no more: 0.30102 < log10(2)
+        while widest >= 10**digits:
+            digits += 1
+        raise ValueError(
+            "%s has %d decimal digits, more than the %d that Python converts to text "
+            "(sys.get_int_max_str_digits()); qlozenge does not change that process-wide limit"
+            % ("the count" if isinstance(value, int) else "a coefficient", digits,
+               sys.get_int_max_str_digits())
+        ) from None
+
+
 def cmd_formula(args) -> int:
     family, weight = FORMULA_NAMES[args.name]
     ps = _family_params(family, args)
     value = FAMILIES[family].formulas[weight](*ps)
     if isinstance(value, int):
+        text = _text(value)
         payload = {"count": value, "formula": args.name, "params": ps}
-        text = value
     else:
+        text = _text(value.poly)
         payload = {
             "formula": args.name,
             "params": ps,
-            "poly": str(value.poly),
+            "poly": text,
             "prefactor_exponent": value.prefactor_exponent,
         }
-        text = value.poly
     print(json.dumps(payload, sort_keys=True) if args.json else text)
     return 0
 

@@ -1,13 +1,15 @@
 """Exact arithmetic in the indeterminate q.
 
 Polynomials are stored sparsely as {exponent: coefficient} with Python
-integers, so every operation is exact.  A product of q-integers (the
-building blocks of q-factorials and q-hyperfactorials) is written as an
-exponent map {j: e} for prod_j [j]^e, and resolve takes that map, because
-product formulas cancel most factors before expansion is worthwhile.
-resolve cancels them in the cyclotomic basis, where no division is
-left, and multiplies the survivors shortest first, each product as two
-half-width integer products, the Kronecker-packed values at q = +-2^s.
+integers, so every operation is exact.  A product of q-integers (the building
+blocks of q-factorials and q-hyperfactorials) is written as an exponent map
+{j: e} for prod_j [j]^e, and resolve takes that map, because product formulas
+cancel most factors before expansion is worthwhile.  resolve cancels them in
+the cyclotomic basis, where no division is left, and multiplies the survivors
+shortest first, each product as two half-width integer products, the
+Kronecker-packed values at q = +-2^s.  Each Phi_d, d > 1, has constant term 1
+and roots closed under z -> 1/z, so q^phi(d) Phi_d(1/q) = Phi_d(q): every
+power and product is a palindrome, and only its lower half is converted.
 
 All values are immutable after construction; operations return new
 objects and are safe to call from worker processes.  QPoly arithmetic,
@@ -214,47 +216,58 @@ def _offsets(size: int, slots: int) -> int:
     return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
 
 
-def _packed(coeffs: Sequence[int], size: int) -> int:
-    """The polynomial with these coefficients (lowest first, each of
-    magnitude below 2^(W-1)) at q = 2^W, W = 8*size bits."""
-    half = 1 << (8 * size - 1)
-    raw = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
-    return int.from_bytes(raw, "little") - _offsets(size, len(coeffs))
+def _chunks(coeffs: Sequence[int], size: int) -> list[bytes]:
+    """A palindrome as biased size-byte chunks: its lower half, mirrored."""
+    half, n = 1 << (8 * size - 1), len(coeffs)
+    low = [(c + half).to_bytes(size, "little") for c in coeffs[: (n + 1) // 2]]
+    return low + low[: n // 2][::-1]
 
 
-def _digits(value: int, size: int, slots: int) -> list[int]:
-    """Inverse of _packed, in linear time: adding 2^(W-1) to every slot
-    makes each signed digit a plain byte slice."""
-    half = 1 << (8 * size - 1)
+def _packed(chunks: list[bytes], size: int) -> int:
+    """The polynomial with these _chunks, lowest first, at q = 2^W."""
+    return int.from_bytes(b"".join(chunks), "little") - _offsets(size, len(chunks))
+
+
+def _low_digits(value: int, size: int, slots: int, count: int) -> list[int]:
+    """The first `count` of the `slots` signed digits of a _packed value:
+    adding 2^(W-1) to every slot makes each a plain byte slice."""
     raw = (value + _offsets(size, slots)).to_bytes(slots * size, "little")
-    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") - half for i in range(slots)]
+    half, from_bytes = 1 << (8 * size - 1), int.from_bytes
+    return [from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
+
+
+def _norm2(a: list[int]) -> int:
+    """|a|_2^2 of a palindrome: twice the squares below the middle, plus the middle's."""
+    return 2 * sum(c * c for c in a[: len(a) // 2]) + len(a) % 2 * a[len(a) // 2] ** 2
 
 
 def _power(d: int, e: int) -> list[int]:
-    """Coefficients, lowest first, of Phi_d^e.  No coefficient of a product
-    exceeds the product of its factors' coefficient-magnitude sums, so the
-    slot width is that bound's bit length plus a sign bit, in whole bytes."""
+    """Coefficients, lowest first, of the palindrome Phi_d^e, in slots of the
+    bit length of (sum |Phi_d|)^e, which bounds each of them, plus a sign bit."""
     phi = _cyclotomic(d)
-    size = (sum(map(abs, phi)) ** e).bit_length() // 8 + 1
-    return _digits(pow(_packed(phi, size), e), size, (len(phi) - 1) * e + 1)
+    size, n = (sum(map(abs, phi)) ** e).bit_length() // 8 + 1, (len(phi) - 1) * e + 1
+    low = _low_digits(pow(_packed(_chunks(phi, size), size), e), size, n, (n + 1) // 2)
+    return low + low[: n // 2][::-1]
 
 
 def _product(a: list[int], b: list[int]) -> list[int]:
-    """Coefficients of a*b, neither all zeros.  By Cauchy-Schwarz no
-    coefficient of a*b, a or b exceeds |a|_2 |b|_2; slots of W bits hold
-    that bound's bit length plus a sign bit, in whole bytes.  With even and
-    odd coefficients packed at 2^W, a*b at q = 2^s plus a*b at q = -2^s,
+    """Coefficients of a*b, for palindromes a and b, neither all zeros.  By
+    Cauchy-Schwarz no coefficient of a, b or the palindrome a*b exceeds
+    |a|_2 |b|_2, each norm taken from a lower half by _norm2; slots of W bits
+    hold that bound's bit length plus a sign bit, in whole bytes.  With even
+    and odd coefficients packed at 2^W, a*b at q = 2^s plus a*b at q = -2^s,
     s = W/2, is twice its even part at 2^W, the difference 2^(s+1) times its
-    odd part: two half-width multiplies, decoded after exact shifts."""
-    size = isqrt(sum(c * c for c in a) * sum(c * c for c in b)).bit_length() // 8 + 1
+    odd part: two half-width multiplies, decoded below the middle slot."""
+    size = isqrt(_norm2(a) * _norm2(b)).bit_length() // 8 + 1
     s, n = 4 * size, len(a) + len(b) - 1
-    ae, be = _packed(a[::2], size), _packed(b[::2], size)
-    ao, bo = _packed(a[1::2], size) << s, _packed(b[1::2], size) << s
+    ca, cb = _chunks(a, size), _chunks(b, size)
+    ae, be = _packed(ca[::2], size), _packed(cb[::2], size)
+    ao, bo = _packed(ca[1::2], size) << s, _packed(cb[1::2], size) << s
     plus, minus = (ae + ao) * (be + bo), (ae - ao) * (be - bo)
-    out = [0] * n
-    out[::2] = _digits((plus + minus) >> 1, size, (n + 1) // 2)
-    out[1::2] = _digits((plus - minus) >> (s + 1), size, n // 2)
-    return out
+    low = [0] * ((n + 1) // 2)
+    low[::2] = _low_digits((plus + minus) >> 1, size, (n + 1) // 2, (n + 3) // 4)
+    low[1::2] = _low_digits((plus - minus) >> (s + 1), size, n // 2, (n + 1) // 4)
+    return low + low[: n // 2][::-1]
 
 
 def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
@@ -274,6 +287,7 @@ def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
     multiplied until one is left, each product two multiplies at q = +-2^(W/2)
     under the Cauchy-Schwarz bound of _product: k factors take k - 1
     products, and no factor means no product, for the empty product 1.
+    Every power and product is a palindrome, as _power and _product assume.
 
     >>> str(resolve({6: 1, 3: -1, 2: -1}))
     '1 - q + q^2'

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qlozenge import verify
+from qlozenge import cli, verify
 from qlozenge.cli import build_parser, main, render_svg
 from qlozenge.enumeration import gen_function, iter_tilings
 from qlozenge.formulas import FAMILIES, semihex_dents_M2
@@ -18,7 +18,7 @@ from qlozenge.lattice import (
     build_q_region,
     build_semihexagon_dented,
 )
-from qlozenge.qalgebra import parse_poly
+from qlozenge.qalgebra import QPoly, parse_poly
 from qlozenge.verify import suite_tasks
 from qlozenge.weights import WeightAssignment as W
 
@@ -92,6 +92,42 @@ def test_formula_main_matches_count(capsys):
     )
     assert code2 == 0
     assert out == out2
+
+
+@pytest.fixture
+def default_int_text_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.usefixtures("default_int_text_limit")
+def test_a_count_past_the_int_to_text_limit_is_a_clear_usage_error(capsys):
+    # main at 100,100,100,100 has 5 224 digits, past Python's default limit
+    # of 4 300, so no str() of it exists to count them; 90^4 has 4 232.
+    params = "100,100,100,100,0,0,0,0"
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "formula", "main", "--params", params, *extra)
+        assert (code, out) == (2, "")
+        assert "has 5224 decimal digits, more than the 4300" in err
+        assert "does not change that process-wide limit" in err
+    assert sys.get_int_max_str_digits() == 4300
+    code, out, _ = run(capsys, "formula", "main", "--params", "90,90,90,90,0,0,0,0")
+    assert code == 0 and len(out) == 4232 + 1 and out[:-1].isdigit()
+
+
+@pytest.mark.usefixtures("default_int_text_limit")
+@pytest.mark.parametrize(
+    "value, digits",
+    [(10**4300, 4301), (-(10**4301 - 1), 4301), (10**4301, 4302), (7 * 10**9999, 10000)],
+    ids=["ten-to-4300", "minus-4301-nines", "ten-to-4301", "seven-times-ten-to-9999"],
+)
+def test_digits_past_the_limit_are_counted_exactly(value, digits):
+    for shown, what in ((value, "the count"), (QPoly({0: 1, 5: value}), "a coefficient")):
+        with pytest.raises(ValueError, match="^%s has %d decimal digits," % (what, digits)):
+            cli._text(shown)
+    assert cli._text(10**4300 - 1) == "9" * 4300
 
 
 def test_genfun_round_trips_and_matches_formula(capsys):

@@ -104,21 +104,118 @@ def test_product_matches_schoolbook_where_cauchy_schwarz_is_tight(k, bits):
 
 
 _WIDE = st.integers(min_value=-(1 << 300), max_value=1 << 300)
-_OPERANDS = st.lists(_WIDE, min_size=1, max_size=40).filter(any)
-# Against one of these units |a|_2 |b|_2 is |a|_2 (or sqrt(2) |a|_2), so the
-# other operand's own coefficients sit at the slot bound, exactly so when it
-# has a lone nonzero coefficient.
-_UNITS = st.sampled_from([[1], [-1], [0, 1], [1, 0, -1]])
-_LONE = st.tuples(st.integers(0, 39), _WIDE.filter(bool)).map(lambda t: [0] * t[0] + [t[1]])
+
+
+def _palindrome(half_and_odd):
+    """half followed by its mirror image, sharing the middle entry if odd."""
+    half, odd = half_and_odd
+    return half + half[::-1][odd:]
+
+
+_OPERANDS = st.tuples(st.lists(_WIDE, min_size=1, max_size=20).filter(any), st.booleans()).map(
+    _palindrome
+)
+# Against one of these units |a|_2 |b|_2 is |a|_2 (or sqrt(2) or sqrt(3)
+# times it), so the other operand's own coefficients sit at the slot bound,
+# exactly so when it has a lone nonzero coefficient, in its centre.
+_UNITS = st.sampled_from([[1], [-1], [1, 1], [1, 0, 1], [1, -1, 1], [0, 1, 0]])
+_LONE = st.tuples(st.integers(0, 19), _WIDE.filter(bool)).map(
+    lambda t: [0] * t[0] + [t[1]] + [0] * t[0]
+)
 
 
 @given(_OPERANDS | _LONE, _OPERANDS | _LONE | _UNITS, st.booleans())
 def test_product_matches_schoolbook(a, b, swap):
-    """_product's precondition: neither operand is all zeros.  Then every
-    coefficient of a, b and a*b fits the slot width taken from |a|_2 |b|_2."""
+    """_product's precondition: both operands are palindromes, neither all
+    zeros.  Then every coefficient of a, b and a*b fits the slot width taken
+    from |a|_2 |b|_2."""
     if swap:
         a, b = b, a
+    assert a == a[::-1] and b == b[::-1]
     assert qalgebra._product(a, b) == _schoolbook(a, b)
+
+
+def _phi_map(d):
+    """The exponent map of Phi_d = prod_{k | d} [k]^mu(d/k), d > 1."""
+    return {k: _mobius(d // k) for k in range(1, d + 1) if d % k == 0 and _mobius(d // k)}
+
+
+def _mobius(n):
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+
+def _phi(d):
+    """Phi_d, d > 1, as prod_{k | d} (1 - q^k)^mu(d/k), by ascending long
+    division: independent of the cyclotomic table resolve uses."""
+    num, den = QPoly(1), QPoly(1)
+    for k, mu in _phi_map(d).items():
+        if mu > 0:
+            num = num * QPoly({0: 1, k: -1})
+        else:
+            den = den * QPoly({0: 1, k: -1})
+    rem, out = num.terms, {}
+    for e in range(max(rem) - den.degree() + 1):
+        c = out[e] = rem.get(e, 0)
+        for de, dc in den.terms.items():
+            rem[e + de] = rem.get(e + de, 0) - c * dc
+    assert not any(rem.values())
+    return QPoly(out)
+
+
+def _add(*maps):
+    out = {}
+    for m in maps:
+        for j, e in m.items():
+            out[j] = out.get(j, 0) + e
+    return out
+
+
+def test_resolve_multiplies_and_returns_only_palindromes(monkeypatch):
+    # Each Phi_d (d > 1) is self-reciprocal, so every operand _power and
+    # _product see, and every list they return, is its own reverse.
+    seen = []
+    product, power = qalgebra._product, qalgebra._power
+
+    def checked_product(a, b):
+        seen.extend((a, b))
+        seen.append(product(a, b))
+        return seen[-1]
+
+    def checked_power(d, e):
+        seen.append(power(d, e))
+        return seen[-1]
+
+    monkeypatch.setattr(qalgebra, "_product", checked_product)
+    monkeypatch.setattr(qalgebra, "_power", checked_power)
+    maps = [{j: e} for j in range(1, 13) for e in range(-2, 4)]
+    maps += [{6: 1, 3: -1, 2: -1}, {12: 2, 6: -1, 4: 1}, {10: 3, 9: 1, 5: -2}]
+    resolved = 0
+    for exponents in maps:
+        try:
+            resolve(exponents)
+        except NonExactDivision:
+            continue
+        resolved += 1
+    # [1] is the empty product at every e; [j], j > 1, divides at e >= 0.
+    assert resolved == 6 + 11 * 4 + 3
+    assert len(seen) > 100 and all(p == p[::-1] for p in seen)
+
+
+def test_resolve_of_cyclotomic_powers_and_pairs_is_the_schoolbook_product():
+    phis = {d: _phi(d) for d in range(2, 31)}
+    lengths = set()
+    for d, phi in phis.items():
+        expected = QPoly(1)
+        for e in range(4):
+            assert resolve({j: e * m for j, m in _phi_map(d).items()}) == expected, (d, e)
+            lengths.add(expected.degree() + 1)
+            expected = expected * phi
+        for d2 in range(d + 1, 31):
+            expected = phi * phis[d2]
+            assert resolve(_add(_phi_map(d), _phi_map(d2))) == expected, (d, d2)
+            lengths.add(expected.degree() + 1)
+    assert {1, 2, 3} <= lengths and {n % 2 for n in lengths} == {0, 1}
 
 
 @pytest.mark.parametrize("exponents, products", [({2: 1, 3: 1}, 1), ({2: 1}, 0), ({}, 0)])
