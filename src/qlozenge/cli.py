@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from .enumeration import (
@@ -311,7 +311,8 @@ def cmd_verify(args) -> int:
     cpus = len(usable(0)) if usable else os.cpu_count() or 1
     render = report_json if args.json else report_line
     results = run_suite(args.suite, args.max_sum, min(args.jobs, cpus), render=render)
-    sys.stdout.write("".join(line + "\n" for _, line in results))
+    # A piece at a time, so no copy of a line or of the whole text is made.
+    sys.stdout.writelines(chain.from_iterable((line, "\n") for _, line in results))
     return 0 if all(passed for passed, _ in results) else 1
 
 

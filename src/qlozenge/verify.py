@@ -20,27 +20,27 @@ its own, and each group runs inside one lattice.shared_work block: the
 region is built, split by kuo_remove, counted and swept under each weight
 once, and its Kuo products multiplied once, however many checks ask; a
 repeated task (each qmain task is a formulas task too) is checked once.
-Only the engine's sweeps and the RegionParams outlive a group: the task
-list and every group of one run_suite call share one lasting memo, which
-run_suite drops when it returns (a pool worker keeps its own for the
-pool's life), so in a suite run a shape is swept once per weight and
-frame origin, and a tuple's RegionParams is checked once.  One table,
-_KUO_MOVES, gives Kuo's five removals as moves of the sides, for the
-recurrences and reductions alike.  Groups run in this process or, with
-jobs > 1, one per pool item, and results go back in task order, so the
-output is identical however many workers ran them.  Only group numbers
-go to the pool (a forked worker reads the task list, a spawn or
-forkserver worker builds it once); back come Reports, or with the CLI's
-renderer (passed, line) pairs.
+Only the engine's sweeps, the RegionParams and the suites' parameter
+tuples outlive a group: the task list and every group of one run_suite
+call share one lasting memo, so in a suite run a shape is swept once per
+weight and frame origin, and a tuple's RegionParams is checked once.  One
+table, _KUO_MOVES, gives Kuo's five removals as moves of the sides, for
+the recurrences and reductions alike.  Groups run here or, with jobs > 1,
+one per pool item, which gets only the group's number; each group's
+results (Reports, or with the CLI's renderer (passed, line) pairs) fill
+their tasks' slots as they arrive, so the output is the same at any jobs.
+run_suite drops the list and memo when it returns, or once the pool's
+workers start: a forked worker keeps its copy for the pool's life, and a
+spawn or forkserver one, or one the pool starts later, builds its own.
 """
 
 from __future__ import annotations
 
 import json
 from functools import partial
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .enumeration import (
     DEFAULT_TRIANGLE_BUDGET,
@@ -350,11 +350,16 @@ def check_magnet_reduction(
 
 
 def _bounded_tuples(slots: int, total: int) -> list[tuple[int, ...]]:
-    """All tuples of `slots` nonnegative ints summing to <= total, in lexicographic order."""
-    tuples: list[tuple[int, ...]] = [()]
-    for _ in range(slots):
-        tuples = [t + (h,) for t in tuples for h in range(total - sum(t) + 1)]
-    return tuples
+    """All tuples of `slots` nonnegative ints summing to <= total, in
+    lexicographic order; one list, in the lasting memo, for a whole suite."""
+
+    def compute() -> list:
+        tuples: list[tuple[int, ...]] = [()]
+        for _ in range(slots):
+            tuples = [t + (h,) for t in tuples for h in range(total - sum(t) + 1)]
+        return tuples
+
+    return shared(("tuples", slots, total), compute, lasting=True)
 
 
 def _formula_tasks(
@@ -471,15 +476,17 @@ def suite_tasks(name: str, max_sum: int = 4) -> list[tuple]:
 _held: dict = {}
 
 
-def _suite_groups(name: str, max_sum: int) -> tuple[list[tuple], list[list[int]], dict]:
-    """The suite's tasks, the indices of each group's tasks, and the memo
-    every group hands the engine's sweeps."""
+def _suite_groups(name: str, max_sum: int) -> tuple[list[tuple], list[Sequence[int]], dict]:
+    """The suite's tasks, each group's task indices (int arrays), and the
+    memo every group hands the engine's sweeps."""
     held = _held.get((name, max_sum))
     if held is None:
+        from array import array  # here, off the import path of the other commands
+
         with shared_work(lasting := {}):  # where every group finds each tuple's RegionParams
             tasks, groups = suite_tasks(name, max_sum), {}
         for i, task in enumerate(tasks):
-            groups.setdefault(i if task[0] is None else task[0], []).append(i)
+            groups.setdefault(i if task[0] is None else task[0], array("l")).append(i)
         held = _held[name, max_sum] = (tasks, list(groups.values()), lasting)
     return held
 
@@ -493,25 +500,34 @@ def _run_group(number: int, name: str, max_sum: int, render: Render = None) -> l
     return [out[task] for task in batch]
 
 
+def _place(results: list, groups: list, done: Iterable) -> None:
+    """Put each group's results, as they arrive, in their tasks' slots."""
+    for indices, out in zip(groups, done):
+        for i, result in zip(indices, out):
+            results[i] = result
+
+
 def run_suite(name: str, max_sum: int = 4, jobs: int = 1, render: Render = None) -> list:
     """Run one suite a group at a time (see the module docstring), each
-    distinct task of a group once.  The pool gets group numbers: a forked
-    worker reads the task list held here, a spawn or forkserver worker builds
-    it once.  Back come, in task order at any jobs, Reports, or with render
-    the pairs (status is Pass, render(report)), made in the workers."""
+    distinct task of a group once.  The pool gets group numbers, and this
+    process drops its task list once the workers start.  Back come, in task
+    order at any jobs, Reports, or with render the pairs (status is Pass,
+    render(report)), made in the workers."""
     try:
         tasks, groups, _ = _suite_groups(name, max_sum)
+        results = [None] * len(tasks)
         run = partial(_run_group, name=name, max_sum=max_sum, render=render)
         if jobs > 1:
             # Imported here, as only a pooled run needs it: the import holds
-            # about 0.8 MB of RSS that every other run would carry.
+            # about 1.1 MB of RSS that every other run would carry.
             from multiprocessing import Pool
 
             with Pool(jobs) as pool:
-                done = pool.map(run, range(len(groups)))
+                del tasks, _held[name, max_sum]  # each worker has its own or builds it
+                chunk = -(-len(groups) // (4 * jobs)) or 1  # as pool.map picks
+                _place(results, groups, pool.imap(run, range(len(groups)), chunk))
         else:
-            done = map(run, range(len(groups)))
-        placed = dict(zip(chain.from_iterable(groups), chain.from_iterable(done)))
-        return [placed[i] for i in range(len(tasks))]
+            _place(results, groups, map(run, range(len(groups))))
+        return results
     finally:
         _held.pop((name, max_sum), None)

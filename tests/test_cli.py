@@ -201,6 +201,8 @@ def test_the_cli_imports_no_dataclass_machinery():
     loaded = set(done.stdout.split())
     assert done.returncode == 0 and "qlozenge.verify" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+    # Only a suite run needs these, a pooled one the latter.
+    assert not loaded & {"array", "multiprocessing"}
 
 
 def test_verify_suite_kuo(capsys):
@@ -464,6 +466,7 @@ def test_jobs_is_capped_at_the_core_count(capsys, monkeypatch):
     monkeypatch.setattr("qlozenge.cli.os.sched_getaffinity", lambda pid: {0}, raising=False)
     assert main(["verify", "--suite", "qmain", "--jobs", "2"]) == 0
     assert calls == [4, 3, 1, 1]
+    assert capsys.readouterr().out == ""  # an empty result prints nothing
 
 
 def test_a_failing_check_exits_1_at_every_jobs_value(capsys, monkeypatch):

@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -421,6 +424,11 @@ def test_a_suite_builds_and_sweeps_each_region_once_per_weight(monkeypatch):
     swept.clear()
     assert run_suite("formulas", 2) == reports
     assert swept == first
+    # So does a pooled run, whose parent drops its list and memo once the
+    # workers start (without the spies, which a pool cannot pickle).
+    monkeypatch.undo()
+    assert run_suite("formulas", 2, jobs=2) == reports
+    assert verify._held == {} and lattice._memo.get() is None
 
 
 def test_a_suite_encodes_no_region_it_builds(monkeypatch):
@@ -468,9 +476,10 @@ def test_a_wrong_prefactor_or_a_core_not_a_translate_fails_a_reduction(monkeypat
 
 def test_no_memo_outlives_run_suite(monkeypatch):
     for jobs in (1, 2):
-        run_suite("prop31", 1, jobs)
+        first = [report_json(r) for r in run_suite("prop31", 1, jobs)]
         assert lattice._memo.get() is None
         assert verify._held == {}
+        assert [report_json(r) for r in run_suite("prop31", 1, jobs)] == first
     with pytest.raises(ZeroDivisionError):
         with lattice.shared_work():
             build_q_region(RegionParams(1, 1, 1, 1, 0, 0, 0, 0))
@@ -510,6 +519,50 @@ def test_a_worker_with_an_empty_holder_builds_the_task_list_once(monkeypatch, re
     if render is None:
         results, expected = [report_json(r) for r in results], [report_json(r) for r in expected]
     assert results == expected
+
+
+def test_the_suites_of_one_task_list_share_each_parameter_tuple():
+    # qmain, formulas, recurrences and prop31 draw one list of 8-tuples.
+    with lattice.shared_work():
+        tasks = suite_tasks("all", 2)
+    drawn = [t[3] for t in tasks if t[1] is check_formula_vs_enumeration and t[2] == "q_region"]
+    assert len(drawn) == 4 * len(set(drawn))  # qmain's wt2, formulas' wt0-wt2
+    assert len({id(ps) for ps in drawn}) == len(set(drawn))
+
+
+def test_a_pooled_parent_holds_no_task_list_while_results_arrive(monkeypatch):
+    held, real = [], verify._place
+
+    def place(results, groups, done):
+        held.append(set(verify._held))
+        real(results, groups, done)
+
+    monkeypatch.setattr(verify, "_place", place)
+    pooled = [report_json(r) for r in run_suite("all", 1, jobs=2)]
+    assert [report_json(r) for r in run_suite("all", 1, jobs=1)] == pooled
+    assert held == [set(), {("all", 1)}]
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_a_pool_under_any_start_method_gives_the_same_lines(method):
+    # Such a worker inherits no task list from the parent and builds its own.
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    script = (
+        "import multiprocessing\n"
+        "from qlozenge.verify import report_line, run_suite\n"
+        "multiprocessing.set_start_method(%r)\n"
+        "for _, line in run_suite('all', 1, jobs=2, render=report_line):\n"
+        "    print(line)\n" % method
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [line for _, line in run_suite("all", 1, render=report_line)]
 
 
 def test_a_repeated_task_is_checked_once(monkeypatch):
