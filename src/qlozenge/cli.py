@@ -3,9 +3,9 @@ run identity suites, probe four-point removals, and render SVG pictures.
 
 Output is deterministic byte for byte: collections are sorted before
 emission and coordinates use a fixed decimal precision.  Exit codes:
-0 success (and all Pass for verify/kuo), 1 a check failed, 2 usage
-error, 3 an enumeration budget was exceeded, 141 (128 + SIGPIPE) the
-reader closed stdout early, as in `qlozenge tilings ... | head -1`.
+0 success (and all Pass for verify/kuo), 1 a check failed, 2 usage error,
+3 a budget was exceeded or memory ran out, 141 (128 + SIGPIPE) the reader
+closed stdout early, as in `qlozenge tilings ... | head -1`.
 """
 
 from __future__ import annotations
@@ -293,8 +293,8 @@ def cmd_count(args) -> int:
 
 def cmd_genfun(args) -> int:
     region = _build_region(args.builder, args)
-    poly = gen_function(region, WeightAssignment(args.weight), args.max_states)
-    return _print_region_value(args, region, poly, poly=str(poly), weight=args.weight)
+    text = str(gen_function(region, WeightAssignment(args.weight), args.max_states))
+    return _print_region_value(args, region, text, poly=text, weight=args.weight)
 
 
 def cmd_tilings(args) -> int:
@@ -439,6 +439,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 141
     except BudgetExceeded as err:
         print("budget exceeded: %s" % err, file=sys.stderr)
+        return 3
+    except MemoryError:  # a fallback: the budgets are meant to stop a run first
+        print("out of memory: the %s command could not finish" % args.command, file=sys.stderr)
         return 3
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)

@@ -468,7 +468,7 @@ def _shifted(region: Region, w: WeightAssignment, max_states: Optional[int]) -> 
         lasting=True,
     )
     forced = sum(exponent(*lozenge) for lozenge in form.forced)
-    return QPoly({e + forced: c for e, c in enumerate(coefficients)})
+    return QPoly(coefficients, forced)
 
 
 def _swept(

@@ -1,28 +1,30 @@
 """Exact arithmetic in the indeterminate q.
 
-Polynomials are stored sparsely as {exponent: coefficient} with Python
-integers, so every operation is exact.  A product of q-integers (the building
-blocks of q-factorials and q-hyperfactorials) is written as an exponent map
-{j: e} for prod_j [j]^e, and resolve takes that map, because product formulas
-cancel most factors before expansion is worthwhile.  resolve cancels them in
-the cyclotomic basis, where no division is left, and multiplies the survivors
-shortest first, each product as two half-width integer products, the
-Kronecker-packed values at q = +-2^s.  Each Phi_d, d > 1, has constant term 1
-and roots closed under z -> 1/z, so q^phi(d) Phi_d(1/q) = Phi_d(q): every
-power and product is a palindrome, and only its lower half is converted.
+A QPoly is its lowest exponent and the tuple of its Python integer
+coefficients from there up, no zero at either end (the zero polynomial: 0
+and ()), so shift moves only the exponent.  A product of q-integers (the
+building blocks of q-factorials and q-hyperfactorials) is written as an
+exponent map {j: e} for prod_j [j]^e, and resolve takes that map, because
+product formulas cancel most factors before expansion is worthwhile.
+resolve cancels them in the cyclotomic basis, where no division is left,
+and multiplies the survivors shortest first, each product as two half-width
+integer products, the Kronecker-packed values at q = +-2^s.  Each Phi_d,
+d > 1, has constant term 1 and roots closed under z -> 1/z, so
+q^phi(d) Phi_d(1/q) = Phi_d(q): every power and product is a palindrome,
+and only its lower half is converted.
 
 All values are immutable after construction; operations return new
-objects and are safe to call from worker processes.  QPoly arithmetic,
-shift and resolve build their results unchecked (QPoly._trusted).
+objects and are safe to call from worker processes.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import insort
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from math import isqrt
-from typing import Mapping, Sequence
+from operator import add, neg
 
 
 class NonExactDivision(ArithmeticError):
@@ -30,69 +32,80 @@ class NonExactDivision(ArithmeticError):
 
 
 class QPoly:
-    """A polynomial in q with integer coefficients and exponents >= 0.
+    """A polynomial in q with integer coefficients and exponents >= 0, from
+    an {exponent: coefficient} map, an int, or the coefficients of q^low up.
 
     >>> p = QPoly({0: 1, 1: 1})
     >>> str(p * p)
     '1 + 2*q + q^2'
-    >>> QPoly(0) == QPoly({})
+    >>> QPoly(0) == QPoly({}) == QPoly((0, 0), 3)
     True
+    >>> QPoly((0, 1, 0, 2), 3).terms
+    {4: 1, 6: 2}
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_low", "_coeffs")
 
-    def __init__(self, terms: Mapping[int, int] | int = 0):
+    def __init__(self, terms: Mapping[int, int] | Sequence[int] | int = 0, low: int = 0):
+        if type(low) is not int or low < 0:
+            raise ValueError("the lowest exponent must be a nonnegative integer, got %r" % (low,))
         if isinstance(terms, int):
-            terms = {0: terms}
-        clean: dict[int, int] = {}
-        for e, c in terms.items():
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError("exponents must be nonnegative integers, got %r" % (e,))
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError("coefficients must be integers, got %r" % (c,))
-            if c:
-                clean[e] = c
-        self._terms = clean
-
-    @classmethod
-    def _trusted(cls, terms: Mapping[int, int]) -> "QPoly":
-        """QPoly(terms) without the checks, for terms computed in this module."""
-        poly = object.__new__(cls)
-        poly._terms = {e: c for e, c in terms.items() if c}
-        return poly
+            terms = (terms,)
+        elif isinstance(terms, Mapping):
+            if not set(map(type, terms)) <= {int} or min(terms, default=0) < 0:
+                bad = next(e for e in terms if type(e) is not int or e < 0)
+                raise ValueError("exponents must be nonnegative integers, got %r" % (bad,))
+            base = min(terms, default=0)
+            low += base
+            terms = [terms.get(e, 0) for e in range(base, max(terms, default=-1) + 1)]
+        coeffs = tuple(terms)
+        if not set(map(type, coeffs)) <= {int}:
+            bad = next(c for c in coeffs if type(c) is not int)
+            raise ValueError("coefficients must be integers, got %r" % (bad,))
+        start, stop = 0, len(coeffs)
+        while stop and not coeffs[stop - 1]:
+            stop -= 1
+        while start < stop and not coeffs[start]:
+            start += 1
+        self._coeffs = coeffs[start:stop]  # the tuple itself when nothing is cut
+        self._low = low + start if stop else 0
 
     @property
     def terms(self) -> dict[int, int]:
-        """A copy of the sparse {exponent: coefficient} map."""
-        return dict(self._terms)
+        """The nonzero {exponent: coefficient} map, in exponent order."""
+        return {e: c for e, c in enumerate(self._coeffs, self._low) if c}
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
+            return self._coeffs == ((other,) if other else ()) and not self._low
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._low == other._low and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        if self._terms.keys() <= {0}:
-            return hash(self._terms.get(0, 0))  # equal to that int, so hash like it
-        return hash(frozenset(self._terms.items()))
+        if not self._low and len(self._coeffs) < 2:
+            return hash(sum(self._coeffs))  # the constant, or 0: hash like that int
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
             other = QPoly(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return QPoly._trusted(out)
+        if not (self._coeffs and other._coeffs):
+            return other if other._coeffs else self
+        lo, hi = (self, other) if self._low <= other._low else (other, self)
+        start = hi._low - lo._low
+        stop = start + len(hi._coeffs)
+        out = list(lo._coeffs) + [0] * (stop - len(lo._coeffs))
+        out[start:stop] = map(add, out[start:stop], hi._coeffs)
+        return QPoly(out, lo._low)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly._trusted({e: -c for e, c in self._terms.items()})
+        return QPoly(tuple(map(neg, self._coeffs)), self._low)
 
     def __sub__(self, other: "QPoly | int") -> "QPoly":
         return self + (-other if isinstance(other, QPoly) else QPoly(-other))
@@ -100,49 +113,53 @@ class QPoly:
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
             other = QPoly(other)
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return QPoly._trusted(out)
+        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
+        for i, c in enumerate(self._coeffs):
+            for j, d in enumerate(other._coeffs, i):
+                out[j] += c * d
+        return QPoly(out, self._low + other._low)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k.  k may be negative only when q^(-k) divides self."""
-        if not self._terms:
+        if not self._coeffs or not k:
             return self
-        if k < 0 and min(self._terms) + k < 0:
+        if self._low + k < 0:
             raise NonExactDivision("shift by q^%d leaves negative exponents" % k)
-        return QPoly._trusted({e + k: c for e, c in self._terms.items()})
+        poly = object.__new__(QPoly)  # the same coefficients, so nothing to check
+        poly._low, poly._coeffs = self._low + k, self._coeffs
+        return poly
 
     def degree(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no degree")
-        return max(self._terms)
+        return self._low + len(self._coeffs) - 1
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts: list[str] = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = "q" if e == 1 else "q^%d" % e
-            else:
-                body = "%d*q" % mag if e == 1 else "%d*q^%d" % (mag, e)
-            if not parts:
-                parts.append("-" + body if c < 0 else body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+        low, split = self._low, max(2 - self._low, 0)  # q^0 and q^1 come first
+        for e, c in enumerate(self._coeffs[:split], low):
+            if c:
+                body = "%d" % abs(c) if e == 0 else "q" if c in (1, -1) else "%d*q" % abs(c)
+                parts.append((" - " if c < 0 else " + ") + body)
+        for e, c in enumerate(self._coeffs[split:], low + split):
+            if c > 1:
+                parts.append(" + %d*q^%d" % (c, e))
+            elif c == 1:
+                parts.append(" + q^%d" % e)
+            elif c == -1:
+                parts.append(" - q^%d" % e)
+            elif c:
+                parts.append(" - %d*q^%d" % (-c, e))
+        first = parts[0]
+        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+        return "".join(parts)
 
     def __repr__(self) -> str:
-        return "QPoly(%r)" % (self._terms,)
+        return "QPoly(%r)" % (self.terms,)
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?q(?:\^(\d+))?$|^(\d+)$")
@@ -189,7 +206,7 @@ def q_int(n: int) -> QPoly:
     """The q-integer [n] = 1 + q + ... + q^(n-1); [0] is the zero polynomial."""
     if n < 0:
         raise ValueError("q_int of negative %d" % n)
-    return QPoly({e: 1 for e in range(n)})
+    return QPoly((1,) * n)
 
 
 @lru_cache(maxsize=1024)
@@ -317,4 +334,4 @@ def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
         del polys[:2]
         c = _product(a, b)
         insort(polys, (len(c), i, c))
-    return QPoly._trusted(dict(enumerate(polys[0][2] if polys else [1], prefactor)))
+    return QPoly(polys[0][2] if polys else (1,), prefactor)

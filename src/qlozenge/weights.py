@@ -134,8 +134,6 @@ def enumeration_weight(w: WeightAssignment, region: Region) -> tuple[WeightAssig
 def less_offset(poly: QPoly, offset: int) -> QPoly:
     """poly shifted down by offset, poly itself when offset is 0.  Raises
     NegativeVolume when that would leave a negative exponent."""
-    if not offset:
-        return poly
     try:
         return poly.shift(-offset)
     except NonExactDivision:

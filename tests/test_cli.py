@@ -281,6 +281,25 @@ def test_budget_exit_codes(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "engine, argv",
+    [
+        ("gen_function", ["genfun", "q_region", "--params", "4,4,4,4,4,4,4,4"]),
+        ("count_tilings", ["count", "hexagon", "--a", "2", "--b", "2", "--c", "2"]),
+        ("run_suite", ["verify", "--suite", "all", "--max-sum", "2"]),
+    ],
+)
+def test_running_out_of_memory_exits_3_with_one_line(capsys, monkeypatch, engine, argv):
+    # Stands in for a sweep that exhausts memory; no memory is exhausted.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, engine, exhausted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "memory" in err and argv[0] in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "count", "hexagon", "--a", "2", "--b", "2")[0] == 2
     assert run(capsys, "formula", "main")[0] == 2

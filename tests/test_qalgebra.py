@@ -71,6 +71,10 @@ def test_resolve_decodes_signed_coefficients():
     # [6] / ([3] [2]) is the cyclotomic polynomial Phi_6, [4] / [2] is Phi_4.
     assert resolve({6: 1, 3: -1, 2: -1}) == QPoly({0: 1, 1: -1, 2: 1})
     assert resolve({4: 1, 2: -1}) == QPoly({0: 1, 2: 1})
+    # Its inner zero is in no form.
+    inner_zero = resolve({4: 1, 2: -1})
+    assert inner_zero.terms == {0: 1, 2: 1} and repr(inner_zero) == "QPoly({0: 1, 2: 1})"
+    assert str(inner_zero) == "1 + q^2" and inner_zero.shift(3).degree() == 5
 
 
 def test_resolve_of_the_empty_product():
@@ -302,6 +306,46 @@ def test_text_form_frozen():
     assert str(QPoly({1: -1, 0: 1})) == "1 - q"
     assert str(QPoly({2: -3})) == "-3*q^2"
     assert str(QPoly({1: 1})) == "q"
+    assert str(QPoly({0: -2, 1: -1, 2: 1, 4: -1})) == "-2 - q + q^2 - q^4"
+    assert str(QPoly({1: -1, 3: 5})) == "-q + 5*q^3"
+    assert str(QPoly({1: -7, 2: 1})) == "-7*q + q^2"
+
+
+def _sparse_text(terms):
+    """The text form as printed when QPoly held a sparse {exponent: coefficient}
+    dict: that __str__, unchanged but for reading `terms`."""
+    if not terms:
+        return "0"
+    parts: list[str] = []
+    for e in sorted(terms):
+        c = terms[e]
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = "q" if e == 1 else "q^%d" % e
+        else:
+            body = "%d*q" % mag if e == 1 else "%d*q^%d" % (mag, e)
+        if not parts:
+            parts.append("-" + body if c < 0 else body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts)
+
+
+_text_coefficients = st.one_of(
+    st.sampled_from([0, 0, 1, -1, 2, -2]),
+    st.integers(2**64 + 1, 2**300),
+    st.integers(-(2**300), -(2**64) - 1),
+)
+
+
+@given(st.lists(_text_coefficients, max_size=8), st.integers(0, 3))
+def test_text_form_is_the_sparse_text_form(coefficients, low):
+    terms = {e: c for e, c in enumerate(coefficients, low) if c}
+    p = QPoly(coefficients, low)
+    assert p.terms == terms and list(p.terms) == sorted(terms)
+    assert str(p) == _sparse_text(terms)
 
 
 @given(small_polys)
@@ -324,6 +368,37 @@ def test_shift_guards_negative_exponents():
         p.shift(-3)
 
 
+def test_a_coefficient_sequence_starts_at_its_lowest_exponent():
+    assert QPoly((0, 1, 0, 2, 0), 3) == QPoly({4: 1, 6: 2})
+    assert QPoly([5, 0, -1]) == QPoly({0: 5, 2: -1})
+    assert QPoly(7) == QPoly((7,)) == 7
+    for zeros in ((), (0,), [0, 0, 0]):
+        for low in (0, 2):
+            assert QPoly(zeros, low) == 0 and not QPoly(zeros, low)
+            assert hash(QPoly(zeros, low)) == hash(0)
+
+
+@pytest.mark.parametrize("coefficients", [(1, True), (False,), (1, 2.0), ("1",), "12", [0.0]])
+def test_a_coefficient_sequence_takes_only_ints(coefficients):
+    with pytest.raises(ValueError):
+        QPoly(coefficients)
+
+
+def test_the_lowest_exponent_is_a_nonnegative_int():
+    for terms in ((1, 2), {2: 1}, ()):
+        for low in (-1, 1.0, True):
+            with pytest.raises(ValueError):
+                QPoly(terms, low)  # type: ignore[arg-type]
+
+
+@given(small_polys, st.integers(0, 6))
+def test_shift_keeps_the_coefficients(p, k):
+    assert p.shift(0) is p
+    assert p.shift(k).shift(-k) == p
+    assert hash(p.shift(k).shift(-k)) == hash(p)
+    assert p - p == 0 and hash(p - p) == hash(0)
+
+
 def test_rejects_bad_construction():
     with pytest.raises(ValueError):
         QPoly({-1: 2})
@@ -342,8 +417,9 @@ def test_rejects_bad_construction():
     st.integers(0, 4),
 )
 def test_computed_results_are_what_the_checked_constructor_builds(p, r, k, exponents, prefactor):
-    # Arithmetic, shift and resolve build their results unchecked: each must
-    # still be a valid polynomial with no zero coefficient.
+    # Arithmetic and resolve hand their coefficient sequences to the checked
+    # constructor, and shift reuses its operand's: each result must be what
+    # its terms build, with no zero coefficient among them.
     results = [p + r, p - r, p * r, -p, p + 3, p * 0]
     if not p or min(p.terms) + k >= 0:
         results.append(p.shift(k))
