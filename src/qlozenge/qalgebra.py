@@ -7,11 +7,14 @@ building blocks of q-factorials and q-hyperfactorials) is written as an
 exponent map {j: e} for prod_j [j]^e, and resolve takes that map, because
 product formulas cancel most factors before expansion is worthwhile.
 resolve cancels them in the cyclotomic basis, where no division is left,
-and multiplies the survivors shortest first, each product as two half-width
-integer products, the Kronecker-packed values at q = +-2^s.  Each Phi_d,
-d > 1, has constant term 1 and roots closed under z -> 1/z, so
+and multiplies the survivors in halves of near-equal length, each product
+as two integer products, the Kronecker-packed values at q = +-2^s.  Each
+Phi_d, d > 1, has constant term 1 and roots closed under z -> 1/z, so
 q^phi(d) Phi_d(1/q) = Phi_d(q): every power and product is a palindrome,
-and only its lower half is converted.
+and only its lower half is converted.  Above a size cut the multiplies are
+half as wide again: 2s = N, 2N >= bl + 2 for coefficients below 2^bl, and
+each coefficient plus 2^bl, in [0, 2^(2N-1)), is its N-bit digit mod 2^N
+and, from its mirror slot, itself plus a carry 0 <= t <= 2^(N-1).
 
 All values are immutable after construction; operations return new
 objects and are safe to call from worker processes.
@@ -20,7 +23,6 @@ objects and are safe to call from worker processes.
 from __future__ import annotations
 
 import re
-from bisect import insort
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from math import isqrt
@@ -267,24 +269,86 @@ def _power(d: int, e: int) -> list[int]:
     return low + low[: n // 2][::-1]
 
 
+def _two_ended(value: int, mirror: int, size: int, slots: int, count: int, bl: int) -> list[int]:
+    """The first `count` of the `slots` coefficients c_k of value = sum c_k 2^(kN),
+    N = 8*size, whose reverse is mirror's.  As |c_k| < 2^bl and bl + 2 <= 2N,
+    the bias puts each f_k = c_k + 2^bl in [0, 2^(2N-1)).  Digit k of value,
+    less the spill of f_0..f_(k-1), is f_k mod 2^N.  The two digits of mirror
+    at slot slots-1-k, less f_(k-1) above, are w = f_k + t, where the carry of
+    the slots below is t <= (2^(2N-1) - 1) / (2^N - 1), so t <= 2^(N-1) and
+    f_k = w - ((w - f_k) mod 2^N)."""
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * slots, "little") << bl
+    low = (value + ones).to_bytes((slots + 1) * size, "little")
+    high = low if mirror is value else (mirror + ones).to_bytes((slots + 1) * size, "little")
+    bits, bias, top, ends = 8 * size, 1 << bl, (slots - 1) * size, range(0, count * size, size)
+    mask, wide, from_bytes = (1 << bits) - 1, (1 << 2 * bits) - 1, int.from_bytes
+    digits = [from_bytes(low[i : i + size], "little") for i in ends]
+    windows = [from_bytes(high[top - i : top - i + 2 * size], "little") for i in ends]
+    out, spill, c = [], 0, 0
+    for x, w in zip(digits, windows):
+        w = (w - (c << bits)) & wide
+        c = w - ((w - x + spill) & mask)
+        spill = (spill + c) >> bits
+        out.append(c - bias)
+    return out
+
+
+def _even_odd(a: list[int], size: int, k: int, s: int) -> tuple[int, int]:
+    """Even and odd parts of palindrome a at q = 2^s, each a[r::k] packed at 2^(ks)."""
+    chunks = _chunks(a, size)
+    parts = [_packed(chunks[r::k], size) << r * s for r in range(k)]
+    return sum(parts[::2]), sum(parts[1::2])
+
+
+# Above this len(a) * len(b), _product evaluates at +-2^(N/2) and reads both
+# ends; up to it, at +-2^(W/2), whose one-ended decode costs less per slot.
+# Set by timing resolve on the closed bench draws: 3e4 to 2e5 read alike.
+_FOUR_POINT_CUT = 10**5
+
+
 def _product(a: list[int], b: list[int]) -> list[int]:
     """Coefficients of a*b, for palindromes a and b, neither all zeros.  By
     Cauchy-Schwarz no coefficient of a, b or the palindrome a*b exceeds
-    |a|_2 |b|_2, each norm taken from a lower half by _norm2; slots of W bits
-    hold that bound's bit length plus a sign bit, in whole bytes.  With even
-    and odd coefficients packed at 2^W, a*b at q = 2^s plus a*b at q = -2^s,
-    s = W/2, is twice its even part at 2^W, the difference 2^(s+1) times its
-    odd part: two half-width multiplies, decoded below the middle slot."""
-    size = isqrt(_norm2(a) * _norm2(b)).bit_length() // 8 + 1
+    |a|_2 |b|_2, each norm taken from a lower half by _norm2: each is below
+    2^bl.  a*b at q = 2^s plus a*b at q = -2^s is twice its even part at
+    2^(2s), their difference 2^(s+1) times its odd part.  Up to the cut,
+    2s = W, bl plus a sign bit in whole bytes, and each factor's even and odd
+    coefficients are packed at 2^W.  Above it, 2s = N, 2N >= bl + 2 in whole
+    bytes, and the residue classes mod 4 at 2^(2N) (Harvey's KS4): multiplies
+    half as wide, whose N-bit digits _two_ended reads from both ends.  As
+    c_(2k) = c_(n-1-2k), n = len(a*b), for n odd each part is its own mirror
+    and for n even the even part is the odd part reversed."""
+    bl = isqrt(_norm2(a) * _norm2(b)).bit_length()
+    k = 4 if len(a) * len(b) > _FOUR_POINT_CUT else 2
+    size = (bl + 17) // 16 if k == 4 else bl // 8 + 1
     s, n = 4 * size, len(a) + len(b) - 1
-    ca, cb = _chunks(a, size), _chunks(b, size)
-    ae, be = _packed(ca[::2], size), _packed(cb[::2], size)
-    ao, bo = _packed(ca[1::2], size) << s, _packed(cb[1::2], size) << s
+    ae, ao = _even_odd(a, k * size // 2, k, s)
+    be, bo = _even_odd(b, k * size // 2, k, s)
     plus, minus = (ae + ao) * (be + bo), (ae - ao) * (be - bo)
+    even, odd = (plus + minus) >> 1, (plus - minus) >> (s + 1)
     low = [0] * ((n + 1) // 2)
-    low[::2] = _low_digits((plus + minus) >> 1, size, (n + 1) // 2, (n + 3) // 4)
-    low[1::2] = _low_digits((plus - minus) >> (s + 1), size, n // 2, (n + 1) // 4)
+    if k == 2:
+        low[::2] = _low_digits(even, size, (n + 1) // 2, (n + 3) // 4)
+        low[1::2] = _low_digits(odd, size, n // 2, (n + 1) // 4)
+    else:
+        mirrors = (even, odd) if n % 2 else (odd, even)
+        low[::2] = _two_ended(even, mirrors[0], size, (n + 1) // 2, (n + 3) // 4, bl)
+        low[1::2] = _two_ended(odd, mirrors[1], size, n // 2, (n + 1) // 4, bl)
     return low + low[: n // 2][::-1]
+
+
+def _balanced_product(polys: list[list[int]]) -> list[int]:
+    """The product of one or more palindromes, longest first: each joins the
+    half shorter so far, and each half is multiplied out the same way."""
+    if len(polys) == 1:
+        return polys[0]
+    halves: tuple[list[list[int]], list[list[int]]] = ([], [])
+    lengths = [0, 0]
+    for p in polys:
+        side = lengths[1] < lengths[0]
+        halves[side].append(p)
+        lengths[side] += len(p)
+    return _product(_balanced_product(halves[0]), _balanced_product(halves[1]))
 
 
 def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
@@ -300,11 +364,15 @@ def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
     Polynomials are multiplied as integers (Kronecker substitution), each
     product in slots of W bits taken from the coefficients it is about to
     produce.  Each surviving power Phi_d^e is one integer power at q = 2^W
-    under the coefficient-sum bound of _power.  Then the two shortest are
-    multiplied until one is left, each product two multiplies at q = +-2^(W/2)
-    under the Cauchy-Schwarz bound of _product: k factors take k - 1
-    products, and no factor means no product, for the empty product 1.
-    Every power and product is a palindrome, as _power and _product assume.
+    under the coefficient-sum bound of _power.  Split in two halves of
+    near-equal total length, each multiplied out the same way, they meet in
+    _product: k factors take k - 1 products, and no factor means no product,
+    for the empty product 1.  Every power and product is a palindrome, as
+    _power and _product assume.  Each coefficient c of a product is below
+    2^bl by Cauchy-Schwarz.  Up to _FOUR_POINT_CUT, one W-bit digit holds c,
+    W >= bl + 1.  Above it, N-bit digits, 2N >= bl + 2: c + 2^bl, in
+    [0, 2^(2N-1)), is its digit mod 2^N, and its partner in the palindrome,
+    read from the mirror slot, gives it plus a carry 0 <= t <= 2^(N-1).
 
     >>> str(resolve({6: 1, 3: -1, 2: -1}))
     '1 - q + q^2'
@@ -326,12 +394,5 @@ def resolve(exponents: Mapping[int, int], prefactor: int = 0) -> QPoly:
             raise NonExactDivision(
                 "cyclotomic factor Phi_%d has exponent %d: not a polynomial" % (d, e)
             )
-    # (length, tie-breaker, coefficients), shortest first.  No second
-    # reference is kept, so each factor is freed once multiplied.
-    polys = sorted((len(p), i, p) for i, p in enumerate(_power(d, e) for d, e in factors))
-    while len(polys) > 1:
-        (_, _, a), (_, i, b) = polys[:2]
-        del polys[:2]
-        c = _product(a, b)
-        insort(polys, (len(c), i, c))
-    return QPoly(polys[0][2] if polys else (1,), prefactor)
+    polys = sorted((_power(d, e) for d, e in factors), key=len, reverse=True)
+    return QPoly(_balanced_product(polys) if polys else (1,), prefactor)

@@ -221,19 +221,22 @@ def test_qmain_expands_exactly_and_counts_at_q1(raw):
 
 
 # SHA-256 of str(poly) for products whose widest coefficients have 106, 247,
-# 444 and 270 bits, so resolve's slots span several bytes.  The 10^3 and
-# 15^3 digests were recorded while resolve still packed a whole group of
+# 444, 698 and 270 bits, so resolve's slots span several bytes.  The 10^3
+# and 15^3 digests were recorded while resolve still packed a whole group of
 # products at one shared width, the 20^3 one while each product was still
-# a single multiply at q = 2^W.
+# a single multiply at q = 2^W, the 25^3 one, whose last products are far
+# above _product's four-point cut, while every product was two half-width
+# multiplies.
 @pytest.mark.parametrize(
     "formula, args, digest",
     [
         (macmahon_q, (10, 10, 10), "6d3ab79ceb434e638529b8c171c0f83738e222ec645d1c479d16cfdfa0ef170d"),
         (macmahon_q, (15, 15, 15), "61c5e27ceb3f69deb70ff7aa5bac74ef277a7f8b90858f6cc30c38bd2b1b66bf"),
         (macmahon_q, (20, 20, 20), "9a628c1633a9cd47aea026013d45c6b428da4b445475046c954bae343584a854"),
+        (macmahon_q, (25, 25, 25), "c3e8e4c8b27b30c00e536d097c406b7f9e9487ecea725c14e3931545db87408e"),
         (theorem_qmain, (RegionParams(6, 4, 6, 7, 4, 5, 5, 5),), _PINNED_QMAIN[(6, 4, 6, 7, 4, 5, 5, 5)]),
     ],
-    ids=["macmahon-10", "macmahon-15", "macmahon-20", "qmain-wide"],
+    ids=["macmahon-10", "macmahon-15", "macmahon-20", "macmahon-25", "qmain-wide"],
 )
 def test_wide_products_match_their_pins(formula, args, digest):
     assert hashlib.sha256(str(formula(*args).poly).encode()).hexdigest() == digest

@@ -2,7 +2,7 @@ import doctest
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qlozenge import qalgebra
 from qlozenge.qalgebra import NonExactDivision, QPoly, parse_poly, q_int, resolve
@@ -92,19 +92,27 @@ def _schoolbook(a, b):
     return out
 
 
+# At cut 0 every product takes the four-point path.  The operands here are
+# far below the module's cut, so at that cut every one takes the two-point.
+_BOTH_PATHS = (qalgebra._FOUR_POINT_CUT, 0)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
-@pytest.mark.parametrize("bits", [7, 15, 63, 255, 1023])
-def test_product_matches_schoolbook_where_cauchy_schwarz_is_tight(k, bits):
+@pytest.mark.parametrize("bits", [7, 14, 15, 63, 254, 255, 1023])
+def test_product_matches_schoolbook_where_cauchy_schwarz_is_tight(monkeypatch, k, bits):
     # Two rows of k coefficients +-M: the middle coefficient of the product
     # is +-k M^2 = |a|_2 |b|_2, the bound the slot width is taken from.
-    # k M^2 fills `bits` = 8n - 1 bits, the most an n-byte signed slot
-    # holds, at M = top, and spills into one more byte at M = top + 1.
+    # k M^2 fills `bits` bits at M = top and spills into one more at
+    # M = top + 1.  8n - 1 bits are the most an n-byte signed slot holds
+    # (two-point path), 16n - 2 the most n-byte digits hold (four-point).
     top = math.isqrt(((1 << bits) - 1) // k)
     assert (k * top**2).bit_length() <= bits < (k * (top + 1) ** 2).bit_length()
-    for m in (top - 1, top, top + 1):
-        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            a, b = [sa * m] * k, [sb * m] * k
-            assert qalgebra._product(a, b) == _schoolbook(a, b), (m, sa, sb)
+    for cut in _BOTH_PATHS:
+        monkeypatch.setattr(qalgebra, "_FOUR_POINT_CUT", cut)
+        for m in (top - 1, top, top + 1):
+            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                a, b = [sa * m] * k, [sb * m] * k
+                assert qalgebra._product(a, b) == _schoolbook(a, b), (cut, m, sa, sb)
 
 
 _WIDE = st.integers(min_value=-(1 << 300), max_value=1 << 300)
@@ -129,6 +137,19 @@ _LONE = st.tuples(st.integers(0, 19), _WIDE.filter(bool)).map(
 
 
 @given(_OPERANDS | _LONE, _OPERANDS | _LONE | _UNITS, st.booleans())
+# Lengths 1 and 2 on each side, then odd by even lengths: at n = 2, 6 and 8
+# the product has even length, and the four-point path reads its even part
+# against its odd part reversed.
+@example([3], [-5], False)
+@example([-7], [1 << 200, 1 << 200], False)
+@example([-7], [1 << 200, 1 << 200], True)
+@example([2, 2], [-(1 << 90), -(1 << 90)], False)
+@example([5, -(1 << 200), 5], [1 << 150, 3, 3, 1 << 150], False)
+@example([1, -9, 1 << 120, -9, 1], [-(1 << 150), 3, 3, -(1 << 150)], True)
+# A lone coefficient just under 2^(2N-2), N = 8 and 128 bits: the carry
+# into the four-point path's mirror window reaches its bound 2^(N-1).
+@example([1], [0, 0, (1 << 14) - 1, 0, 0], False)
+@example([1], [0, 0, 0, (1 << 254) - 1, 0, 0, 0], True)
 def test_product_matches_schoolbook(a, b, swap):
     """_product's precondition: both operands are palindromes, neither all
     zeros.  Then every coefficient of a, b and a*b fits the slot width taken
@@ -136,7 +157,10 @@ def test_product_matches_schoolbook(a, b, swap):
     if swap:
         a, b = b, a
     assert a == a[::-1] and b == b[::-1]
-    assert qalgebra._product(a, b) == _schoolbook(a, b)
+    for cut in _BOTH_PATHS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qalgebra, "_FOUR_POINT_CUT", cut)
+            assert qalgebra._product(a, b) == _schoolbook(a, b), cut
 
 
 def _phi_map(d):
