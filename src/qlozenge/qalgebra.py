@@ -293,16 +293,19 @@ def _two_ended(value: int, mirror: int, size: int, slots: int, count: int, bl: i
     return out
 
 
-def _even_odd(a: list[int], size: int, k: int, s: int) -> tuple[int, int]:
-    """Even and odd parts of palindrome a at q = 2^s, each a[r::k] packed at 2^(ks)."""
-    chunks = _chunks(a, size)
-    parts = [_packed(chunks[r::k], size) << r * s for r in range(k)]
-    return sum(parts[::2]), sum(parts[1::2])
+def _even_odd(a: list[int], size: int, s: int) -> tuple[int, int]:
+    """Even and odd parts of palindrome a at q = 2^s, each a[r::4] packed at 2^(4s)."""
+    c = _chunks(a, size)
+    return (
+        _packed(c[::4], size) + (_packed(c[2::4], size) << 2 * s),
+        (_packed(c[1::4], size) << s) + (_packed(c[3::4], size) << 3 * s),
+    )
 
 
 # Above this len(a) * len(b), _product evaluates at +-2^(N/2) and reads both
 # ends; up to it, at +-2^(W/2), whose one-ended decode costs less per slot.
-# Set by timing resolve on the closed bench draws: 3e4 to 2e5 read alike.
+# Set by timing resolve on the closed bench draws: 3e4 to 2e5 read alike,
+# and at 0 (four points everywhere) the closed bench ran 14% slower.
 _FOUR_POINT_CUT = 10**5
 
 
@@ -319,35 +322,42 @@ def _product(a: list[int], b: list[int]) -> list[int]:
     c_(2k) = c_(n-1-2k), n = len(a*b), for n odd each part is its own mirror
     and for n even the even part is the odd part reversed."""
     bl = isqrt(_norm2(a) * _norm2(b)).bit_length()
-    k = 4 if len(a) * len(b) > _FOUR_POINT_CUT else 2
-    size = (bl + 17) // 16 if k == 4 else bl // 8 + 1
+    four = len(a) * len(b) > _FOUR_POINT_CUT
+    size = (bl + 17) // 16 if four else bl // 8 + 1
     s, n = 4 * size, len(a) + len(b) - 1
-    ae, ao = _even_odd(a, k * size // 2, k, s)
-    be, bo = _even_odd(b, k * size // 2, k, s)
+    if four:
+        ae, ao = _even_odd(a, 2 * size, s)
+        be, bo = _even_odd(b, 2 * size, s)
+    else:
+        ca, cb = _chunks(a, size), _chunks(b, size)
+        ae, be = _packed(ca[::2], size), _packed(cb[::2], size)
+        ao, bo = _packed(ca[1::2], size) << s, _packed(cb[1::2], size) << s
     plus, minus = (ae + ao) * (be + bo), (ae - ao) * (be - bo)
     even, odd = (plus + minus) >> 1, (plus - minus) >> (s + 1)
     low = [0] * ((n + 1) // 2)
-    if k == 2:
-        low[::2] = _low_digits(even, size, (n + 1) // 2, (n + 3) // 4)
-        low[1::2] = _low_digits(odd, size, n // 2, (n + 1) // 4)
-    else:
+    if four:
         mirrors = (even, odd) if n % 2 else (odd, even)
         low[::2] = _two_ended(even, mirrors[0], size, (n + 1) // 2, (n + 3) // 4, bl)
         low[1::2] = _two_ended(odd, mirrors[1], size, n // 2, (n + 1) // 4, bl)
+    else:
+        low[::2] = _low_digits(even, size, (n + 1) // 2, (n + 3) // 4)
+        low[1::2] = _low_digits(odd, size, n // 2, (n + 1) // 4)
     return low + low[: n // 2][::-1]
 
 
 def _balanced_product(polys: list[list[int]]) -> list[int]:
-    """The product of one or more palindromes, longest first: each joins the
-    half shorter so far, and each half is multiplied out the same way."""
+    """The product of one or more palindromes, longest first, taken out of
+    polys: each joins the half shorter so far, and each half is multiplied
+    out the same way, so no factor is held past the product it enters."""
     if len(polys) == 1:
-        return polys[0]
+        return polys.pop()
     halves: tuple[list[list[int]], list[list[int]]] = ([], [])
     lengths = [0, 0]
     for p in polys:
         side = lengths[1] < lengths[0]
         halves[side].append(p)
         lengths[side] += len(p)
+    del p, polys[:]
     return _product(_balanced_product(halves[0]), _balanced_product(halves[1]))
 
 
