@@ -34,7 +34,6 @@ from .lattice import (
     hexagon_params,
     k_region_params,
     magnet_bar_params,
-    region_params,
     validate_dents,
 )
 from .qalgebra import QPoly, resolve
@@ -101,9 +100,10 @@ def _count_factor_lists(p: RegionParams) -> tuple[list[int], list[int]]:
     return num, den
 
 
-# Cache bounds.  theorem_qmain holds every RegionParams that the recurrence
-# suite at --max-sum 8 asks for (7 821, about 1 KB each); the others need
-# far fewer keys at the sizes the suites and the CLI reach.
+# Cache bounds.  verify's "all" suite at --max-sum 8 asks theorem_qmain for
+# 12 870 distinct RegionParams (about 1 KB each), more than it holds, yet in
+# the suites' task order each miss is still a first call: the misses equal
+# the distinct tuples.  Hyperfactorial arguments are far fewer.
 _PARAMS_CACHE = 8192
 _SMALL_CACHE = 1024
 
@@ -116,7 +116,6 @@ def _hyperfactorial_int(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=_PARAMS_CACHE)
 def theorem_main(p: RegionParams) -> int:
     """Number of tilings of the notched region, by the hyperfactorial product.
 
@@ -205,11 +204,6 @@ def semihex_dents_M2(a: int, b: int, dents) -> FormulaResult:
     Equals the column-strict fillings enumerated by the dent positions:
     q^(sum s_i - i) times the double product of shifted q-integer ratios.
     """
-    return _semihex_cached(a, b, tuple(dents))
-
-
-@lru_cache(maxsize=_SMALL_CACHE)
-def _semihex_cached(a: int, b: int, dents: tuple[int, ...]) -> FormulaResult:
     s = sorted(validate_dents(a, b, dents))
     shown = sum(si - i for i, si in enumerate(s, start=1))
     # (q^s_j - q^s_i) / (q^j - q^i) = q^(s_i - i) [s_j - s_i] / [j - i]
@@ -253,12 +247,12 @@ FAMILIES: dict[str, Family] = {
     ),
     "q_region": Family(
         RegionParams._fields,
-        lambda *ps: build_q_region(region_params(*ps)),
+        lambda *ps: build_q_region(RegionParams(*ps)),
         {
-            "count": lambda *ps: theorem_main(region_params(*ps)),
-            "wt0": lambda *ps: theorem_qmain(region_params(*ps)),
-            "wt1": lambda *ps: _qmain_times(region_params(*ps), f_exponent),
-            "wt2": lambda *ps: _qmain_times(region_params(*ps), g_exponent),
+            "count": lambda *ps: theorem_main(RegionParams(*ps)),
+            "wt0": lambda *ps: theorem_qmain(RegionParams(*ps)),
+            "wt1": lambda *ps: _qmain_times(RegionParams(*ps), f_exponent),
+            "wt2": lambda *ps: _qmain_times(RegionParams(*ps), g_exponent),
         },
     ),
 }

@@ -39,10 +39,10 @@ compared and hashed as the tuple of its fields.  RegionParams checks its
 sides as it is made.  A Region's Encoding is cached beside its fields, in
 its encoding attribute, and is no part of its equality, hash or repr.
 
-Inside a shared_work block, build_q_region, region_params and the
-frontier engine hand back what they already computed for an equal
-request (see shared); the block's memo goes when it ends, and what is
-marked lasting goes into the second memo the block was handed.
+Inside a shared_work block, build_q_region and the frontier engine hand
+back what they already computed for an equal request (see shared); the
+block's memo goes when it ends, and what is marked lasting goes into the
+second memo the block was handed.
 """
 
 from __future__ import annotations
@@ -347,29 +347,22 @@ def q_region_triangle_count(p: RegionParams) -> int:
 
 
 # The notched hexagon's degenerations, each as a projection of its own
-# arguments to RegionParams; builders and closed formulas both go through it.
-
-
-def region_params(*values: int) -> RegionParams:
-    """RegionParams(*values), checked once per tuple of ints inside shared_work."""
-    if {*map(type, values)} != {int}:  # 1.0 == 1 and True == 1, yet only ints pass
-        return RegionParams(*values)
-    return shared(("params", values), lambda: RegionParams(*values), lasting=True)
+# arguments to RegionParams; builders and closed formulas both go through them.
 
 
 def hexagon_params(a: int, b: int, c: int) -> RegionParams:
     """The hexagon with sides a, b, c, a, b, c: no notch, x = b, z = a, t = c."""
-    return region_params(b, 0, a, c, 0, 0, 0, 0)
+    return RegionParams(b, 0, a, c, 0, 0, 0, 0)
 
 
 def k_region_params(a: int, x: int, y: int, z: int, t: int) -> RegionParams:
     """A single up-pointing notch of size a: m = b = c = 0."""
-    return region_params(x, y, z, t, 0, a, 0, 0)
+    return RegionParams(x, y, z, t, 0, a, 0, 0)
 
 
 def magnet_bar_params(m: int, a: int, x: int, y: int, z: int, t: int) -> RegionParams:
     """A bar-with-pendant notch: b = c = 0."""
-    return region_params(x, y, z, t, m, a, 0, 0)
+    return RegionParams(x, y, z, t, m, a, 0, 0)
 
 
 def build_hexagon(a: int, b: int, c: int) -> Region:

@@ -20,15 +20,15 @@ its own, and each group runs inside one lattice.shared_work block: the
 region is built, split by kuo_remove, counted and swept under each weight
 once, and its Kuo products multiplied once, however many checks ask; a
 repeated task (each qmain task is a formulas task too) is checked once.
-Only the engine's sweeps, the RegionParams and the suites' parameter
-tuples outlive a group: the task list and every group of one run_suite
-call share one lasting memo, so in a suite run a shape is swept once per
-weight and frame origin, and a tuple's RegionParams is checked once.  One
-table, _KUO_MOVES, gives Kuo's five removals as moves of the sides, for
-the recurrences and reductions alike.  Groups run here or, with jobs > 1,
-one per pool item, which gets only the group's number; each group's
-results (Reports, or with the CLI's renderer (passed, line) pairs) fill
-their tasks' slots as they arrive, so the output is the same at any jobs.
+Only the engine's sweeps and the suites' parameter tuples outlive a group:
+the task list and every group of one run_suite call share one lasting
+memo, so in a suite run a shape is swept once per weight and frame
+origin.  One table, _KUO_MOVES, gives Kuo's five removals as moves of the
+sides, for the recurrences and reductions alike.  Groups run here or, with
+jobs > 1, one per pool item, which gets only the group's number; each
+group's results (Reports, or with the CLI's renderer (passed, line) pairs)
+fill their tasks' slots as they arrive, so the output is the same at any
+jobs.
 run_suite drops the list and memo when it returns, or once the pool's
 workers start: a forked worker keeps its copy for the pool's life, and a
 spawn or forkserver one, or one the pool starts later, builds its own.
@@ -61,7 +61,6 @@ from .lattice import (
     k_region_params,
     magnet_bar_params,
     q_region_triangle_count,
-    region_params,
     shared,
     shared_work,
     up,
@@ -205,7 +204,7 @@ _KUO_MOVES = {
 def _moved(p: RegionParams, **steps: int) -> Optional[RegionParams]:
     """p with each named side moved by its step, or None once one is negative."""
     moved = [v + steps.get(name, 0) for name, v in zip(RegionParams._fields, p)]
-    return None if min(moved) < 0 else region_params(*moved)
+    return None if min(moved) < 0 else RegionParams(*moved)
 
 
 def _kuo_products(p: RegionParams) -> list[tuple[QPoly, int]]:
@@ -372,7 +371,7 @@ def _formula_tasks(
 
 
 def _suite_qmain(max_sum: int) -> list[tuple]:
-    return _formula_tasks("q_region", region_params, 8, max_sum, (WeightAssignment.WT2,))
+    return _formula_tasks("q_region", RegionParams, 8, max_sum, (WeightAssignment.WT2,))
 
 
 def _suite_formulas(max_sum: int) -> list[tuple]:
@@ -386,7 +385,7 @@ def _suite_formulas(max_sum: int) -> list[tuple]:
                 tasks.append((args, check_formula_vs_enumeration, "semihexagon", args, W.WT2))
     tasks += _formula_tasks("k_region", k_region_params, 5, max_sum, (W.WT2,))
     tasks += _formula_tasks("magnet_bar", magnet_bar_params, 6, max_sum, (W.WT2, W.WT3))
-    tasks += _formula_tasks("q_region", region_params, 8, max_sum, (W.WT0, W.WT1, W.WT2))
+    tasks += _formula_tasks("q_region", RegionParams, 8, max_sum, (W.WT0, W.WT1, W.WT2))
     return tasks
 
 
@@ -422,7 +421,7 @@ def _suite_recurrences(max_sum: int) -> list[tuple]:
     bars = [(ps, magnet_bar_params(*ps)) for ps in _bounded_tuples(6, max_sum)]
     tasks = [(p, check_magnet_recurrence, *ps) for ps, p in bars if _recurrence_applies(p)]
     for ps in _bounded_tuples(8, max_sum):
-        p = region_params(*ps)
+        p = RegionParams(*ps)
         if _recurrence_applies(p):
             tasks.append((p, check_q_recurrence, p))
         if _psi_applies(p):
@@ -444,7 +443,7 @@ def _suite_recurrences(max_sum: int) -> list[tuple]:
 def _suite_prop31(max_sum: int) -> list[tuple]:
     return [
         (p, check_prop31, p)
-        for p in (region_params(*ps) for ps in _bounded_tuples(8, max_sum))
+        for p in (RegionParams(*ps) for ps in _bounded_tuples(8, max_sum))
         if q_region_triangle_count(p) <= DEFAULT_TRIANGLE_BUDGET
     ]
 
@@ -483,7 +482,7 @@ def _suite_groups(name: str, max_sum: int) -> tuple[list[tuple], list[Sequence[i
     if held is None:
         from array import array  # here, off the import path of the other commands
 
-        with shared_work(lasting := {}):  # where every group finds each tuple's RegionParams
+        with shared_work(lasting := {}):  # the suites share their parameter tuples
             tasks, groups = suite_tasks(name, max_sum), {}
         for i, task in enumerate(tasks):
             groups.setdefault(i if task[0] is None else task[0], array("l")).append(i)

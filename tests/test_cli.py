@@ -254,15 +254,16 @@ def test_kuo_explicit_marks_uniform(capsys):
 
 
 def test_kuo_bad_marks_usage(capsys):
-    code, _, err = run(
-        capsys,
-        "kuo",
-        "hexagon",
-        "--a", "1", "--b", "1", "--c", "1",
-        "--marks", "0,0,U;0,0,U;0,0,D;1,-1,D",
-    )
-    assert code == 2
-    assert err
+    for marks in ("0,0,U;0,0,U;0,0,D;1,-1,D", "1,x,U"):
+        code, _, err = run(
+            capsys,
+            "kuo",
+            "hexagon",
+            "--a", "1", "--b", "1", "--c", "1",
+            "--marks", marks,
+        )
+        assert code == 2
+        assert err
 
 
 def test_kuo_without_params_needs_marks(capsys):
@@ -311,7 +312,11 @@ def test_a_usage_error_leaves_the_shared_parser_as_built(capsys):
     argv = ["genfun", "hexagon", "--a", "1", "--b", "2", "--c", "1"]
     build_parser.cache_clear()
     fresh = run(capsys, *argv)
-    for bad in (["genfun", "hexagon", "--a", "x"], ["verify", "--suite", "nonesuch"]):
+    for bad in (
+        ["genfun", "hexagon", "--a", "x"],
+        ["verify", "--suite", "nonesuch"],
+        ["verify", "--suite", "all", "--max-sum", "x"],
+    ):
         with pytest.raises(SystemExit) as info:
             main(bad)
         assert info.value.code == 2

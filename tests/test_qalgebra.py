@@ -23,6 +23,8 @@ def test_q_int_small_values():
     assert q_int(0) == QPoly(0)
     assert q_int(1) == QPoly(1)
     assert q_int(3) == QPoly({0: 1, 1: 1, 2: 1})
+    with pytest.raises(ValueError, match="negative"):
+        q_int(-1)
 
 
 def test_q_int_addition_law():
@@ -382,6 +384,7 @@ def test_constant_hashes_like_its_int():
     assert len({0, QPoly(0), QPoly({})}) == 1
     assert hash(QPoly(0)) == hash(0)
     assert len({True, QPoly(1)}) == 1
+    assert not QPoly(1) == "1" and QPoly(1) != "1"
     assert len({QPoly({1: 1}), QPoly({1: 1}), QPoly({0: 1, 1: 1})}) == 2
 
 
@@ -400,6 +403,8 @@ def test_a_coefficient_sequence_starts_at_its_lowest_exponent():
         for low in (0, 2):
             assert QPoly(zeros, low) == 0 and not QPoly(zeros, low)
             assert hash(QPoly(zeros, low)) == hash(0)
+            with pytest.raises(ValueError, match="no degree"):
+                QPoly(zeros, low).degree()
 
 
 @pytest.mark.parametrize("coefficients", [(1, True), (False,), (1, 2.0), ("1",), "12", [0.0]])
@@ -431,6 +436,9 @@ def test_rejects_bad_construction():
     for terms in ({0: True}, {-1: 1}, {0: 1.0}):
         with pytest.raises(ValueError):
             QPoly(terms)  # type: ignore[arg-type]
+    for text, message in (("1 + x", "cannot parse term"), ("q^2 + 3*q^2", "duplicate exponent")):
+        with pytest.raises(ValueError, match=message):
+            parse_poly(text)
 
 
 @given(

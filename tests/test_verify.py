@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -146,10 +145,16 @@ def test_q_recurrence_examples():
     assert check_q_recurrence(RegionParams(1, 0, 1, 1, 1, 1, 1, 1)).status == PRECONDITION
 
 
-def test_psi_recurrence_examples():
+def test_psi_recurrence_examples(monkeypatch):
     assert check_psi_recurrence(RegionParams(1, 1, 1, 1, 1, 1, 1, 1)).status == PASS
     assert check_psi_recurrence(RegionParams(2, 2, 1, 1, 1, 0, 1, 0)).status == PASS
     assert check_psi_recurrence(RegionParams(1, 1, 0, 1, 1, 1, 1, 1)).status == PRECONDITION
+    # The product identity holds but the scalar one fails: so does the check.
+    wrong = Report("q_int_addition", (0, 0), FAIL, QPoly(1), QPoly(0), QPoly(1))
+    monkeypatch.setattr(verify, "check_q_int_addition", lambda a, z: wrong)
+    report = check_psi_recurrence(RegionParams(1, 1, 1, 1, 1, 1, 1, 1))
+    assert report.status == FAIL
+    assert report.lhs == report.rhs and report.witness == QPoly(1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -201,12 +206,17 @@ def test_q_int_addition():
     assert check_q_int_addition(-1, 2).status == PRECONDITION
 
 
-def test_prop31_examples():
+def test_prop31_examples(monkeypatch):
     zero = check_prop31(RegionParams(0, 0, 0, 0, 0, 0, 0, 0))
     assert zero.status == PASS
     assert zero.lhs == QPoly(1) and zero.rhs == QPoly(1)
     assert check_prop31(RegionParams(1, 1, 1, 1, 0, 0, 0, 0)).status == PASS
     assert check_prop31(RegionParams(1, 1, 1, 1, 1, 1, 1, 1)).status == PASS
+    # f_exponent one too high fails wt1; the report is that line, not wt2's.
+    real = verify.f_exponent
+    monkeypatch.setattr(verify, "f_exponent", lambda p: real(p) + 1)
+    report = check_prop31(RegionParams(1, 1, 1, 1, 0, 0, 0, 0))
+    assert report.status == FAIL and report.rhs == report.lhs.shift(1)
 
 
 def test_prop31_budget():
@@ -450,17 +460,6 @@ def test_a_suite_encodes_no_region_it_builds(monkeypatch):
     assert not any(groups)
 
 
-def test_a_suite_checks_each_region_params_once(monkeypatch):
-    # Every group, the family callables and the Kuo moves included, finds
-    # the tuple's RegionParams made when the task list was.
-    calls = []
-    real = RegionParams.__new__
-    monkeypatch.setattr(RegionParams, "__new__", lambda cls, *p: calls.append(p) or real(cls, *p))
-    reports = run_suite("all", 4)
-    assert len(calls) == len(set(calls))
-    assert set(calls) >= {tuple(r.params) for r in reports if r.check_name == "q_recurrence"}
-
-
 def test_a_wrong_prefactor_or_a_core_not_a_translate_fails_a_reduction(monkeypatch):
     steps = list(verify._KUO_MOVES)
     assert all(check_magnet_reduction(1, 1, 1, 1, 1, 1, s).status == PASS for s in steps)
@@ -634,22 +633,6 @@ def test_suite_task_counts_frozen():
         "prop31": 1287,
         "all": 8332,
     }
-
-
-def test_a_task_list_builds_each_family_tuple_once(monkeypatch):
-    # qmain, formulas, recurrences and prop31 all sweep the notched
-    # eight-tuples, and the hexagon, K and bar tuples project onto them
-    # (formulas and recurrences both sweep the bars).  Built in one
-    # shared_work block, as run_suite builds it, a task list checks the
-    # RegionParams of each task key once and no other.
-    calls = []
-    real = RegionParams.__new__
-    monkeypatch.setattr(RegionParams, "__new__", lambda cls, *p: calls.append(p) or real(cls, *p))
-    with lattice.shared_work():
-        tasks = suite_tasks("all", 3)
-    keys = {task[0] for task in tasks if isinstance(task[0], RegionParams)}
-    assert len(keys) > math.comb(3 + 8, 8)  # every notched tuple, and the kuo suite's
-    assert len(calls) == len(keys) and set(calls) == keys
 
 
 def test_qmain_suite_small():
